@@ -1,6 +1,7 @@
 #include "bft/messages.h"
 
 #include <type_traits>
+#include <utility>
 
 namespace findep::bft {
 
@@ -79,9 +80,9 @@ crypto::Digest NewView::digest() const {
   h.update_u64(view);
   h.update_u64(proofs.size());
   for (const SignedViewChange& svc : proofs) {
-    h.update_u64(svc.sender);
-    h.update(svc.vc.digest().bytes);
-    h.update(svc.signature.tag.bytes);
+    h.update_u64(svc.sender());
+    h.update(svc.digest().bytes);
+    h.update(svc.signature().tag.bytes);
   }
   h.update_u64(reproposals.size());
   for (const PrePrepare& pp : reproposals) {
@@ -113,8 +114,8 @@ crypto::Digest StateResponse::digest() const {
     h.update_u64(e.seq);
     h.update(e.request.digest().bytes);
   }
-  h.update_u64(new_view.has_value() ? 1 : 0);
-  if (new_view.has_value()) h.update(new_view->digest().bytes);
+  h.update_u64(new_view != nullptr ? 1 : 0);
+  if (new_view != nullptr) h.update(new_view->digest().bytes);
   return h.finish();
 }
 
@@ -225,7 +226,7 @@ std::uint64_t newview_wire_bytes(const NewView& nv) {
   // derived from it.
   std::uint64_t bytes = kNewViewBytes;
   for (const SignedViewChange& s : nv.proofs) {
-    bytes += viewchange_wire_bytes(s.vc);
+    bytes += viewchange_wire_bytes(s.vc());
   }
   for (const PrePrepare& pp : nv.reproposals) {
     bytes += kControlBytes + batch_body_bytes(pp.batch);
@@ -263,7 +264,7 @@ std::uint64_t stateresponse_wire_bytes(const StateResponse& resp) {
   std::uint64_t bytes = kControlBytes;
   bytes += kControlBytes * resp.proof.size();
   bytes += kStateEntryBytes * resp.entries.size();
-  if (resp.new_view.has_value()) bytes += newview_wire_bytes(*resp.new_view);
+  if (resp.new_view != nullptr) bytes += newview_wire_bytes(*resp.new_view);
   return bytes;
 }
 }  // namespace
@@ -299,21 +300,29 @@ std::uint64_t payload_wire_bytes(const Payload& payload) {
       payload);
 }
 
+SignedViewChange::SignedViewChange(const Envelope& env)
+    : sender_(env.sender()),
+      vc_(std::get<ViewChange>(env.payload())),
+      signature_(env.signature()),
+      digest_(env.digest()) {}
+
+Envelope::Envelope(ReplicaId sender, const crypto::KeyPair& keys,
+                   Payload payload)
+    : sender_(sender),
+      sender_key_(keys.public_key()),
+      payload_(std::move(payload)),
+      digest_(payload_digest(payload_)),
+      signature_(keys.sign(digest_)) {}
+
 Envelope make_envelope(ReplicaId sender, const crypto::KeyPair& keys,
                        Payload payload) {
-  Envelope env;
-  env.sender = sender;
-  env.sender_key = keys.public_key();
-  env.signature = keys.sign(payload_digest(payload));
-  env.payload = std::move(payload);
-  return env;
+  return Envelope(sender, keys, std::move(payload));
 }
 
 bool verify_envelope(const crypto::KeyRegistry& registry,
                      const Envelope& envelope) {
-  return registry.verify(envelope.sender_key,
-                         payload_digest(envelope.payload),
-                         envelope.signature);
+  return registry.verify(envelope.sender_key(), envelope.digest(),
+                         envelope.signature());
 }
 
 }  // namespace findep::bft

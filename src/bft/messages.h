@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -117,14 +117,34 @@ struct ViewChange {
   [[nodiscard]] crypto::Digest digest() const;
 };
 
+class Envelope;
+
 /// A view-change message together with its sender's signature, embeddable
 /// as a proof inside NEW-VIEW (receivers re-verify each one, so a
 /// Byzantine new primary cannot invent the view-change quorum or alter
-/// what was prepared).
-struct SignedViewChange {
-  ReplicaId sender = 0;
-  ViewChange vc;
-  crypto::Signature signature;
+/// what was prepared). It is lifted from the VIEW-CHANGE envelope that
+/// carried it and keeps the digest that envelope bound, so neither the
+/// NEW-VIEW digest nor a proof check rehashes the prepared batches.
+class SignedViewChange {
+ public:
+  /// `env` must carry a ViewChange.
+  explicit SignedViewChange(const Envelope& env);
+
+  [[nodiscard]] ReplicaId sender() const noexcept { return sender_; }
+  [[nodiscard]] const ViewChange& vc() const noexcept { return vc_; }
+  [[nodiscard]] const crypto::Signature& signature() const noexcept {
+    return signature_;
+  }
+  /// vc().digest(), computed once when the sender signed it.
+  [[nodiscard]] const crypto::Digest& digest() const noexcept {
+    return digest_;
+  }
+
+ private:
+  ReplicaId sender_ = 0;
+  ViewChange vc_;
+  crypto::Signature signature_;
+  crypto::Digest digest_;
 };
 
 struct NewView {
@@ -154,16 +174,19 @@ struct StateRequest {
 ///     `checkpoint.seq`], whose replay onto the requester's own log must
 ///     reproduce `checkpoint.state_digest` (wrong or tampered entries are
 ///     rejected wholesale and the requester retries elsewhere);
-///   - `new_view`: the NEW-VIEW the responder last installed, so a
-///     replica that also missed view changes during its outage can
+///   - `new_view`: the NEW-VIEW the responder last installed, if any, so
+///     a replica that also missed view changes during its outage can
 ///     re-verify and adopt the current view (NEW-VIEW is self-certifying
-///     through its embedded view-change quorum).
+///     through its embedded view-change quorum). Shared, not copied: a
+///     responder hands out the NEW-VIEW it keeps, and holding it by
+///     pointer stops StateResponse from being the widest payload, which
+///     sizes every network body.
 struct StateResponse {
   SeqNum request_from = 0;
   Checkpoint checkpoint;
   std::vector<SignedCheckpoint> proof;
   std::vector<ExecutedEntry> entries;
-  std::optional<NewView> new_view;
+  std::shared_ptr<const NewView> new_view;
 
   [[nodiscard]] crypto::Digest digest() const;
 };
@@ -276,16 +299,47 @@ using Payload = std::variant<Request, PrePrepare, Prepare, Commit,
                              StateResponse, HsProposal, HsVote, HsTimeout,
                              HsBlockRequest, HsBlockResponse, HsQcNotice>;
 
-/// Envelope: sender identity + signature over the payload digest.
-struct Envelope {
-  ReplicaId sender = 0;
-  crypto::PublicKey sender_key;
-  Payload payload;
-  crypto::Signature signature;
-};
-
 /// Digest of any payload alternative (dispatches on the variant).
 [[nodiscard]] crypto::Digest payload_digest(const Payload& payload);
+
+/// Signs a payload as `sender`.
+[[nodiscard]] Envelope make_envelope(ReplicaId sender,
+                                     const crypto::KeyPair& keys,
+                                     Payload payload);
+
+/// Envelope: sender identity + signature over the payload digest. The
+/// digest is computed once, by make_envelope, and bound to the payload:
+/// an envelope is read-only, so every receiver verifies the signature
+/// against the bound digest instead of rehashing the payload. (A real
+/// receiver hashes the bytes it got; here every receiver shares one
+/// immutable body, whose hash is this value.)
+class Envelope {
+ public:
+  [[nodiscard]] ReplicaId sender() const noexcept { return sender_; }
+  [[nodiscard]] const crypto::PublicKey& sender_key() const noexcept {
+    return sender_key_;
+  }
+  [[nodiscard]] const Payload& payload() const noexcept { return payload_; }
+  /// payload_digest(payload()), the message the signature covers.
+  [[nodiscard]] const crypto::Digest& digest() const noexcept {
+    return digest_;
+  }
+  [[nodiscard]] const crypto::Signature& signature() const noexcept {
+    return signature_;
+  }
+
+ private:
+  friend Envelope make_envelope(ReplicaId sender,
+                                const crypto::KeyPair& keys,
+                                Payload payload);
+  Envelope(ReplicaId sender, const crypto::KeyPair& keys, Payload payload);
+
+  ReplicaId sender_ = 0;
+  crypto::PublicKey sender_key_;
+  Payload payload_;
+  crypto::Digest digest_;
+  crypto::Signature signature_;
+};
 
 /// Wire-size model (bytes) of a payload, used for traffic accounting.
 /// Sizes are per-message header plus per-element body for the
@@ -295,11 +349,6 @@ struct Envelope {
 /// per-type constant. A single-request batch costs exactly what the
 /// unbatched protocol charged, keeping batch_size=1 accounting identical.
 [[nodiscard]] std::uint64_t payload_wire_bytes(const Payload& payload);
-
-/// Signs a payload as `sender`.
-[[nodiscard]] Envelope make_envelope(ReplicaId sender,
-                                     const crypto::KeyPair& keys,
-                                     Payload payload);
 
 /// Verifies the envelope signature.
 [[nodiscard]] bool verify_envelope(const crypto::KeyRegistry& registry,

@@ -1,11 +1,11 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <array>
 
 namespace findep::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) noexcept {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> padded{};
   if (key.size() > kBlock) {
@@ -21,10 +21,18 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     inner_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36);
     outer_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5c);
   }
+  inner_.update(inner_pad);
+  outer_.update(outer_pad);
+}
 
-  const Digest inner =
-      Sha256{}.update(inner_pad).update(message).finish();
-  return Sha256{}.update(outer_pad).update(inner.bytes).finish();
+Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
+  const Digest inner = Sha256(inner_).update(message).finish();
+  return Sha256(outer_).update(inner.bytes).finish();
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> message) {
+  return HmacKey(key).mac(message);
 }
 
 Digest hmac_sha256(std::span<const std::uint8_t> key,

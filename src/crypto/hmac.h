@@ -10,8 +10,23 @@
 
 namespace findep::crypto {
 
-/// HMAC-SHA256 over `message` with `key`. Keys longer than the 64-byte
-/// block are pre-hashed per the RFC.
+/// A key's HMAC schedule: the SHA-256 states after absorbing the inner
+/// and outer pad blocks, computed once per key. Each MAC then resumes
+/// from them, so a MAC over a 32-byte digest costs two compressions
+/// instead of four (plus the key pre-hash, for keys over 64 bytes).
+class HmacKey {
+ public:
+  /// Keys longer than the 64-byte block are pre-hashed per the RFC.
+  explicit HmacKey(std::span<const std::uint8_t> key) noexcept;
+
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
+/// HMAC-SHA256 over `message` with `key` (a one-shot HmacKey).
 [[nodiscard]] Digest hmac_sha256(std::span<const std::uint8_t> key,
                                  std::span<const std::uint8_t> message);
 

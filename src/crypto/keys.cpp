@@ -9,19 +9,16 @@ namespace {
 constexpr std::string_view kPublicKeyDomain = "findep/pubkey/v1";
 constexpr std::string_view kSignatureDomain = "findep/sig/v1";
 
-PublicKey public_from_secret(const Digest& secret) {
-  return PublicKey{
-      Sha256{}.update(kPublicKeyDomain).update(secret.bytes).finish()};
-}
-
-Signature sign_with(const Digest& secret,
-                    std::span<const std::uint8_t> message) {
+Digest signing_key(const Digest& secret) {
   // Domain-separate signing from other HMAC uses of the same secret.
-  const Digest keyed =
-      Sha256{}.update(kSignatureDomain).update(secret.bytes).finish();
-  return Signature{hmac_sha256(keyed.bytes, message)};
+  return Sha256{}.update(kSignatureDomain).update(secret.bytes).finish();
 }
 }  // namespace
+
+KeyPair::KeyPair(const Digest& secret)
+    : secret_(secret),
+      pub_{Sha256{}.update(kPublicKeyDomain).update(secret.bytes).finish()},
+      signer_(signing_key(secret).bytes) {}
 
 KeyPair KeyPair::generate(support::Rng& rng) {
   Digest secret;
@@ -31,17 +28,16 @@ KeyPair KeyPair::generate(support::Rng& rng) {
       secret.bytes[i + j] = static_cast<std::uint8_t>(word >> (8 * j));
     }
   }
-  return KeyPair{secret, public_from_secret(secret)};
+  return KeyPair{secret};
 }
 
 KeyPair KeyPair::derive(std::uint64_t seed) {
-  const Digest secret =
-      Sha256{}.update("findep/keyseed/v1").update_u64(seed).finish();
-  return KeyPair{secret, public_from_secret(secret)};
+  return KeyPair{
+      Sha256{}.update("findep/keyseed/v1").update_u64(seed).finish()};
 }
 
 Signature KeyPair::sign(std::span<const std::uint8_t> message) const {
-  return sign_with(secret_, message);
+  return Signature{signer_.mac(message)};
 }
 
 Signature KeyPair::sign(std::string_view message) const {
@@ -55,27 +51,27 @@ Signature KeyPair::sign(const Digest& message) const {
 }
 
 bool KeyRegistry::enroll(const KeyPair& keys) {
-  const auto [it, inserted] =
-      keys_.emplace(keys.public_key().id, keys.secret_for_oracle());
-  return inserted || it->second == keys.secret_for_oracle();
+  const auto [it, inserted] = keys_.try_emplace(keys.public_key().id, keys);
+  return inserted ||
+         it->second.secret_for_oracle() == keys.secret_for_oracle();
 }
 
 bool KeyRegistry::is_enrolled(const PublicKey& pub) const {
   return keys_.contains(pub.id);
 }
 
-std::optional<Digest> KeyRegistry::secret_of(const PublicKey& pub) const {
+std::optional<Digest> KeyRegistry::oracle_secret(const PublicKey& pub) const {
   const auto it = keys_.find(pub.id);
   if (it == keys_.end()) return std::nullopt;
-  return it->second;
+  return it->second.secret_for_oracle();
 }
 
 bool KeyRegistry::verify(const PublicKey& pub,
                          std::span<const std::uint8_t> message,
                          const Signature& sig) const {
-  const auto secret = secret_of(pub);
-  if (!secret.has_value()) return false;
-  return sign_with(*secret, message) == sig;
+  const auto it = keys_.find(pub.id);
+  if (it == keys_.end()) return false;
+  return it->second.sign(message) == sig;
 }
 
 bool KeyRegistry::verify(const PublicKey& pub, std::string_view message,

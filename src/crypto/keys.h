@@ -67,10 +67,12 @@ class KeyPair {
   }
 
  private:
-  KeyPair(Digest secret, PublicKey pub) : secret_(secret), pub_(pub) {}
+  explicit KeyPair(const Digest& secret);
 
   Digest secret_;
   PublicKey pub_;
+  /// HMAC schedule of the domain-separated signing key, derived once.
+  HmacKey signer_;
 };
 
 /// The verification oracle standing in for public-key mathematics. Every
@@ -99,14 +101,12 @@ class KeyRegistry {
   /// (a real VRF proof pins the output; here the oracle recomputes it).
   /// Protocol code must never consult this.
   [[nodiscard]] std::optional<Digest> oracle_secret(
-      const PublicKey& pub) const {
-    return secret_of(pub);
-  }
+      const PublicKey& pub) const;
 
  private:
-  [[nodiscard]] std::optional<Digest> secret_of(const PublicKey& pub) const;
-
-  std::unordered_map<Digest, Digest> keys_;  // pub id -> secret
+  /// pub id -> the enrolled pair; verification re-signs with its
+  /// precomputed HMAC schedule.
+  std::unordered_map<Digest, KeyPair> keys_;
 };
 
 }  // namespace findep::crypto

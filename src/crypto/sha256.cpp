@@ -168,20 +168,22 @@ Digest Sha256::finish() {
   FINDEP_REQUIRE_MSG(!finished_, "Sha256 context reused after finish()");
   finished_ = true;
 
+  // Padding, written into the block buffer in place: 0x80, zeros up to
+  // byte 56 of the last block (spilling into one extra block when fewer
+  // than 9 bytes are left), then the 64-bit big-endian bit length.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t one = 0x80;
-  update(std::span<const std::uint8_t>(&one, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> be;
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (std::size_t i = 0; i < 8; ++i) {
-    be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(be);
-  FINDEP_ASSERT(buffered_ == 0);
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {

@@ -120,9 +120,9 @@ void NodeHarness::on_message(const net::Message& raw) {
   if (env == nullptr) return;  // foreign traffic
   // Authentication: the claimed sender key must be the directory entry
   // (clients are outside the directory and allowed for Request only).
-  const bool from_replica = env->sender < weights_.size();
-  if (from_replica && directory_[env->sender] != env->sender_key) return;
-  if (verify_pool_ == nullptr || env->sender == id_) {
+  const bool from_replica = env->sender() < weights_.size();
+  if (from_replica && directory_[env->sender()] != env->sender_key()) return;
+  if (verify_pool_ == nullptr || env->sender() == id_) {
     // crypto=free (no pool), or our own loopback leg — a replica does
     // not re-verify its own signature, so the self-send stays on the
     // historical inline path even under a modeled cost.
@@ -139,7 +139,7 @@ void NodeHarness::offload_verify(const net::Message& raw,
   // (they only seed batches), so quorum-forming consensus and recovery
   // traffic always verifies first.
   const runtime::TaskPriority priority =
-      std::holds_alternative<bft::Request>(env.payload)
+      std::holds_alternative<bft::Request>(env.payload())
           ? runtime::TaskPriority::kSpeculative
           : runtime::TaskPriority::kCritical;
   // Quorum proofs ride one envelope and are batch-verified; the protocol
@@ -147,14 +147,14 @@ void NodeHarness::offload_verify(const net::Message& raw,
   // proposal its QC, a state response its checkpoint vote quorum).
   // Everything else is one signature check.
   const double cost = options_.cost_model.verify_seconds() +
-                      protocol_->verify_extra_cost(env.payload);
+                      protocol_->verify_extra_cost(env.payload());
   // Keep the shared envelope body alive until the completion runs; the
   // completion re-reads it and takes the exact inline dispatch path.
   net::Envelope keep = raw.envelope;
   const net::NodeId from = raw.from;
   const std::uint64_t bytes = raw.bytes;
   verify_pool_->submit(
-      priority, cost, protocol_->verify_stale_check(env.payload),
+      priority, cost, protocol_->verify_stale_check(env.payload()),
       [this, keep = std::move(keep), from, bytes](bool dropped) {
         if (dropped) return;
         const bft::Envelope* env = keep.get<bft::Envelope>();

@@ -94,38 +94,38 @@ runtime::WorkerPool::StaleCheck HotStuff::verify_stale_check(
 
 void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
                                 std::uint64_t raw_bytes) {
-  const bool from_replica = env.sender < harness_.n();
+  const bool from_replica = env.sender() < harness_.n();
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Request>) {
           on_request(m, raw_from);
         } else if constexpr (std::is_same_v<T, HsProposal>) {
-          if (from_replica) on_proposal(m, env.sender);
+          if (from_replica) on_proposal(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsVote>) {
-          if (from_replica) on_vote(m, env.sender, env.signature);
+          if (from_replica) on_vote(m, env.sender(), env.signature());
         } else if constexpr (std::is_same_v<T, HsTimeout>) {
-          if (from_replica) on_timeout(m, env.sender);
+          if (from_replica) on_timeout(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsQcNotice>) {
           if (from_replica) on_qc_notice(m);
         } else if constexpr (std::is_same_v<T, HsBlockRequest>) {
-          if (from_replica) on_block_request(m, env.sender);
+          if (from_replica) on_block_request(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsBlockResponse>) {
           if (from_replica) on_block_response(m);
         } else if constexpr (std::is_same_v<T, Checkpoint>) {
-          if (from_replica) on_checkpoint(m, env.sender, env.signature);
+          if (from_replica) on_checkpoint(m, env.sender(), env.signature());
         } else if constexpr (std::is_same_v<T, StateRequest>) {
-          if (from_replica) on_state_request(m, env.sender);
+          if (from_replica) on_state_request(m, env.sender());
         } else if constexpr (std::is_same_v<T, StateResponse>) {
           if (from_replica) {
             state_transfer_bytes_ += raw_bytes;
-            on_state_response(m, env.sender);
+            on_state_response(m, env.sender());
           }
         }
         // PBFT payloads fall through: a HotStuff replica ignores the
         // other lane's traffic entirely.
       },
-      env.payload);
+      env.payload());
 }
 
 // --- client ingress --------------------------------------------------------
@@ -178,9 +178,9 @@ bool HotStuff::verify_qc(const QuorumCert& qc) const {
   return is_quorum(weight);
 }
 
-void HotStuff::store_block(const HsBlock& b) {
-  blocks_.emplace(b.digest(), b);
-  requested_blocks_.erase(b.digest());
+void HotStuff::store_block(const HsBlock& b, const crypto::Digest& digest) {
+  blocks_.emplace(digest, b);
+  requested_blocks_.erase(digest);
 }
 
 bool HotStuff::update_high_qc(const QuorumCert& qc) {
@@ -293,11 +293,12 @@ void HotStuff::on_block_request(const HsBlockRequest& req, ReplicaId from) {
 
 void HotStuff::on_block_response(const HsBlockResponse& resp) {
   const HsBlock& b = resp.block;
-  if (!blocks_.contains(b.digest())) {
+  const crypto::Digest digest = b.digest();
+  if (!blocks_.contains(digest)) {
     if (b.parent != b.justify.block_digest) return;
     if (b.height != b.justify.height + 1) return;
     if (!verify_qc(b.justify)) return;
-    store_block(b);
+    store_block(b, digest);
     update_high_qc(b.justify);
   }
   // Retry the commit rule even when the block was already known: the
@@ -322,7 +323,8 @@ void HotStuff::on_proposal(const HsProposal& p, ReplicaId from) {
     // somewhere, even if we never fired one ourselves.
     observed_disruption_ = true;
   }
-  store_block(b);
+  const crypto::Digest digest = b.digest();
+  store_block(b, digest);
   update_high_qc(b.justify);
   // Retry the commit rule unconditionally: this block may be the one a
   // fresher QC (adopted before the proposal arrived) was blocked on, in
@@ -337,7 +339,7 @@ void HotStuff::on_proposal(const HsProposal& p, ReplicaId from) {
     last_voted_round_ = std::max(last_voted_round_, b.round);
     // Leader-collects-votes: the vote goes to the *next* round's leader
     // only — this is the linear message pattern.
-    send_to(leader_of(b.round + 1), HsVote{b.round, b.height, b.digest()});
+    send_to(leader_of(b.round + 1), HsVote{b.round, b.height, digest});
   }
   try_propose();
   ensure_pacemaker();

@@ -192,7 +192,8 @@ class HotStuff final : public OrderingProtocol {
   void try_commit();
   /// SafeNode: may this replica vote for `b`?
   [[nodiscard]] bool safe_to_vote(const HsBlock& b) const;
-  void store_block(const HsBlock& b);
+  /// `digest` is b.digest(), which the caller has already computed.
+  void store_block(const HsBlock& b, const crypto::Digest& digest);
   /// Executes the committed chain up through `block` (ascending height),
   /// deduplicating request ids exactly like the PBFT batch unroll.
   void commit_chain(const HsBlock& block);

@@ -84,7 +84,7 @@ runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
 
 void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
                             std::uint64_t raw_bytes) {
-  const bool from_replica = env.sender < harness_.n();
+  const bool from_replica = env.sender() < harness_.n();
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -103,28 +103,28 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
             }
           }
           if constexpr (std::is_same_v<T, PrePrepare>) {
-            on_preprepare(m, env.sender);
+            on_preprepare(m, env.sender());
           } else if constexpr (std::is_same_v<T, Prepare>) {
-            on_prepare(m, env.sender);
+            on_prepare(m, env.sender());
           } else if constexpr (std::is_same_v<T, Commit>) {
-            on_commit(m, env.sender);
+            on_commit(m, env.sender());
           } else if constexpr (std::is_same_v<T, Checkpoint>) {
-            on_checkpoint(m, env.sender, env.signature);
+            on_checkpoint(m, env.sender(), env.signature());
           } else if constexpr (std::is_same_v<T, ViewChange>) {
-            on_viewchange(m, env.sender, env.signature);
+            on_viewchange(env);
           } else if constexpr (std::is_same_v<T, NewView>) {
-            on_newview(m, env.sender);
+            on_newview(m, env.sender());
           } else if constexpr (std::is_same_v<T, StateRequest>) {
-            on_state_request(m, env.sender);
+            on_state_request(m, env.sender());
           } else if constexpr (std::is_same_v<T, StateResponse>) {
             state_transfer_bytes_ += raw_bytes;
-            on_state_response(m, env.sender);
+            on_state_response(m, env.sender());
           }
           // HotStuff payloads fall through: a PBFT replica ignores the
           // other lane's traffic entirely.
         }
       },
-      env.payload);
+      env.payload());
 }
 
 void Pbft::replay_future_messages() {
@@ -142,15 +142,15 @@ void Pbft::replay_future_messages() {
               return;
             }
             if constexpr (std::is_same_v<T, PrePrepare>) {
-              on_preprepare(m, env.sender);
+              on_preprepare(m, env.sender());
             } else if constexpr (std::is_same_v<T, Prepare>) {
-              on_prepare(m, env.sender);
+              on_prepare(m, env.sender());
             } else {
-              on_commit(m, env.sender);
+              on_commit(m, env.sender());
             }
           }
         },
-        env.payload);
+        env.payload());
   }
 }
 
@@ -602,8 +602,9 @@ void Pbft::start_view_change(View target) {
   broadcast(vc);
 }
 
-void Pbft::on_viewchange(const ViewChange& vc, ReplicaId from,
-                         const crypto::Signature& signature) {
+void Pbft::on_viewchange(const Envelope& env) {
+  const ViewChange& vc = std::get<ViewChange>(env.payload());
+  const ReplicaId from = env.sender();
   // A view change states the sender's stable checkpoint — a signed claim
   // usable as state-transfer evidence.
   fetch_.note_claim(from, vc.last_executed);
@@ -612,14 +613,14 @@ void Pbft::on_viewchange(const ViewChange& vc, ReplicaId from,
   const bool already =
       std::any_of(votes.begin(), votes.end(),
                   [from](const SignedViewChange& s) {
-                    return s.sender == from;
+                    return s.sender() == from;
                   });
   if (!already) {
-    votes.push_back(SignedViewChange{from, vc, signature});
+    votes.emplace_back(env);
   }
 
   double weight = 0.0;
-  for (const SignedViewChange& s : votes) weight += weight_of(s.sender);
+  for (const SignedViewChange& s : votes) weight += weight_of(s.sender());
 
   // Join rule: a third of the power already wants this view, so at least
   // one honest replica timed out — join to guarantee liveness.
@@ -637,8 +638,8 @@ std::vector<PrePrepare> Pbft::compute_reproposals(
   SeqNum min_s = 0;
   SeqNum max_s = 0;
   for (const SignedViewChange& s : proofs) {
-    min_s = std::max(min_s, s.vc.last_executed);
-    for (const PreparedEntry& e : s.vc.prepared) {
+    min_s = std::max(min_s, s.vc().last_executed);
+    for (const PreparedEntry& e : s.vc().prepared) {
       max_s = std::max(max_s, e.seq);
     }
   }
@@ -646,7 +647,7 @@ std::vector<PrePrepare> Pbft::compute_reproposals(
   for (SeqNum seq = min_s + 1; seq <= max_s; ++seq) {
     const PreparedEntry* best = nullptr;
     for (const SignedViewChange& s : proofs) {
-      for (const PreparedEntry& e : s.vc.prepared) {
+      for (const PreparedEntry& e : s.vc().prepared) {
         if (e.seq != seq) continue;
         if (best == nullptr || e.view > best->view) best = &e;
       }
@@ -665,11 +666,11 @@ void Pbft::maybe_assemble_new_view(View target) {
   const bool have_own =
       std::any_of(it->second.begin(), it->second.end(),
                   [this](const SignedViewChange& s) {
-                    return s.sender == id();
+                    return s.sender() == id();
                   });
   if (!have_own) return;
   double weight = 0.0;
-  for (const SignedViewChange& s : it->second) weight += weight_of(s.sender);
+  for (const SignedViewChange& s : it->second) weight += weight_of(s.sender());
   if (!is_quorum(weight)) return;
 
   newview_assembled_for_ = target;
@@ -686,14 +687,14 @@ bool Pbft::verify_new_view(const NewView& nv) const {
   double weight = 0.0;
   std::vector<bool> seen(harness_.n(), false);
   for (const SignedViewChange& s : nv.proofs) {
-    if (s.sender >= harness_.n() || seen[s.sender]) return false;
-    if (s.vc.new_view != nv.view) return false;
-    if (!harness_.registry().verify(harness_.directory()[s.sender],
-                                    s.vc.digest(), s.signature)) {
+    if (s.sender() >= harness_.n() || seen[s.sender()]) return false;
+    if (s.vc().new_view != nv.view) return false;
+    if (!harness_.registry().verify(harness_.directory()[s.sender()],
+                                    s.digest(), s.signature())) {
       return false;
     }
-    seen[s.sender] = true;
-    weight += weight_of(s.sender);
+    seen[s.sender()] = true;
+    weight += weight_of(s.sender());
   }
   if (!is_quorum(weight)) return false;
 
@@ -722,7 +723,7 @@ void Pbft::install_new_view(const NewView& nv) {
   view_ = nv.view;
   in_view_change_ = false;
   pending_view_ = nv.view;
-  last_new_view_ = nv;
+  last_new_view_ = std::make_shared<const NewView>(nv);
   disarm_viewchange_timer();
   viewchange_votes_.erase(viewchange_votes_.begin(),
                           viewchange_votes_.upper_bound(nv.view));
@@ -730,7 +731,7 @@ void Pbft::install_new_view(const NewView& nv) {
   // if a quorum certifies state above our horizon, we missed committed
   // traffic and should fetch rather than wait for the next checkpoint.
   for (const SignedViewChange& s : nv.proofs) {
-    fetch_.note_claim(s.sender, s.vc.last_executed);
+    fetch_.note_claim(s.sender(), s.vc().last_executed);
   }
 
   // Reset consensus state for unexecuted sequence numbers: votes from
@@ -858,7 +859,7 @@ void Pbft::on_state_response(const StateResponse& resp, ReplicaId from) {
   colluded_.erase(colluded_.begin(), colluded_.upper_bound(last_executed_));
   fetch_.on_adopted();
 
-  if (resp.new_view.has_value() && resp.new_view->view > view_ &&
+  if (resp.new_view != nullptr && resp.new_view->view > view_ &&
       verify_new_view(*resp.new_view)) {
     // We also missed a view change during the outage: the relayed
     // NEW-VIEW is self-certifying, so adopt the cluster's view (this

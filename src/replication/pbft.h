@@ -39,6 +39,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -165,8 +166,8 @@ class Pbft final : public OrderingProtocol {
   void on_commit(const Commit& c, ReplicaId from);
   void on_checkpoint(const Checkpoint& cp, ReplicaId from,
                      const crypto::Signature& signature);
-  void on_viewchange(const ViewChange& vc, ReplicaId from,
-                     const crypto::Signature& signature);
+  /// `env` carries a ViewChange; it is kept whole as a NEW-VIEW proof.
+  void on_viewchange(const Envelope& env);
   void on_newview(const NewView& nv, ReplicaId from);
   void on_state_request(const StateRequest& sr, ReplicaId from);
   void on_state_response(const StateResponse& resp, ReplicaId from);
@@ -282,7 +283,7 @@ class Pbft final : public OrderingProtocol {
   std::uint64_t view_changes_started_ = 0;
   /// The NEW-VIEW we last installed, relayed inside state responses so a
   /// requester that missed the view change can re-verify and adopt it.
-  std::optional<NewView> last_new_view_;
+  std::shared_ptr<const NewView> last_new_view_;
 
   /// Normal-case messages that arrived for a view we have not installed
   /// yet (we lag behind a view change); replayed after installation.

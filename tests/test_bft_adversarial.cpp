@@ -109,6 +109,49 @@ TEST(BftAdversarial, ForgedEnvelopeIsIgnored) {
   EXPECT_TRUE(cluster.run_until_executed(1, 30.0));
 }
 
+TEST(BftAdversarial, EnvelopeDigestIsBoundAtConstruction) {
+  // make_envelope hashes the payload once; the envelope is read-only, so
+  // the digest every receiver verifies against is always the payload's.
+  const crypto::KeyPair keys = crypto::KeyPair::derive(5);
+  const crypto::KeyPair outsider = crypto::KeyPair::derive(6);
+  crypto::KeyRegistry registry;
+  registry.enroll(keys);
+  const Request r{9, crypto::sha256("op")};
+  const Envelope env = make_envelope(2, keys, PrePrepare{1, 3, Batch{{r}}});
+  EXPECT_EQ(env.sender(), 2u);
+  EXPECT_EQ(env.digest(), payload_digest(env.payload()));
+  EXPECT_TRUE(verify_envelope(registry, env));
+  // The same payload signed by an unenrolled key carries the same digest
+  // and still fails: binding the digest skips only the rehash.
+  const Envelope forged =
+      make_envelope(2, outsider, PrePrepare{1, 3, Batch{{r}}});
+  EXPECT_EQ(forged.digest(), env.digest());
+  EXPECT_FALSE(verify_envelope(registry, forged));
+}
+
+TEST(BftAdversarial, ViewChangeProofKeepsTheSignedDigest) {
+  // A NEW-VIEW proof is lifted from the VIEW-CHANGE envelope itself, so
+  // its digest is the one the sender signed, and a proof lifted from a
+  // forged envelope fails the directory check exactly as before.
+  const crypto::KeyPair keys = crypto::KeyPair::derive(7);
+  const crypto::KeyPair outsider = crypto::KeyPair::derive(8);
+  crypto::KeyRegistry registry;
+  registry.enroll(keys);
+  ViewChange vc;
+  vc.new_view = 4;
+  vc.last_executed = 2;
+  vc.prepared.push_back(
+      PreparedEntry{3, 3, Batch{{Request{1, crypto::sha256("a")}}}});
+  const SignedViewChange proof(make_envelope(1, keys, vc));
+  EXPECT_EQ(proof.sender(), 1u);
+  EXPECT_EQ(proof.digest(), vc.digest());
+  EXPECT_TRUE(registry.verify(keys.public_key(), proof.digest(),
+                              proof.signature()));
+  const SignedViewChange forged(make_envelope(1, outsider, vc));
+  EXPECT_FALSE(registry.verify(keys.public_key(), forged.digest(),
+                               forged.signature()));
+}
+
 TEST(BftAdversarial, OutsiderCannotSendProtocolMessages) {
   BftCluster cluster(4, fast_options(25));
   // A *valid* key, but sender id beyond the directory: protocol messages

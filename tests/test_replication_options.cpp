@@ -33,7 +33,7 @@ TEST(ProtocolAxis, ParsesBothProtocolNames) {
 
 TEST(ProtocolAxis, RejectsUnknownProtocolWithSpecificMessage) {
   try {
-    parse_protocol("raft");
+    (void)parse_protocol("raft");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
