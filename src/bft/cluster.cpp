@@ -8,23 +8,23 @@
 namespace findep::bft {
 
 BftCluster::BftCluster(std::size_t n, ClusterOptions options,
-                       std::vector<Behavior> behaviors)
+                       std::vector<replication::Behavior> behaviors)
     : options_(options) {
   FINDEP_REQUIRE(n >= 4);
   init(std::vector<double>(n, 1.0), std::move(behaviors));
 }
 
 BftCluster::BftCluster(std::vector<double> weights, ClusterOptions options,
-                       std::vector<Behavior> behaviors)
+                       std::vector<replication::Behavior> behaviors)
     : options_(options) {
   init(std::move(weights), std::move(behaviors));
 }
 
 void BftCluster::init(std::vector<double> weights,
-                      std::vector<Behavior> behaviors) {
+                      std::vector<replication::Behavior> behaviors) {
   const std::size_t n = weights.size();
   FINDEP_REQUIRE(n >= 4);
-  behaviors.resize(n, Behavior::kHonest);
+  behaviors.resize(n, replication::Behavior::kHonest);
   behaviors_ = behaviors;
 
   net::NetworkOptions net_options = options_.network;
@@ -46,7 +46,7 @@ void BftCluster::init(std::vector<double> weights,
   registry_.enroll(*client_keys_);
   client_id_ = static_cast<net::NodeId>(n);
 
-  ReplicaOptions ropts = options_.replica;
+  replication::ReplicaOptions ropts = options_.replica;
   for (std::size_t i = 0; i < n; ++i) {
     ropts.behavior = behaviors_[i];
     // Replica-local RNG (random peer choice in state transfer), derived
@@ -57,7 +57,7 @@ void BftCluster::init(std::vector<double> weights,
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     } else {
-      replicas_.push_back(std::make_unique<Replica>(
+      replicas_.push_back(std::make_unique<replication::Pbft>(
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     }
@@ -67,16 +67,16 @@ void BftCluster::init(std::vector<double> weights,
   real_executed_.assign(n, 0);
 }
 
-Replica& BftCluster::replica(std::size_t i) {
+replication::Pbft& BftCluster::replica(std::size_t i) {
   FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<Replica&>(*replicas_[i]);
+  return static_cast<replication::Pbft&>(*replicas_[i]);
 }
 
-const Replica& BftCluster::replica(std::size_t i) const {
+const replication::Pbft& BftCluster::replica(std::size_t i) const {
   FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<const Replica&>(*replicas_[i]);
+  return static_cast<const replication::Pbft&>(*replicas_[i]);
 }
 
 replication::HotStuff& BftCluster::hotstuff(std::size_t i) {
@@ -120,7 +120,7 @@ void BftCluster::observe_executions() {
       const ExecutedEntry& e = log[j];
       if (e.request.id == 0) continue;
       ++real_executed_[i];
-      if (behaviors_[i] != Behavior::kHonest) continue;
+      if (behaviors_[i] != replication::Behavior::kHonest) continue;
       const std::size_t idx = static_cast<std::size_t>(e.request.id) - 1;
       if (idx < traces_.size() && !traces_[idx].done()) {
         traces_[idx].executed_at = sim_.now();
@@ -152,7 +152,7 @@ void BftCluster::run_for(double duration) {
 bool BftCluster::logs_consistent() const {
   const replication::OrderingProtocol* reference = nullptr;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != Behavior::kHonest) continue;
+    if (behaviors_[i] != replication::Behavior::kHonest) continue;
     if (reference == nullptr) {
       reference = replicas_[i].get();
       continue;
@@ -174,7 +174,7 @@ std::size_t BftCluster::min_honest_executed() const {
   std::size_t min_count = SIZE_MAX;
   bool any = false;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != Behavior::kHonest) continue;
+    if (behaviors_[i] != replication::Behavior::kHonest) continue;
     any = true;
     min_count = std::min(min_count, real_executed_[i]);
   }
@@ -200,7 +200,7 @@ double BftCluster::last_completion_time() const {
 SeqNum BftCluster::max_honest_last_executed() const {
   SeqNum max_seq = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != Behavior::kHonest) continue;
+    if (behaviors_[i] != replication::Behavior::kHonest) continue;
     max_seq = std::max(max_seq, replicas_[i]->last_executed());
   }
   return max_seq;
@@ -210,7 +210,7 @@ std::size_t BftCluster::stranded_replicas() const {
   const SeqNum horizon = max_honest_last_executed();
   std::size_t count = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != Behavior::kHonest) continue;
+    if (behaviors_[i] != replication::Behavior::kHonest) continue;
     if (replicas_[i]->last_executed() < horizon) ++count;
   }
   return count;

@@ -10,16 +10,16 @@
 #include <memory>
 #include <vector>
 
-#include "bft/replica.h"
 #include "net/network.h"
 #include "replication/hotstuff.h"
+#include "replication/pbft.h"
 #include "sim/simulator.h"
 
 namespace findep::bft {
 
 struct ClusterOptions {
   net::NetworkOptions network;
-  ReplicaOptions replica;
+  replication::ReplicaOptions replica;
   std::uint64_t seed = 99;
   /// Which ordering protocol every replica runs.
   replication::Protocol protocol = replication::Protocol::kPbft;
@@ -42,11 +42,11 @@ class BftCluster {
   /// Unit-weight cluster of n replicas with the given behaviours
   /// (`behaviors` may be shorter than n; missing entries are honest).
   BftCluster(std::size_t n, ClusterOptions options,
-             std::vector<Behavior> behaviors = {});
+             std::vector<replication::Behavior> behaviors = {});
 
   /// Weighted cluster: `weights[i]` is replica i's voting power.
   BftCluster(std::vector<double> weights, ClusterOptions options,
-             std::vector<Behavior> behaviors);
+             std::vector<replication::Behavior> behaviors);
 
   /// Submits a fresh client request (to every replica, as a PBFT client
   /// would on retry; dedup is by request id). Returns the request id.
@@ -77,8 +77,8 @@ class BftCluster {
     return *replicas_[i];
   }
   /// PBFT-typed view of replica i. Requires protocol == kPbft.
-  [[nodiscard]] Replica& replica(std::size_t i);
-  [[nodiscard]] const Replica& replica(std::size_t i) const;
+  [[nodiscard]] replication::Pbft& replica(std::size_t i);
+  [[nodiscard]] const replication::Pbft& replica(std::size_t i) const;
   /// HotStuff-typed view of replica i. Requires protocol == kHotStuff.
   [[nodiscard]] replication::HotStuff& hotstuff(std::size_t i);
   [[nodiscard]] const replication::HotStuff& hotstuff(std::size_t i) const;
@@ -127,7 +127,8 @@ class BftCluster {
   [[nodiscard]] std::uint64_t verify_dropped_stale() const;
 
  private:
-  void init(std::vector<double> weights, std::vector<Behavior> behaviors);
+  void init(std::vector<double> weights,
+            std::vector<replication::Behavior> behaviors);
   void observe_executions();
 
   sim::Simulator sim_;
@@ -136,7 +137,7 @@ class BftCluster {
   crypto::KeyRegistry registry_;
   std::unique_ptr<crypto::KeyPair> client_keys_;
   std::vector<std::unique_ptr<replication::OrderingProtocol>> replicas_;
-  std::vector<Behavior> behaviors_;
+  std::vector<replication::Behavior> behaviors_;
   std::vector<RequestTrace> traces_;
   /// Per-replica cursor into executed() already scanned (and the count of
   /// real, non-noop entries seen so far), so observation is O(new).

@@ -106,13 +106,14 @@ FaultPlan plan_fault(FaultKind kind, double rate,
   return plan;
 }
 
-std::vector<bft::Behavior> planned_behaviors(const FaultPlan& plan,
-                                             std::size_t n) {
-  std::vector<bft::Behavior> behaviors(n, bft::Behavior::kHonest);
+std::vector<replication::Behavior> planned_behaviors(const FaultPlan& plan,
+                                                     std::size_t n) {
+  using replication::Behavior;
+  std::vector<Behavior> behaviors(n, Behavior::kHonest);
   if (!is_byzantine(plan.kind)) return behaviors;
-  const bft::Behavior turned = plan.kind == FaultKind::kCollude
-                                   ? bft::Behavior::kCollude
-                                   : bft::Behavior::kCensor;
+  const Behavior turned = plan.kind == FaultKind::kCollude
+                              ? Behavior::kCollude
+                              : Behavior::kCensor;
   for (const std::size_t r : plan.victims) {
     FINDEP_ASSERT(r < n);
     behaviors[r] = turned;

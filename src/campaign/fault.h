@@ -16,7 +16,7 @@
 // Injection happens through the runtime hooks PR 8 added: node crash /
 // restart (`net::SimNetwork::set_node_down`), partition groups,
 // in-flight corruption (`set_corrupt_policy` + receiver-side rejection),
-// and the `bft::Behavior` models for colluding equivocation and
+// and the `replication::Behavior` models for colluding equivocation and
 // client-selective censorship.
 #pragma once
 
@@ -56,7 +56,7 @@ fault_kinds();
 /// kind name.
 [[nodiscard]] FaultKind parse_fault_kind(const std::string& name);
 
-/// True for kinds realized as a `bft::Behavior` fixed at cluster
+/// True for kinds realized as a `replication::Behavior` fixed at cluster
 /// construction (the vulnerability is present from t = 0) rather than a
 /// scheduled runtime injection.
 [[nodiscard]] bool is_byzantine(FaultKind kind) noexcept;
@@ -103,7 +103,7 @@ struct FaultPlan {
 
 /// Behaviors vector for cluster construction: victims of a byzantine
 /// kind get their Behavior, everyone else stays honest.
-[[nodiscard]] std::vector<bft::Behavior> planned_behaviors(
+[[nodiscard]] std::vector<replication::Behavior> planned_behaviors(
     const FaultPlan& plan, std::size_t n);
 
 /// Schedules the plan's runtime injections on the cluster's simulator

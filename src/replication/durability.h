@@ -11,10 +11,12 @@
 // > 1/3 of voting power credibly certifies state above our execution
 // horizon (so at least one *honest* peer can prove a stable checkpoint
 // there), and runs the grace → fetch → retry-elsewhere timer machine.
-// The protocol supplies two hooks: its execution horizon and the actual
-// StateRequest send; everything else — including the replica-local RNG
-// for peer choice — lives here, so PBFT and HotStuff share one tested
-// recovery path.
+// OrderingProtocol supplies two hooks: the log's execution horizon and
+// the actual StateRequest send; everything else — including the
+// replica-local RNG for peer choice — lives here. The Checkpoint /
+// StateRequest / StateResponse handlers that drive both classes are the
+// OrderingProtocol base's (protocol.cpp), so PBFT and HotStuff share one
+// tested recovery path.
 #pragma once
 
 #include <cstdint>
@@ -153,7 +155,7 @@ class StateFetchMachine {
 
 /// Verifies a checkpoint's signed vote quorum: distinct in-directory
 /// senders, votes matching the checkpoint, valid signatures, quorum
-/// weight. Shared by every protocol's state-transfer receive path.
+/// weight. The state-transfer receive path's first check.
 [[nodiscard]] bool verify_checkpoint_proof(
     const NodeHarness& harness, const bft::Checkpoint& checkpoint,
     const std::vector<bft::SignedCheckpoint>& proof);

@@ -102,11 +102,6 @@ class NodeHarness {
     return verify_pool_ != nullptr ? verify_pool_->stats().dropped_stale
                                    : 0;
   }
-  /// Modeled worker-occupancy seconds spent verifying.
-  [[nodiscard]] double verify_busy_seconds() const noexcept {
-    return verify_pool_ != nullptr ? verify_pool_->stats().busy_seconds
-                                   : 0.0;
-  }
 
  private:
   void on_message(const net::Message& raw);

@@ -1,24 +1,10 @@
 #include "replication/hotstuff.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <type_traits>
 #include <variant>
 
 #include "support/assert.h"
-
-/// Protocol event tracing, same switch as the PBFT lane: set
-/// FINDEP_BFT_TRACE=1 to log proposals, commits and pacemaker expiries.
-/// Purely observational — traced runs stay bit-identical to silent ones.
-#define FINDEP_HS_TRACE(...)                                         \
-  do {                                                               \
-    static const bool findep_hs_trace_enabled =                      \
-        std::getenv("FINDEP_BFT_TRACE") != nullptr;                  \
-    if (findep_hs_trace_enabled) {                                   \
-      std::printf(__VA_ARGS__);                                      \
-    }                                                                \
-  } while (0)
 
 namespace findep::replication {
 
@@ -28,14 +14,7 @@ HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
                    net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kHotStuff),
-      ckpt_(harness_),
-      fetch_(harness_,
-             StateFetchMachine::Hooks{
-                 [this] { return last_executed_; },
-                 [this](ReplicaId peer) {
-                   send_to(peer, StateRequest{last_executed_});
-                 }}) {
+                       std::move(options), Protocol::kHotStuff) {
   // Genesis anchor: round 0, height 0, zero parent, the one vote-free
   // QC. Every chain hangs off it; every replica derives the identical
   // digest, so genesis never travels on the wire.
@@ -44,8 +23,6 @@ HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
   blocks_[genesis_digest_] = genesis;
   high_qc_ = QuorumCert{0, 0, genesis_digest_, {}};
 }
-
-void HotStuff::start() { harness_.start(); }
 
 void HotStuff::submit(const Request& request) {
   if (options().behavior == Behavior::kSilent) return;
@@ -113,13 +90,16 @@ void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
         } else if constexpr (std::is_same_v<T, HsBlockResponse>) {
           if (from_replica) on_block_response(m);
         } else if constexpr (std::is_same_v<T, Checkpoint>) {
-          if (from_replica) on_checkpoint(m, env.sender(), env.signature());
+          if (from_replica && on_checkpoint(m, env.sender(), env.signature())) {
+            prune_blocks();
+          }
         } else if constexpr (std::is_same_v<T, StateRequest>) {
-          if (from_replica) on_state_request(m, env.sender());
+          // No view-change artifact to relay: the pacemaker resynchronizes
+          // rounds by itself.
+          if (from_replica) on_state_request(m, env.sender(), nullptr);
         } else if constexpr (std::is_same_v<T, StateResponse>) {
-          if (from_replica) {
-            state_transfer_bytes_ += raw_bytes;
-            on_state_response(m, env.sender());
+          if (from_replica && on_state_response(m, env.sender(), raw_bytes)) {
+            on_state_adopted();
           }
         }
         // PBFT payloads fall through: a HotStuff replica ignores the
@@ -131,10 +111,7 @@ void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 // --- client ingress --------------------------------------------------------
 
 void HotStuff::on_request(const Request& request, net::NodeId from) {
-  if (request.id != 0 && executed_ids_.contains(request.id)) return;
-  if (options().behavior == Behavior::kCensor && (request.id & 1) != 0) {
-    return;  // client-selective starvation, same attack as the PBFT lane
-  }
+  if (!admit(request)) return;
   const bool fresh = !pending_requests_.contains(request.id);
   pending_requests_[request.id] = request;
   if (fresh && (from >= harness_.n() || from == id())) {
@@ -239,23 +216,11 @@ void HotStuff::commit_chain(const HsBlock& block) {
   }
   for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
     const HsBlock& blk = **rit;
-    last_executed_ = blk.height;
-    FINDEP_HS_TRACE("t=%.3f [%u] hs commit h=%llu round=%llu size=%zu\n",
-                    sim().now(), id(), (unsigned long long)blk.height,
-                    (unsigned long long)blk.round,
-                    blk.batch.requests.size());
-    // Same batch unroll and dedup as the PBFT execution path: a request
-    // id that already executed is skipped, so a repeated request cannot
-    // execute twice.
-    for (const Request& r : blk.batch.requests) {
-      if (r.id != 0) {
-        if (executed_ids_.contains(r.id)) continue;
-        executed_ids_[r.id] = true;
-        pending_requests_.erase(r.id);
-        commit_times_.emplace_back(r.id, sim().now());
-      }
-      executed_.push_back(ExecutedEntry{blk.height, r});
-    }
+    FINDEP_BFT_TRACE("t=%.3f [%u] hs commit h=%llu round=%llu size=%zu\n",
+                     sim().now(), id(), (unsigned long long)blk.height,
+                     (unsigned long long)blk.round,
+                     blk.batch.requests.size());
+    execute_batch(blk.height, blk.batch);
   }
   committed_height_ = block.height;
   maybe_checkpoint();
@@ -280,7 +245,7 @@ void HotStuff::request_missing_block(const crypto::Digest& digest) {
   if (digest == crypto::Digest{} || digest == genesis_digest_) return;
   if (requested_blocks_.contains(digest)) return;
   requested_blocks_[digest] = true;
-  FINDEP_HS_TRACE("t=%.3f [%u] hs fetch-block\n", sim().now(), id());
+  FINDEP_BFT_TRACE("t=%.3f [%u] hs fetch-block\n", sim().now(), id());
   broadcast(HsBlockRequest{digest});
 }
 
@@ -365,9 +330,9 @@ void HotStuff::on_vote(const HsVote& v, ReplicaId from,
   qc.votes.reserve(set.votes.size());
   for (const auto& [voter, sv] : set.votes) qc.votes.push_back(sv);
   votes_.erase(votes_.begin(), votes_.upper_bound(v.round));
-  FINDEP_HS_TRACE("t=%.3f [%u] hs qc round=%llu h=%llu\n", sim().now(),
-                  id(), (unsigned long long)qc.round,
-                  (unsigned long long)qc.height);
+  FINDEP_BFT_TRACE("t=%.3f [%u] hs qc round=%llu h=%llu\n", sim().now(),
+                   id(), (unsigned long long)qc.round,
+                   (unsigned long long)qc.height);
   update_high_qc(qc);
   enter_round(qc.round + 1, /*via_qc=*/true);
   if (!try_propose()) {
@@ -409,16 +374,8 @@ std::unordered_map<std::uint64_t, bool> HotStuff::chain_ids() const {
 
 std::vector<Request> HotStuff::eligible_requests() const {
   const std::unordered_map<std::uint64_t, bool> on_chain = chain_ids();
-  std::vector<const Request*> all;
-  all.reserve(pending_requests_.size());
-  // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-  for (const auto& [rid, request] : pending_requests_) {
-    all.push_back(&request);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Request* a, const Request* b) { return a->id < b->id; });
   std::vector<Request> out;
-  for (const Request* r : all) {
+  for (const Request* r : pending_by_id()) {
     if (r->id != 0 &&
         (executed_ids_.contains(r->id) || on_chain.contains(r->id))) {
       continue;
@@ -481,9 +438,9 @@ void HotStuff::propose(Batch batch) {
   b.parent = high_qc_.block_digest;
   b.justify = high_qc_;
   b.batch = std::move(batch);
-  FINDEP_HS_TRACE("t=%.3f [%u] hs propose round=%llu h=%llu size=%zu\n",
-                  sim().now(), id(), (unsigned long long)b.round,
-                  (unsigned long long)b.height, b.batch.requests.size());
+  FINDEP_BFT_TRACE("t=%.3f [%u] hs propose round=%llu h=%llu size=%zu\n",
+                   sim().now(), id(), (unsigned long long)b.round,
+                   (unsigned long long)b.height, b.batch.requests.size());
 
   if (options().behavior == Behavior::kEquivocate ||
       options().behavior == Behavior::kCollude) {
@@ -493,17 +450,7 @@ void HotStuff::propose(Batch batch) {
     // out onto the next leader — the QC rules reject equivocation
     // structurally rather than by detection.
     HsBlock forged = b;
-    forged.batch.requests.clear();
-    forged.batch.requests.reserve(b.batch.requests.size());
-    for (const Request& r : b.batch.requests) {
-      Request f = r;
-      f.id ^= 0x8000000000000000ULL;
-      f.operation = crypto::Sha256{}
-                        .update("findep/forged/v1")
-                        .update(r.operation.bytes)
-                        .finish();
-      forged.batch.requests.push_back(f);
-    }
+    forged.batch = forge_batch(b.batch);
     const HsProposal real{b};
     const HsProposal fake{forged};
     for (ReplicaId r = 0; r < harness_.n(); ++r) {
@@ -557,8 +504,8 @@ void HotStuff::round_expired() {
   backoff_ = std::min(backoff_ * options().pacemaker_backoff,
                       options().pacemaker_max_backoff);
   ++round_;
-  FINDEP_HS_TRACE("t=%.3f [%u] hs timeout -> round=%llu backoff=%.1f\n",
-                  sim().now(), id(), (unsigned long long)round_, backoff_);
+  FINDEP_BFT_TRACE("t=%.3f [%u] hs timeout -> round=%llu backoff=%.1f\n",
+                   sim().now(), id(), (unsigned long long)round_, backoff_);
   disarm_batch_timer();
   // A response that never came may be waiting behind a pruned request
   // mark; allow re-asking after the stall.
@@ -575,20 +522,8 @@ void HotStuff::round_expired() {
   // submits the old leader censored or crashed on): re-relay everything
   // still pending, in request-id order so every replica re-drives
   // identically.
-  if (leader_of(round_) != id() && !pending_requests_.empty()) {
-    std::vector<const Request*> redrive;
-    redrive.reserve(pending_requests_.size());
-    // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-    for (const auto& [rid, request] : pending_requests_) {
-      redrive.push_back(&request);
-    }
-    std::sort(redrive.begin(), redrive.end(),
-              [](const Request* a, const Request* b) {
-                return a->id < b->id;
-              });
-    for (const Request* r : redrive) {
-      send_to(leader_of(round_), *r);
-    }
+  if (leader_of(round_) != id()) {
+    for (const Request* r : pending_by_id()) send_to(leader_of(round_), *r);
   }
   ensure_pacemaker();
 }
@@ -626,7 +561,7 @@ void HotStuff::on_timeout(const HsTimeout& t, ReplicaId from) {
   // keep no timer, and would otherwise never help the honest holders of
   // that request reach a > 2/3 timeout quorum.
   if (options().behavior != Behavior::kSilent &&
-      harness_.is_third(weight) && timeout_sent_round_ < t.round) {
+      is_third(weight) && timeout_sent_round_ < t.round) {
     timeout_sent_round_ = t.round;
     broadcast(HsTimeout{t.round, high_qc_});
     enter_round(t.round, /*via_qc=*/false);
@@ -671,18 +606,6 @@ void HotStuff::disarm_round_timer() {
 
 // --- durability ------------------------------------------------------------
 
-crypto::Digest HotStuff::state_digest_with(
-    const std::vector<ExecutedEntry>& extra) const {
-  return state_digest_over(executed_, extra);
-}
-
-void HotStuff::maybe_checkpoint() {
-  const SeqNum seq =
-      ckpt_.maybe_emit(last_executed_, options().checkpoint_interval);
-  if (seq == 0) return;
-  broadcast(Checkpoint{seq, state_digest_with({})});
-}
-
 void HotStuff::prune_blocks() {
   // Committed-and-stable prefix blocks are dead weight: commit walks
   // stop at committed_height_ and laggards recover via state transfer,
@@ -699,78 +622,9 @@ void HotStuff::prune_blocks() {
   }
 }
 
-void HotStuff::on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                             const crypto::Signature& signature) {
-  // Same claims bookkeeping as the PBFT lane: a signed checkpoint is
-  // evidence of the sender's execution horizon.
-  fetch_.note_claim(from, cp.seq);
-  if (!ckpt_.on_vote(cp, from, signature, last_executed_,
-                     options().checkpoint_interval)) {
-    return;
-  }
-  prune_blocks();
-  if (ckpt_.stable() > last_executed_) fetch_.maybe_schedule();
-}
-
-void HotStuff::on_state_request(const StateRequest& sr, ReplicaId from) {
-  if (ckpt_.stable() == 0 || ckpt_.proof().empty()) return;
-  if (sr.last_executed >= ckpt_.stable()) return;  // nothing to prove
-  if (last_executed_ < ckpt_.stable()) return;     // cannot substantiate
-  StateResponse resp;
-  resp.request_from = sr.last_executed;
-  resp.checkpoint = Checkpoint{ckpt_.stable(), ckpt_.digest()};
-  resp.proof = ckpt_.proof();
-  for (const ExecutedEntry& e : executed_) {
-    if (e.seq > sr.last_executed && e.seq <= ckpt_.stable()) {
-      resp.entries.push_back(e);
-    }
-  }
-  // resp.new_view stays empty: HotStuff has no view-change artifact to
-  // relay — the pacemaker resynchronizes rounds by itself.
-  send_to(from, std::move(resp));
-}
-
-void HotStuff::on_state_response(const StateResponse& resp, ReplicaId from) {
-  if (!options().enable_state_transfer) return;
-  if (resp.checkpoint.seq <= last_executed_) return;  // stale/no-op
-
-  const auto reject = [&] {
-    ++state_transfers_rejected_;
-    fetch_.on_rejected(from);
-  };
-
-  // Same three steps as the PBFT lane, sharing the proof verifier and
-  // the digest arbiter (the two lanes hash identical executed-entry
-  // logs, so a checkpoint proof is protocol-portable).
-  if (!verify_checkpoint_proof(harness_, resp.checkpoint, resp.proof)) {
-    return reject();
-  }
-  std::vector<ExecutedEntry> suffix;
-  suffix.reserve(resp.entries.size());
-  SeqNum prev = last_executed_;
-  for (const ExecutedEntry& e : resp.entries) {
-    if (e.seq <= last_executed_) continue;
-    if (e.seq < prev || e.seq > resp.checkpoint.seq) return reject();
-    prev = e.seq;
-    suffix.push_back(e);
-  }
-  if (state_digest_with(suffix) != resp.checkpoint.state_digest) {
-    return reject();
-  }
-
-  for (const ExecutedEntry& e : suffix) {
-    if (e.request.id != 0) {
-      executed_ids_[e.request.id] = true;
-      pending_requests_.erase(e.request.id);
-    }
-    executed_.push_back(e);
-  }
-  last_executed_ = resp.checkpoint.seq;
+void HotStuff::on_state_adopted() {
   committed_height_ = std::max(committed_height_, last_executed_);
-  ++state_transfers_completed_;
-  ckpt_.maybe_adopt(resp.checkpoint, resp.proof);
   prune_blocks();
-  fetch_.on_adopted();
   // The chain tip may now be contiguous with the adopted horizon.
   try_commit();
   ensure_pacemaker();

@@ -27,11 +27,13 @@
 // own pacemaker is idle.
 //
 // Reuses the shared layers end to end: NodeHarness for authentication,
-// modeled crypto and weighted quorums; bft::Batch and the primary-side
-// cut policy (batch_size / batch_timeout) for batching; CheckpointStore
-// and StateFetchMachine for the durable tail — a HotStuff checkpoint
-// proof is verifiable by a PBFT-era verifier and vice versa, because
-// both hash the same executed-entry log.
+// modeled crypto and weighted quorums; bft::Batch and the batch_size /
+// batch_timeout knobs for batching (the cut is its own: the pending set
+// minus what the uncommitted chain already carries); the OrderingProtocol
+// base for the replicated log, the execution unroll and the checkpoint /
+// state-transfer handlers — a HotStuff checkpoint proof is verifiable by
+// a PBFT verifier and vice versa, because both hash the same
+// executed-entry log.
 //
 // Byzantine behaviours mirror the PBFT lane where they translate:
 //   kSilent     — never sends anything.
@@ -49,12 +51,10 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bft/messages.h"
 #include "net/network.h"
-#include "replication/durability.h"
 #include "replication/protocol.h"
 #include "sim/simulator.h"
 
@@ -81,7 +81,6 @@ class HotStuff final : public OrderingProtocol {
            crypto::KeyRegistry& registry, crypto::KeyPair keys,
            net::SimNetwork& network, ReplicaOptions options);
 
-  void start() override;
   void submit(const Request& request) override;
 
   [[nodiscard]] Round round() const noexcept { return round_; }
@@ -97,20 +96,6 @@ class HotStuff final : public OrderingProtocol {
     return timeouts_fired_;
   }
 
-  [[nodiscard]] const std::vector<ExecutedEntry>& executed()
-      const noexcept override {
-    return executed_;
-  }
-  [[nodiscard]] SeqNum last_executed() const noexcept override {
-    return last_executed_;
-  }
-  [[nodiscard]] SeqNum stable_checkpoint() const noexcept override {
-    return ckpt_.stable();
-  }
-  [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()
-      const noexcept override {
-    return ckpt_.digest();
-  }
   /// HotStuff's ordering-progress disruptions are its pacemaker
   /// timeouts.
   [[nodiscard]] std::uint64_t progress_disruptions()
@@ -119,26 +104,6 @@ class HotStuff final : public OrderingProtocol {
   }
   [[nodiscard]] bool observed_disruption() const noexcept override {
     return observed_disruption_;
-  }
-  [[nodiscard]] std::uint64_t state_transfers_completed()
-      const noexcept override {
-    return state_transfers_completed_;
-  }
-  [[nodiscard]] std::uint64_t state_transfers_rejected()
-      const noexcept override {
-    return state_transfers_rejected_;
-  }
-  [[nodiscard]] std::uint64_t state_transfer_requests()
-      const noexcept override {
-    return fetch_.requests_sent();
-  }
-  [[nodiscard]] std::uint64_t state_transfer_bytes()
-      const noexcept override {
-    return state_transfer_bytes_;
-  }
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
-  commit_times() const noexcept override {
-    return commit_times_;
   }
 
   [[nodiscard]] ReplicaId leader_of(Round r) const noexcept {
@@ -173,10 +138,6 @@ class HotStuff final : public OrderingProtocol {
   void on_qc_notice(const HsQcNotice& notice);
   void on_block_request(const HsBlockRequest& req, ReplicaId from);
   void on_block_response(const HsBlockResponse& resp);
-  void on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                     const crypto::Signature& signature);
-  void on_state_request(const StateRequest& sr, ReplicaId from);
-  void on_state_response(const StateResponse& resp, ReplicaId from);
 
   // --- chain / safety ---------------------------------------------------
   /// Verifies a QC: distinct in-directory voters whose signatures cover
@@ -230,28 +191,11 @@ class HotStuff final : public OrderingProtocol {
   void arm_batch_timer();
   void disarm_batch_timer();
 
-  void maybe_checkpoint();
+  /// Drops committed blocks at and below the stable checkpoint.
   void prune_blocks();
-  [[nodiscard]] crypto::Digest state_digest_with(
-      const std::vector<ExecutedEntry>& extra) const;
-
-  // --- helpers ----------------------------------------------------------
-  [[nodiscard]] const ReplicaOptions& options() const noexcept {
-    return harness_.options();
-  }
-  [[nodiscard]] sim::Simulator& sim() const noexcept {
-    return harness_.simulator();
-  }
-  void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
-  void send_to(net::NodeId to, Payload payload) {
-    harness_.send_to(to, std::move(payload));
-  }
-  [[nodiscard]] double weight_of(ReplicaId r) const {
-    return harness_.weight_of(r);
-  }
-  [[nodiscard]] bool is_quorum(double weight) const noexcept {
-    return harness_.is_quorum(weight);
-  }
+  /// The lane's tail after the shared handler adopted a transferred
+  /// state: catch the chain up to the adopted horizon.
+  void on_state_adopted();
 
   /// Block store keyed by digest: the uncommitted chain suffix plus the
   /// genesis anchor (committed blocks are pruned at checkpoints).
@@ -267,14 +211,6 @@ class HotStuff final : public OrderingProtocol {
   Round tc_round_ = 0;
 
   SeqNum committed_height_ = 0;
-  SeqNum last_executed_ = 0;
-  std::vector<ExecutedEntry> executed_;
-  std::unordered_map<std::uint64_t, bool> executed_ids_;
-  std::unordered_map<std::uint64_t, Request> pending_requests_;
-  /// (request id, simulated commit time) per request executed here —
-  /// feeds the commit-latency percentiles in the protocol-comparison
-  /// scenarios.
-  std::vector<std::pair<std::uint64_t, double>> commit_times_;
 
   /// round -> block digest -> vote accumulator (leader side).
   std::map<Round, std::map<crypto::Digest, VoteSet>> votes_;
@@ -287,13 +223,6 @@ class HotStuff final : public OrderingProtocol {
   /// (pacemaker expiry or amplification join) — one announcement per
   /// round.
   Round timeout_sent_round_ = 0;
-
-  /// Shared durability layer (identical to the PBFT lane).
-  CheckpointStore ckpt_;
-  StateFetchMachine fetch_;
-  std::uint64_t state_transfers_completed_ = 0;
-  std::uint64_t state_transfers_rejected_ = 0;
-  std::uint64_t state_transfer_bytes_ = 0;
 
   std::uint64_t timeouts_fired_ = 0;
   bool observed_disruption_ = false;

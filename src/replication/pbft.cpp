@@ -1,29 +1,12 @@
 #include "replication/pbft.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <type_traits>
 #include <variant>
 
 #include "support/assert.h"
 
-/// Protocol event tracing for debugging stalled clusters: set
-/// FINDEP_BFT_TRACE=1 to log proposals, commits and view-change starts
-/// with timestamps. Purely observational — tracing never changes
-/// behaviour, so traced runs stay bit-identical to silent ones.
-#define FINDEP_BFT_TRACE(...)                                        \
-  do {                                                               \
-    static const bool findep_bft_trace_enabled =                     \
-        std::getenv("FINDEP_BFT_TRACE") != nullptr;                  \
-    if (findep_bft_trace_enabled) {                                  \
-      std::printf(__VA_ARGS__);                                      \
-    }                                                                \
-  } while (0)
-
 namespace findep::replication {
-
-Batch Pbft::noop_batch() { return Batch{}; }
 
 Pbft::Pbft(ReplicaId id, std::vector<double> weights,
            std::vector<crypto::PublicKey> directory,
@@ -31,16 +14,7 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
            net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kPbft),
-      ckpt_(harness_),
-      fetch_(harness_,
-             StateFetchMachine::Hooks{
-                 [this] { return last_executed_; },
-                 [this](ReplicaId peer) {
-                   send_to(peer, StateRequest{last_executed_});
-                 }}) {}
-
-void Pbft::start() { harness_.start(); }
+                       std::move(options), Protocol::kPbft) {}
 
 // --- dispatch --------------------------------------------------------------
 
@@ -109,16 +83,25 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
           } else if constexpr (std::is_same_v<T, Commit>) {
             on_commit(m, env.sender());
           } else if constexpr (std::is_same_v<T, Checkpoint>) {
-            on_checkpoint(m, env.sender(), env.signature());
+            if (on_checkpoint(m, env.sender(), env.signature())) {
+              // Prune consensus state at and below the stable checkpoint
+              // — but never above our own execution horizon: a replica
+              // that lags behind a remote checkpoint keeps its in-flight
+              // slots and can still finish them from live traffic while
+              // a state transfer is pending.
+              prune_to(std::min(ckpt_.stable(), last_executed_));
+              retry_deferred_cut();  // the raised watermark may unblock it
+            }
           } else if constexpr (std::is_same_v<T, ViewChange>) {
             on_viewchange(env);
           } else if constexpr (std::is_same_v<T, NewView>) {
             on_newview(m, env.sender());
           } else if constexpr (std::is_same_v<T, StateRequest>) {
-            on_state_request(m, env.sender());
+            on_state_request(m, env.sender(), last_new_view_);
           } else if constexpr (std::is_same_v<T, StateResponse>) {
-            state_transfer_bytes_ += raw_bytes;
-            on_state_response(m, env.sender());
+            if (on_state_response(m, env.sender(), raw_bytes)) {
+              on_state_adopted(m);
+            }
           }
           // HotStuff payloads fall through: a PBFT replica ignores the
           // other lane's traffic entirely.
@@ -162,10 +145,7 @@ void Pbft::submit(const Request& request) {
 }
 
 void Pbft::on_request(const Request& request, net::NodeId from) {
-  if (request.id != 0 && executed_ids_.contains(request.id)) return;
-  if (options().behavior == Behavior::kCensor && (request.id & 1) != 0) {
-    return;  // client-selective starvation: odd-id requests vanish here
-  }
+  if (!admit(request)) return;
   if (!pending_requests_.contains(request.id)) {
     track_request_deadline(request.id);
   }
@@ -250,19 +230,8 @@ void Pbft::propose(Batch batch) {
     // both digests (and colluding backups endorse whatever they hear),
     // which is what makes conflicting certificates reachable once
     // colluding power exceeds a third.
-    Batch forged_batch;
-    forged_batch.requests.reserve(batch.size());
-    for (const Request& r : batch.requests) {
-      Request forged = r;
-      forged.id ^= 0x8000000000000000ULL;
-      forged.operation = crypto::Sha256{}
-                             .update("findep/forged/v1")
-                             .update(r.operation.bytes)
-                             .finish();
-      forged_batch.requests.push_back(forged);
-    }
+    const PrePrepare fake{view_, seq, forge_batch(batch)};
     const PrePrepare real{view_, seq, std::move(batch)};
-    const PrePrepare fake{view_, seq, std::move(forged_batch)};
     for (ReplicaId r = 0; r < harness_.n(); ++r) {
       if (r == id()) continue;
       send_to(r, r % 2 == 0 ? Payload{real} : Payload{fake});
@@ -399,28 +368,11 @@ void Pbft::maybe_committed(SeqNum seq) {
 }
 
 void Pbft::execute_ready() {
-  const SeqNum before = last_executed_;
   for (;;) {
     const auto it = slots_.find(last_executed_ + 1);
     if (it == slots_.end() || !it->second.committed) break;
-    Slot& slot = it->second;
-    ++last_executed_;
-    // Unroll the batch into per-request log entries (all at this slot's
-    // seq, in batch order). Dedup holds across batch boundaries: a
-    // request id that already executed — in an earlier batch or earlier
-    // in this one — is skipped, so a Byzantine primary repeating a
-    // request cannot make it execute twice.
-    for (const Request& r : slot.batch.requests) {
-      if (r.id != 0) {
-        if (executed_ids_.contains(r.id)) continue;
-        executed_ids_[r.id] = true;
-        pending_requests_.erase(r.id);
-        commit_times_.emplace_back(r.id, sim().now());
-      }
-      executed_.push_back(ExecutedEntry{last_executed_, r});
-    }
+    execute_batch(it->first, it->second.batch);
   }
-  (void)before;
   if (pending_requests_.empty()) {
     // Fully drained: drop the timer and the (all-dead) deadline queue.
     disarm_request_timer();
@@ -436,39 +388,11 @@ void Pbft::execute_ready() {
   maybe_checkpoint();
 }
 
-crypto::Digest Pbft::state_digest_with(
-    const std::vector<ExecutedEntry>& extra) const {
-  return state_digest_over(executed_, extra);
-}
-
-void Pbft::maybe_checkpoint() {
-  const SeqNum seq =
-      ckpt_.maybe_emit(last_executed_, options().checkpoint_interval);
-  if (seq == 0) return;
-  broadcast(Checkpoint{seq, state_digest_with({})});
-}
-
-void Pbft::on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                         const crypto::Signature& signature) {
-  // A signed checkpoint is also a claim about the sender's execution
-  // horizon; record it before any windowing so far-behind replicas can
-  // detect credible progress beyond their vote window (state transfer).
-  fetch_.note_claim(from, cp.seq);
-  if (!ckpt_.on_vote(cp, from, signature, last_executed_,
-                     options().checkpoint_interval)) {
-    return;
-  }
-  // Prune consensus state at and below the stable checkpoint — but never
-  // above our own execution horizon: a replica that lags behind a remote
-  // checkpoint keeps its in-flight slots and can still finish them from
-  // live traffic while a state transfer is pending.
-  const SeqNum prune_to = std::min(ckpt_.stable(), last_executed_);
+void Pbft::prune_to(SeqNum seq) {
   for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= prune_to ? slots_.erase(it) : std::next(it);
+    it = it->first <= seq ? slots_.erase(it) : std::next(it);
   }
-  colluded_.erase(colluded_.begin(), colluded_.upper_bound(prune_to));
-  if (ckpt_.stable() > last_executed_) fetch_.maybe_schedule();
-  retry_deferred_cut();  // the raised watermark may unblock a deferred cut
+  colluded_.erase(colluded_.begin(), colluded_.upper_bound(seq));
 }
 
 // --- timers ----------------------------------------------------------------
@@ -653,7 +577,7 @@ std::vector<PrePrepare> Pbft::compute_reproposals(
       }
     }
     out.push_back(PrePrepare{
-        target, seq, best != nullptr ? best->batch : noop_batch()});
+        target, seq, best != nullptr ? best->batch : Batch{}});
   }
   return out;
 }
@@ -759,17 +683,8 @@ void Pbft::install_new_view(const NewView& nv) {
   replay_future_messages();
 
   // Re-drive pending client requests in the new view, in request-id
-  // order: the hash map's iteration order would otherwise decide how
-  // requests pack into the new primary's batches — and with it every
-  // downstream proposal, message and byte count.
-  std::vector<const Request*> redrive;
-  redrive.reserve(pending_requests_.size());
-  // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-  for (const auto& [rid, request] : pending_requests_) {
-    redrive.push_back(&request);
-  }
-  std::sort(redrive.begin(), redrive.end(),
-            [](const Request* a, const Request* b) { return a->id < b->id; });
+  // order, through the new primary.
+  const std::vector<const Request*> redrive = pending_by_id();
   if (is_primary()) {
     for (const Request* request : redrive) {
       enqueue_for_proposal(*request);
@@ -789,76 +704,8 @@ void Pbft::install_new_view(const NewView& nv) {
 
 // --- state transfer --------------------------------------------------------
 
-void Pbft::on_state_request(const StateRequest& sr, ReplicaId from) {
-  if (ckpt_.stable() == 0 || ckpt_.proof().empty()) return;
-  if (sr.last_executed >= ckpt_.stable()) return;  // nothing to prove
-  // A replica that adopted a remote stable checkpoint it has not itself
-  // executed up to cannot substantiate the digest — decline instead of
-  // sending a response the requester would provably reject.
-  if (last_executed_ < ckpt_.stable()) return;
-  StateResponse resp;
-  resp.request_from = sr.last_executed;
-  resp.checkpoint = Checkpoint{ckpt_.stable(), ckpt_.digest()};
-  resp.proof = ckpt_.proof();
-  for (const ExecutedEntry& e : executed_) {
-    if (e.seq > sr.last_executed && e.seq <= ckpt_.stable()) {
-      resp.entries.push_back(e);
-    }
-  }
-  resp.new_view = last_new_view_;
-  send_to(from, std::move(resp));
-}
-
-void Pbft::on_state_response(const StateResponse& resp, ReplicaId from) {
-  if (!options().enable_state_transfer) return;
-  if (resp.checkpoint.seq <= last_executed_) return;  // stale/no-op
-
-  const auto reject = [&] {
-    ++state_transfers_rejected_;
-    fetch_.on_rejected(from);
-  };
-
-  // 1. The checkpoint must be proven by a quorum of verifiable votes.
-  if (!verify_checkpoint_proof(harness_, resp.checkpoint, resp.proof)) {
-    return reject();
-  }
-
-  // 2. The entries must splice onto our own log — in range, seq-ordered —
-  //    and reproduce the proven state digest exactly. Entries below our
-  //    horizon are skipped (we may have executed further since asking);
-  //    honest logs are prefix-consistent, so the remainder is precisely
-  //    the suffix our log is missing, and the digest is the arbiter.
-  std::vector<ExecutedEntry> suffix;
-  suffix.reserve(resp.entries.size());
-  SeqNum prev = last_executed_;
-  for (const ExecutedEntry& e : resp.entries) {
-    if (e.seq <= last_executed_) continue;
-    if (e.seq < prev || e.seq > resp.checkpoint.seq) return reject();
-    prev = e.seq;
-    suffix.push_back(e);
-  }
-  if (state_digest_with(suffix) != resp.checkpoint.state_digest) {
-    return reject();
-  }
-
-  // 3. Adopt: replay the suffix, advance the horizon to the checkpoint,
-  //    take over the proof so we can serve transfers ourselves.
-  for (const ExecutedEntry& e : suffix) {
-    if (e.request.id != 0) {
-      executed_ids_[e.request.id] = true;
-      pending_requests_.erase(e.request.id);
-    }
-    executed_.push_back(e);
-  }
-  last_executed_ = resp.checkpoint.seq;
-  ++state_transfers_completed_;
-  ckpt_.maybe_adopt(resp.checkpoint, resp.proof);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= last_executed_ ? slots_.erase(it) : std::next(it);
-  }
-  colluded_.erase(colluded_.begin(), colluded_.upper_bound(last_executed_));
-  fetch_.on_adopted();
-
+void Pbft::on_state_adopted(const StateResponse& resp) {
+  prune_to(last_executed_);
   if (resp.new_view != nullptr && resp.new_view->view > view_ &&
       verify_new_view(*resp.new_view)) {
     // We also missed a view change during the outage: the relayed

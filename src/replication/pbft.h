@@ -32,11 +32,14 @@
 // > 1/3 of voting power claiming checkpoints it has not executed —
 // fetches the missing log suffix from a random up-to-date peer, verifies
 // the checkpoint digest against the signed vote quorum carried in the
-// response, and resumes normal execution. The vote tracking and the
-// fetch machine live in replication/durability.h, shared with every
-// other protocol.
+// response, and resumes normal execution. The log, the checkpoint and
+// state-transfer handlers and the fetch machine are the OrderingProtocol
+// base's, shared with every other protocol; this class keeps only the
+// ordering state and runs its own tail when the stable checkpoint
+// advances or a transferred state is adopted.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -47,7 +50,6 @@
 
 #include "bft/messages.h"
 #include "net/network.h"
-#include "replication/durability.h"
 #include "replication/protocol.h"
 #include "sim/simulator.h"
 
@@ -63,24 +65,11 @@ class Pbft final : public OrderingProtocol {
        crypto::KeyRegistry& registry, crypto::KeyPair keys,
        net::SimNetwork& network, ReplicaOptions options);
 
-  /// Attaches the network handler. Call once before the simulation runs.
-  void start() override;
-
   /// Client entry point: hands a request to this replica (it forwards to
   /// the primary if needed and arms the liveness timer).
   void submit(const Request& request) override;
 
   [[nodiscard]] View view() const noexcept { return view_; }
-  [[nodiscard]] const std::vector<ExecutedEntry>& executed()
-      const noexcept override {
-    return executed_;
-  }
-  [[nodiscard]] SeqNum last_executed() const noexcept override {
-    return last_executed_;
-  }
-  [[nodiscard]] SeqNum stable_checkpoint() const noexcept override {
-    return ckpt_.stable();
-  }
   [[nodiscard]] std::uint64_t view_changes_started() const noexcept {
     return view_changes_started_;
   }
@@ -94,32 +83,8 @@ class Pbft final : public OrderingProtocol {
   }
   /// Batch cuts deferred by the high-watermark bound (primary only;
   /// each deferral event counts, including repeats for the same batch).
-  [[nodiscard]] std::uint64_t proposals_deferred() const noexcept override {
+  [[nodiscard]] std::uint64_t proposals_deferred() const noexcept {
     return proposals_deferred_;
-  }
-  [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()
-      const noexcept override {
-    return ckpt_.digest();
-  }
-  [[nodiscard]] std::uint64_t state_transfers_completed()
-      const noexcept override {
-    return state_transfers_completed_;
-  }
-  [[nodiscard]] std::uint64_t state_transfers_rejected()
-      const noexcept override {
-    return state_transfers_rejected_;
-  }
-  [[nodiscard]] std::uint64_t state_transfer_requests()
-      const noexcept override {
-    return fetch_.requests_sent();
-  }
-  [[nodiscard]] std::uint64_t state_transfer_bytes()
-      const noexcept override {
-    return state_transfer_bytes_;
-  }
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
-  commit_times() const noexcept override {
-    return commit_times_;
   }
 
   [[nodiscard]] ReplicaId primary_of(View v) const noexcept {
@@ -128,10 +93,6 @@ class Pbft final : public OrderingProtocol {
   [[nodiscard]] bool is_primary() const noexcept {
     return primary_of(view_) == id();
   }
-
-  /// The batch used to fill sequence gaps during view changes: empty, so
-  /// executing it is a no-op at request granularity.
-  [[nodiscard]] static Batch noop_batch();
 
   // --- harness → protocol ----------------------------------------------
   void dispatch_payload(const Envelope& env, net::NodeId raw_from,
@@ -164,13 +125,9 @@ class Pbft final : public OrderingProtocol {
   void on_preprepare(const PrePrepare& pp, ReplicaId from);
   void on_prepare(const Prepare& p, ReplicaId from);
   void on_commit(const Commit& c, ReplicaId from);
-  void on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                     const crypto::Signature& signature);
   /// `env` carries a ViewChange; it is kept whole as a NEW-VIEW proof.
   void on_viewchange(const Envelope& env);
   void on_newview(const NewView& nv, ReplicaId from);
-  void on_state_request(const StateRequest& sr, ReplicaId from);
-  void on_state_response(const StateResponse& resp, ReplicaId from);
 
   // --- normal case ------------------------------------------------------
   void enqueue_for_proposal(const Request& request);
@@ -183,7 +140,8 @@ class Pbft final : public OrderingProtocol {
   void maybe_prepared(SeqNum seq);
   void maybe_committed(SeqNum seq);
   void execute_ready();
-  void maybe_checkpoint();
+  /// Drops consensus state (slots, collude marks) at and below `seq`.
+  void prune_to(SeqNum seq);
 
   // --- view change ------------------------------------------------------
   void replay_future_messages();
@@ -196,36 +154,15 @@ class Pbft final : public OrderingProtocol {
   /// NEW-VIEW is self-certifying, so it can be relayed).
   [[nodiscard]] bool verify_new_view(const NewView& nv) const;
   void install_new_view(const NewView& nv);
-
-  // --- state transfer ---------------------------------------------------
-  /// State digest of this log extended by `extra` (what maybe_checkpoint
-  /// hashes, and what a state response's entries must reproduce).
-  [[nodiscard]] crypto::Digest state_digest_with(
-      const std::vector<ExecutedEntry>& extra) const;
+  /// The lane's tail after the shared handler adopted a transferred
+  /// state: prune, install a relayed NEW-VIEW or abandon a lone view
+  /// change, and resume the normal case.
+  void on_state_adopted(const StateResponse& resp);
 
   // --- helpers ----------------------------------------------------------
-  [[nodiscard]] const ReplicaOptions& options() const noexcept {
-    return harness_.options();
-  }
-  [[nodiscard]] sim::Simulator& sim() const noexcept {
-    return harness_.simulator();
-  }
-  void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
-  void send_to(net::NodeId to, Payload payload) {
-    harness_.send_to(to, std::move(payload));
-  }
-  [[nodiscard]] double weight_of(ReplicaId r) const {
-    return harness_.weight_of(r);
-  }
   [[nodiscard]] double vote_weight(
       const std::map<ReplicaId, double>& votes) const {
     return harness_.vote_weight(votes);
-  }
-  [[nodiscard]] bool is_quorum(double weight) const noexcept {
-    return harness_.is_quorum(weight);
-  }
-  [[nodiscard]] bool is_third(double weight) const noexcept {
-    return harness_.is_third(weight);
   }
   /// Registers a liveness deadline for a request id that just became
   /// pending (no-op if one is already tracked — retransmissions must not
@@ -250,16 +187,7 @@ class Pbft final : public OrderingProtocol {
   View pending_view_ = 0;
   SeqNum next_seq_ = 1;  // primary's allocator
   std::map<SeqNum, Slot> slots_;
-  SeqNum last_executed_ = 0;
-  std::vector<ExecutedEntry> executed_;
-  std::unordered_map<std::uint64_t, Request> pending_requests_;
   std::unordered_map<std::uint64_t, SeqNum> assigned_;  // primary only
-  std::unordered_map<std::uint64_t, bool> executed_ids_;
-  /// (request id, simulated commit time) per request executed here —
-  /// feeds the commit-latency percentiles in the protocol-comparison
-  /// scenarios. Recording is observationally pure: no messages, timers
-  /// or branches depend on it, so legacy runs stay bit-identical.
-  std::vector<std::pair<std::uint64_t, double>> commit_times_;
 
   /// Primary-side batching: requests accepted but not yet proposed, in
   /// arrival order, plus their ids for O(1) duplicate suppression.
@@ -269,14 +197,6 @@ class Pbft final : public OrderingProtocol {
   /// (high-watermark back-pressure).
   bool cut_deferred_ = false;
   std::uint64_t proposals_deferred_ = 0;
-
-  /// Shared durability layer: checkpoint votes/proofs and the
-  /// claims-driven state-transfer fetch machine.
-  CheckpointStore ckpt_;
-  StateFetchMachine fetch_;
-  std::uint64_t state_transfers_completed_ = 0;
-  std::uint64_t state_transfers_rejected_ = 0;
-  std::uint64_t state_transfer_bytes_ = 0;
 
   std::map<View, std::vector<SignedViewChange>> viewchange_votes_;
   View newview_assembled_for_ = 0;

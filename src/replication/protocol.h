@@ -1,33 +1,72 @@
 // OrderingProtocol: the seam between the protocol-neutral NodeHarness
-// below and a concrete ordering protocol above.
+// below and a concrete ordering protocol above, plus everything a
+// replica does that is not ordering.
 //
 // A protocol implements exactly three inbound hooks — dispatch_payload
 // (an authenticated envelope), verify_stale_check (may this payload be
 // shed from the verify queue?), verify_extra_cost (quorum proofs riding
 // the envelope, batch-verified) — plus submit() for client ingress, and
 // drives everything else through the harness' broadcast()/send_to() and
-// simulator timers. The observable surface below is what the cluster
-// harness, scenario metrics and campaign outcome classifier read, so a
-// new protocol plugs into every existing experiment by implementing it.
+// simulator timers.
+//
+// The rest of a replica is the same for every protocol and is
+// implemented once, here (protocol.cpp): the replicated log with its
+// executed-id set and pending requests, client-ingress admission, the
+// batch-execution unroll with cross-batch dedup, the request-id-ordered
+// pending walk, the equivocator's forged batch, checkpoint emission, and
+// the Checkpoint / StateRequest / StateResponse handlers over the
+// durability layer (durability.h). A lane calls these directly; the
+// checkpoint and state-response handlers return whether the stable
+// checkpoint advanced or a transferred state was adopted, and the lane
+// then runs its own tail (prune its consensus state, re-drive its commit
+// rule), so every send and timer arm keeps one order.
+//
+// The observable surface below is what the cluster harness, scenario
+// metrics and campaign outcome classifier read; only the two disruption
+// getters differ per protocol.
 //
 // To add a third protocol (e.g. an attestation-backed MinBFT using
-// src/attest/ trusted counters): derive from OrderingProtocol, reuse
-// CheckpointStore/StateFetchMachine from replication/durability.h for
-// the durable tail, add its wire messages to bft::Payload, and register
-// the axis value in parse_protocol + the cluster factory. Nothing in the
-// harness or the scenario plumbing changes.
+// src/attest/ trusted counters): derive from OrderingProtocol, write the
+// ordering rules (proposal, votes, leader change) and call execute_batch
+// for each decided batch, add its wire messages to bft::Payload, and
+// register the axis value in parse_protocol + the cluster factory.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bft/messages.h"
 #include "net/network.h"
+#include "replication/durability.h"
 #include "replication/harness.h"
 #include "runtime/workers.h"
+#include "sim/simulator.h"
+
+/// Protocol event tracing for debugging stalled clusters: set
+/// FINDEP_BFT_TRACE=1 to log proposals, commits, view changes and
+/// pacemaker expiries with simulated timestamps. Lines go to stderr, so
+/// --json/--csv results on stdout stay parseable. Purely observational:
+/// traced runs stay bit-identical to silent ones.
+#define FINDEP_BFT_TRACE(...)                       \
+  do {                                              \
+    if (::findep::replication::trace_enabled()) {   \
+      std::fprintf(stderr, __VA_ARGS__);            \
+    }                                               \
+  } while (0)
 
 namespace findep::replication {
+
+/// True when FINDEP_BFT_TRACE is set (read once per process).
+[[nodiscard]] inline bool trace_enabled() {
+  static const bool enabled = std::getenv("FINDEP_BFT_TRACE") != nullptr;
+  return enabled;
+}
 
 // The wire/protocol vocabulary stays in findep::bft (the message set is
 // shared by every protocol); pull it in so protocol implementations read
@@ -59,7 +98,7 @@ class OrderingProtocol {
   OrderingProtocol& operator=(const OrderingProtocol&) = delete;
 
   /// Attaches the network handler. Call once before the simulation runs.
-  virtual void start() = 0;
+  void start() { harness_.start(); }
   /// Client entry point: hands a request to this replica.
   virtual void submit(const Request& request) = 0;
 
@@ -85,15 +124,7 @@ class OrderingProtocol {
     return 0.0;
   }
 
-  // --- protocol-neutral observables ------------------------------------
-  [[nodiscard]] virtual const std::vector<ExecutedEntry>& executed()
-      const = 0;
-  [[nodiscard]] virtual SeqNum last_executed() const = 0;
-  [[nodiscard]] virtual SeqNum stable_checkpoint() const = 0;
-  /// State digest of this replica's stable checkpoint (meaningful only
-  /// when stable_checkpoint() > 0).
-  [[nodiscard]] virtual const crypto::Digest& stable_checkpoint_digest()
-      const = 0;
+  // --- observables -------------------------------------------------------
   /// Ordering-progress disruptions the protocol recorded: PBFT view
   /// changes started, HotStuff pacemaker timeouts fired. The campaign
   /// outcome classifier counts these as detection evidence.
@@ -102,28 +133,40 @@ class OrderingProtocol {
   /// (even one it did not initiate — e.g. it installed a view or round
   /// advanced past a timeout started elsewhere).
   [[nodiscard]] virtual bool observed_disruption() const = 0;
-  /// Proposals deferred by flow control (0 for protocols without it).
-  [[nodiscard]] virtual std::uint64_t proposals_deferred() const {
-    return 0;
+
+  [[nodiscard]] const std::vector<ExecutedEntry>& executed() const noexcept {
+    return executed_;
+  }
+  [[nodiscard]] SeqNum last_executed() const noexcept {
+    return last_executed_;
+  }
+  [[nodiscard]] SeqNum stable_checkpoint() const noexcept {
+    return ckpt_.stable();
+  }
+  /// State digest of this replica's stable checkpoint (meaningful only
+  /// when stable_checkpoint() > 0).
+  [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()
+      const noexcept {
+    return ckpt_.digest();
   }
   /// Completed (verified + adopted) state transfers.
-  [[nodiscard]] virtual std::uint64_t state_transfers_completed() const = 0;
+  [[nodiscard]] std::uint64_t state_transfers_completed() const noexcept {
+    return state_transfers_completed_;
+  }
   /// State responses rejected for a bad proof, bad entries or a state
   /// digest mismatch (each followed by a retry at another peer).
-  [[nodiscard]] virtual std::uint64_t state_transfers_rejected() const = 0;
+  [[nodiscard]] std::uint64_t state_transfers_rejected() const noexcept {
+    return state_transfers_rejected_;
+  }
   /// StateRequest messages sent (first attempts and retries).
-  [[nodiscard]] virtual std::uint64_t state_transfer_requests() const = 0;
+  [[nodiscard]] std::uint64_t state_transfer_requests() const noexcept {
+    return fetch_.requests_sent();
+  }
   /// Wire bytes of every StateResponse received (adopted or rejected).
-  [[nodiscard]] virtual std::uint64_t state_transfer_bytes() const = 0;
-  /// (request id, simulated time) pairs recorded when a request first
-  /// executes on this replica, in execution order. The protocol-
-  /// comparison scenarios join them against client submit times to
-  /// derive commit-latency percentiles. State-transfer splices are NOT
-  /// recorded (the adopting replica did not witness the commit).
-  [[nodiscard]] virtual const std::vector<std::pair<std::uint64_t, double>>&
-  commit_times() const = 0;
+  [[nodiscard]] std::uint64_t state_transfer_bytes() const noexcept {
+    return state_transfer_bytes_;
+  }
 
-  // --- harness-backed observables --------------------------------------
   [[nodiscard]] ReplicaId id() const noexcept { return harness_.id(); }
   [[nodiscard]] Behavior behavior() const noexcept {
     return harness_.options().behavior;
@@ -137,24 +180,96 @@ class OrderingProtocol {
   [[nodiscard]] std::uint64_t verify_dropped_stale() const noexcept {
     return harness_.verify_dropped_stale();
   }
-  [[nodiscard]] double verify_busy_seconds() const noexcept {
-    return harness_.verify_busy_seconds();
-  }
-  [[nodiscard]] const NodeHarness& harness() const noexcept {
-    return harness_;
-  }
 
  protected:
   OrderingProtocol(ReplicaId id, std::vector<double> weights,
                    std::vector<crypto::PublicKey> directory,
                    crypto::KeyRegistry& registry, crypto::KeyPair keys,
                    net::SimNetwork& network, ReplicaOptions options,
-                   Protocol kind)
-      : harness_(*this, id, std::move(weights), std::move(directory),
-                 registry, std::move(keys), network, std::move(options),
-                 kind) {}
+                   Protocol kind);
+
+  // --- the replicated log ------------------------------------------------
+  /// Client-ingress admission: false for a request that already executed
+  /// here, and, on a kCensor replica, for every odd id (client-selective
+  /// starvation: those requests vanish at ingress).
+  [[nodiscard]] bool admit(const Request& request) const;
+  /// Executes `batch` as log position `seq` (last_executed_ becomes
+  /// `seq`), unrolling it into per-request entries in batch order. Dedup
+  /// holds across batch boundaries: a request id that already executed —
+  /// in an earlier batch or earlier in this one — is skipped, so a
+  /// Byzantine proposer repeating a request cannot make it execute twice.
+  void execute_batch(SeqNum seq, const Batch& batch);
+  /// The pending requests in request-id order. Anything that re-drives
+  /// or batches them walks this instead of the hash map, whose iteration
+  /// order would otherwise decide how requests pack into proposals — and
+  /// with it every downstream message and byte count.
+  [[nodiscard]] std::vector<const Request*> pending_by_id() const;
+  /// The equivocator's second proposal: `batch` with every request
+  /// forged (flipped id, rehashed operation), so it has a distinct digest.
+  [[nodiscard]] static Batch forge_batch(const Batch& batch);
+  /// Broadcasts this replica's checkpoint once the log has run a full
+  /// checkpoint interval past the stable checkpoint.
+  void maybe_checkpoint();
+
+  // --- checkpoints and state transfer ------------------------------------
+  /// Records a signed checkpoint vote (and the sender's claim of its
+  /// horizon). True when the vote completed a quorum and the stable
+  /// checkpoint advanced: the lane prunes its consensus state.
+  bool on_checkpoint(const Checkpoint& cp, ReplicaId from,
+                     const crypto::Signature& signature);
+  /// Serves the log suffix up to the stable checkpoint with its vote
+  /// quorum as proof, plus `new_view` (PBFT relays the NEW-VIEW it last
+  /// installed so a requester that missed the view change can adopt it;
+  /// null for protocols without one).
+  void on_state_request(const StateRequest& sr, ReplicaId from,
+                        std::shared_ptr<const NewView> new_view);
+  /// Verifies a state response (checkpoint proof, suffix ranges, state
+  /// digest) and adopts it: the suffix is spliced onto the log and
+  /// last_executed_ jumps to the checkpoint. A bad response is counted
+  /// and retried at another peer. True when adopted: the lane prunes,
+  /// resumes its normal case and re-runs fetch_.maybe_schedule().
+  bool on_state_response(const StateResponse& resp, ReplicaId from,
+                         std::uint64_t raw_bytes);
+
+  // --- harness shorthands --------------------------------------------------
+  [[nodiscard]] const ReplicaOptions& options() const noexcept {
+    return harness_.options();
+  }
+  [[nodiscard]] sim::Simulator& sim() const noexcept {
+    return harness_.simulator();
+  }
+  void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
+  void send_to(net::NodeId to, Payload payload) {
+    harness_.send_to(to, std::move(payload));
+  }
+  [[nodiscard]] double weight_of(ReplicaId r) const {
+    return harness_.weight_of(r);
+  }
+  [[nodiscard]] bool is_quorum(double weight) const noexcept {
+    return harness_.is_quorum(weight);
+  }
+  [[nodiscard]] bool is_third(double weight) const noexcept {
+    return harness_.is_third(weight);
+  }
 
   NodeHarness harness_;
+
+  /// The replicated log: every executed request in execution order, each
+  /// at the seq (PBFT slot, HotStuff height) of the batch that carried it.
+  std::vector<ExecutedEntry> executed_;
+  SeqNum last_executed_ = 0;
+  std::unordered_set<std::uint64_t> executed_ids_;
+  /// Requests admitted here and not yet executed, by id.
+  std::unordered_map<std::uint64_t, Request> pending_requests_;
+
+  /// Checkpoint votes and proofs, and the claims-driven fetch machine.
+  CheckpointStore ckpt_;
+  StateFetchMachine fetch_;
+
+ private:
+  std::uint64_t state_transfers_completed_ = 0;
+  std::uint64_t state_transfers_rejected_ = 0;
+  std::uint64_t state_transfer_bytes_ = 0;
 };
 
 }  // namespace findep::replication

@@ -119,8 +119,8 @@ namespace {
 /// Behaviour mixes selectable on the declarative `mix` axis. The size
 /// sweep pairs every n with "honest"; the fault block pins n = 7 (the
 /// paper's running example) against each mix.
-std::vector<bft::Behavior> behaviors_for_mix(const std::string& mix) {
-  using bft::Behavior;
+std::vector<replication::Behavior> behaviors_for_mix(const std::string& mix) {
+  using replication::Behavior;
   if (mix == "honest") return {};
   if (mix == "silent_backup") return {Behavior::kHonest, Behavior::kSilent};
   if (mix == "two_silent_backups") {

@@ -21,7 +21,7 @@ class BftScalingScenario : public runtime::Scenario {
   struct Params {
     std::size_t n = 4;
     /// May be shorter than n; missing entries are honest.
-    std::vector<bft::Behavior> behaviors;
+    std::vector<replication::Behavior> behaviors;
     int requests = 5;
     /// Primary-side batching: requests agreed per consensus instance.
     std::size_t batch_size = 1;

@@ -94,12 +94,12 @@ runtime::MetricRecord CommitteePipelineScenario::run(
   const diversity::ConfigDistribution committee_dist =
       diversity::DiversityAnalyzer::distribution_of(committee_population);
   const auto worst_config = committee_dist.sorted_by_power().front();
-  std::vector<bft::Behavior> behaviors(weights.size(),
-                                       bft::Behavior::kHonest);
+  std::vector<replication::Behavior> behaviors(weights.size(),
+                                       replication::Behavior::kHonest);
   double config_fault_power = 0.0;
   for (std::size_t i = 0; i < committee_population.size(); ++i) {
     if (committee_population[i].configuration.digest() == worst_config.id) {
-      behaviors[i] = bft::Behavior::kSilent;
+      behaviors[i] = replication::Behavior::kSilent;
       config_fault_power += committee_population[i].power;
     }
   }

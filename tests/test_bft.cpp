@@ -8,6 +8,8 @@
 namespace findep::bft {
 namespace {
 
+using replication::Behavior;
+
 ClusterOptions fast_options(std::uint64_t seed = 1) {
   ClusterOptions opt;
   opt.network.min_latency = 0.005;

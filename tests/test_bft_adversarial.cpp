@@ -9,6 +9,8 @@
 namespace findep::bft {
 namespace {
 
+using replication::Behavior;
+
 ClusterOptions fast_options(std::uint64_t seed = 1) {
   ClusterOptions opt;
   opt.network.min_latency = 0.005;
@@ -20,7 +22,7 @@ ClusterOptions fast_options(std::uint64_t seed = 1) {
 }
 
 /// Real (non-noop) executions of one replica.
-std::size_t real_executed(const Replica& replica) {
+std::size_t real_executed(const replication::Pbft& replica) {
   std::size_t count = 0;
   for (const ExecutedEntry& e : replica.executed()) {
     if (e.request.id != 0) ++count;

@@ -28,7 +28,7 @@ Request make_request(std::uint64_t id) {
   return Request{id, crypto::Sha256{}.update_u64(id).finish()};
 }
 
-std::set<std::uint64_t> executed_ids(const Replica& replica) {
+std::set<std::uint64_t> executed_ids(const replication::Pbft& replica) {
   std::set<std::uint64_t> ids;
   for (const ExecutedEntry& e : replica.executed()) {
     if (e.request.id != 0) ids.insert(e.request.id);

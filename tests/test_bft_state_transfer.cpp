@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "bft/cluster.h"
 #include "scenarios/bft_churn.h"
@@ -150,13 +151,17 @@ TEST(BftStateTransfer, ViewChangeRacesInFlightTransfer) {
   EXPECT_TRUE(cluster.logs_consistent());
 }
 
-TEST(BftStateTransfer, MaliciousResponderWrongDigestIsRejected) {
+class BftStateTransferByProtocol
+    : public ::testing::TestWithParam<replication::Protocol> {};
+
+TEST_P(BftStateTransferByProtocol, MaliciousResponderWrongDigestIsRejected) {
   // A malicious responder cannot forge the checkpoint proof (it would
   // need > 2/3 of signing weight), so its only move is a *real* stable
   // checkpoint with tampered entries. The requester must detect the
   // state-digest mismatch, reject wholesale, and still converge via an
-  // honest responder.
+  // honest responder. Both lanes share the receive path that checks it.
   ClusterOptions opt = churn_options(104);
+  opt.protocol = GetParam();
   BftCluster cluster(4, opt);
   offer_load(cluster, 12.0, 9.0);
   schedule_outage(cluster, {3}, 1.0, 7.0);
@@ -165,16 +170,18 @@ TEST(BftStateTransfer, MaliciousResponderWrongDigestIsRejected) {
   // Craft the poison: replica 1's keys (derived exactly as the cluster
   // derives them) sign a response carrying the *real* stable checkpoint
   // and proof-quorum votes, but garbage entries.
-  const SeqNum stable = cluster.replica(1).stable_checkpoint();
-  ASSERT_GT(stable, cluster.replica(3).last_executed());
-  const Checkpoint real_cp{stable, cluster.replica(1).stable_checkpoint_digest()};
+  const SeqNum stable = cluster.node(1).stable_checkpoint();
+  ASSERT_GT(stable, cluster.node(3).last_executed());
+  const Checkpoint real_cp{stable,
+                           cluster.node(1).stable_checkpoint_digest()};
   StateResponse poison;
-  poison.request_from = cluster.replica(3).last_executed();
+  poison.request_from = cluster.node(3).last_executed();
   poison.checkpoint = real_cp;
   for (ReplicaId r = 0; r < 3; ++r) {
     const crypto::KeyPair keys =
         crypto::KeyPair::derive(opt.seed * 1000003 + r);
-    poison.proof.push_back(SignedCheckpoint{r, real_cp, keys.sign(real_cp.digest())});
+    poison.proof.push_back(
+        SignedCheckpoint{r, real_cp, keys.sign(real_cp.digest())});
   }
   for (SeqNum s = poison.request_from + 1; s <= stable; ++s) {
     poison.entries.push_back(
@@ -190,15 +197,23 @@ TEST(BftStateTransfer, MaliciousResponderWrongDigestIsRejected) {
   });
   cluster.run_for(13.5);
 
-  EXPECT_GE(cluster.replica(3).state_transfers_rejected(), 1u);
+  EXPECT_GE(cluster.node(3).state_transfers_rejected(), 1u);
   // ...and the honest path still won: fully converged, logs clean, no
   // tampered request ever executed.
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   EXPECT_TRUE(cluster.logs_consistent());
-  for (const ExecutedEntry& e : cluster.replica(3).executed()) {
+  for (const ExecutedEntry& e : cluster.node(3).executed()) {
     EXPECT_LT(e.request.id, 90000u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, BftStateTransferByProtocol,
+    ::testing::Values(replication::Protocol::kPbft,
+                      replication::Protocol::kHotStuff),
+    [](const ::testing::TestParamInfo<replication::Protocol>& info) {
+      return std::string(replication::protocol_name(info.param));
+    });
 
 TEST(BftStateTransfer, SingleFarFutureClaimDoesNotTriggerFetch) {
   // The watermark window drops far-future checkpoint votes from the

@@ -23,7 +23,7 @@ ClusterOptions fast_options(std::uint64_t seed = 1) {
   return opt;
 }
 
-std::set<std::uint64_t> executed_ids(const Replica& replica) {
+std::set<std::uint64_t> executed_ids(const replication::Pbft& replica) {
   std::set<std::uint64_t> ids;
   for (const ExecutedEntry& e : replica.executed()) {
     if (e.request.id != 0) ids.insert(e.request.id);

@@ -199,8 +199,8 @@ TEST(CampaignFault, ByzantineKindsExploitTheWorstComponent) {
 
   const auto behaviors = campaign::planned_behaviors(plan, 7);
   std::size_t colluders = 0;
-  for (const bft::Behavior b : behaviors) {
-    colluders += b == bft::Behavior::kCollude ? 1 : 0;
+  for (const replication::Behavior b : behaviors) {
+    colluders += b == replication::Behavior::kCollude ? 1 : 0;
   }
   EXPECT_EQ(colluders, plan.victims.size());
 }
@@ -235,9 +235,10 @@ TEST(CampaignOutcome, KnownViolationClassifiesSafetyViolated) {
   // The adversarial suite's above-threshold coalition (weights 2+2 of
   // W = 7 > W/3), reclassified through the campaign taxonomy.
   std::vector<double> weights = {2.0, 2.0, 1.0, 1.0, 1.0};
-  std::vector<bft::Behavior> behaviors = {
-      bft::Behavior::kCollude, bft::Behavior::kCollude, bft::Behavior::kHonest,
-      bft::Behavior::kHonest, bft::Behavior::kHonest};
+  using replication::Behavior;
+  std::vector<Behavior> behaviors = {Behavior::kCollude, Behavior::kCollude,
+                                     Behavior::kHonest, Behavior::kHonest,
+                                     Behavior::kHonest};
   bft::BftCluster cluster(weights, fast_options(35), behaviors);
   (void)cluster.submit();
   cluster.run_for(30.0);

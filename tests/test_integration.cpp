@@ -74,9 +74,10 @@ TEST(Integration, CorrelatedFaultStallsBftExactlyWhenPredicted) {
   ASSERT_EQ(predicted.compromised.size(), 2u);
 
   // Execution: silence exactly the predicted replicas.
-  std::vector<bft::Behavior> behaviors(4, bft::Behavior::kHonest);
+  using replication::Behavior;
+  std::vector<Behavior> behaviors(4, Behavior::kHonest);
   for (const std::size_t r : predicted.compromised) {
-    behaviors[r] = bft::Behavior::kSilent;
+    behaviors[r] = Behavior::kSilent;
   }
   bft::ClusterOptions opt;
   opt.replica.request_timeout = 0.5;
@@ -86,8 +87,8 @@ TEST(Integration, CorrelatedFaultStallsBftExactlyWhenPredicted) {
   EXPECT_TRUE(broken.logs_consistent());  // safe, just not live
 
   // Control: a fault on a *distinct* configuration (1/4 ≤ 1/3) is fine.
-  std::vector<bft::Behavior> single(4, bft::Behavior::kHonest);
-  single[1] = bft::Behavior::kSilent;
+  std::vector<Behavior> single(4, Behavior::kHonest);
+  single[1] = Behavior::kSilent;
   bft::BftCluster healthy(4, opt, single);
   healthy.submit();
   EXPECT_TRUE(healthy.run_until_executed(1, 15.0));
