@@ -300,6 +300,28 @@ std::uint64_t payload_wire_bytes(const Payload& payload) {
       payload);
 }
 
+std::optional<std::size_t> proof_signatures(const Payload& payload) {
+  return std::visit(
+      [](const auto& msg) -> std::optional<std::size_t> {
+        using T = std::decay_t<decltype(msg)>;
+        if constexpr (std::is_same_v<T, NewView>) {
+          return msg.proofs.size();
+        } else if constexpr (std::is_same_v<T, StateResponse>) {
+          return msg.proof.size();
+        } else if constexpr (std::is_same_v<T, HsProposal> ||
+                             std::is_same_v<T, HsBlockResponse>) {
+          return msg.block.justify.votes.size();
+        } else if constexpr (std::is_same_v<T, HsTimeout>) {
+          return msg.high_qc.votes.size();
+        } else if constexpr (std::is_same_v<T, HsQcNotice>) {
+          return msg.qc.votes.size();
+        } else {
+          return std::nullopt;
+        }
+      },
+      payload);
+}
+
 SignedViewChange::SignedViewChange(const Envelope& env)
     : sender_(env.sender()),
       vc_(std::get<ViewChange>(env.payload())),

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <variant>
 #include <vector>
 
@@ -349,6 +350,14 @@ class Envelope {
 /// per-type constant. A single-request batch costs exactly what the
 /// unbatched protocol charged, keeping batch_size=1 accounting identical.
 [[nodiscard]] std::uint64_t payload_wire_bytes(const Payload& payload);
+
+/// Signatures a payload embeds as a quorum proof, which a receiver
+/// batch-verifies on top of the envelope signature: a NEW-VIEW's
+/// view-change quorum, a state response's checkpoint votes, and the QC a
+/// HotStuff proposal, block response, timeout or QC notice carries (0
+/// for the vote-free genesis QC). nullopt for a payload with no proof.
+[[nodiscard]] std::optional<std::size_t> proof_signatures(
+    const Payload& payload);
 
 /// Verifies the envelope signature.
 [[nodiscard]] bool verify_envelope(const crypto::KeyRegistry& registry,

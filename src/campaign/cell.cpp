@@ -3,12 +3,12 @@
 #include <memory>
 #include <utility>
 
-#include "bft/cluster.h"
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
 #include "diversity/analyzer.h"
+#include "replication/cluster.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/rng.h"
@@ -35,8 +35,8 @@ std::string CampaignCellScenario::grid_label(const Params& p) {
   std::string label = "target=" + p.target + " fault=" + p.fault +
                       " rate=" + runtime::ParamValue(p.rate).to_string() +
                       " n=" + std::to_string(p.n);
-  if (p.protocol_axis) {
-    label += std::string(" proto=") + replication::protocol_name(p.protocol);
+  if (p.protocol.has_value()) {
+    label += std::string(" proto=") + replication::protocol_name(*p.protocol);
   }
   return label;
 }
@@ -65,7 +65,7 @@ runtime::MetricRecord CampaignCellScenario::run(
   const diversity::DiversityReport diversity =
       diversity::DiversityAnalyzer::analyze(fleet);
 
-  bft::ClusterOptions options;
+  replication::ClusterOptions options;
   options.seed = ctx.seed;
   // Fast-LAN profile (same as the BFT suites): the subject is the fault,
   // not overload, so the offered load must commit comfortably inside
@@ -75,9 +75,9 @@ runtime::MetricRecord CampaignCellScenario::run(
   // Small checkpoint distance so a healed outage spans several intervals
   // and state transfer (not just live traffic) does the catching up.
   options.replica.checkpoint_interval = 4;
-  options.protocol = params_.protocol;
-  bft::BftCluster cluster(params_.n, options,
-                          planned_behaviors(plan, params_.n));
+  options.protocol = params_.protocol.value_or(replication::Protocol::kPbft);
+  replication::Cluster cluster(params_.n, options,
+                               planned_behaviors(plan, params_.n));
   schedule_fault(plan, cluster, link_rng);
 
   for (std::size_t i = 0; i < params_.requests; ++i) {
@@ -167,17 +167,15 @@ const runtime::ScenarioRegistration kCampaign{{
         },
     .factory =
         [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      const std::string protocol =
-          p.has("protocol") ? p.get_string("protocol") : "";
       return std::make_unique<CampaignCellScenario>(CampaignCellScenario::Params{
           .target = p.get_string("target"),
           .fault = p.get_string("fault"),
           .rate = p.get_double("rate"),
           .n = p.get_size("n"),
-          .protocol = protocol.empty()
-                          ? replication::Protocol::kPbft
-                          : replication::parse_protocol(protocol),
-          .protocol_axis = !protocol.empty()});
+          .protocol = p.has("protocol")
+                          ? std::optional(replication::parse_protocol(
+                                p.get_string("protocol")))
+                          : std::nullopt});
     },
 }};
 

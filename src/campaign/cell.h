@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "replication/options.h"
@@ -39,11 +40,11 @@ class CampaignCellScenario : public runtime::Scenario {
     std::size_t requests = 21;
     double period_s = 0.5;
     double deadline = 45.0;
-    /// Ordering protocol under fault (the optional `protocol` axis).
-    /// Cells from protocol-less grids keep their historical labels; a
-    /// grid spelling the axis out appends " proto=<name>" (always last).
-    replication::Protocol protocol = replication::Protocol::kPbft;
-    bool protocol_axis = false;
+    /// Ordering protocol under fault (the optional `protocol` axis);
+    /// when set, the label ends in " proto=<name>" (always last). Unset
+    /// means a legacy grid without the axis: the cell runs PBFT and keeps
+    /// its historical label.
+    std::optional<replication::Protocol> protocol;
     std::string label;
   };
 

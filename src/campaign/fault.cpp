@@ -121,7 +121,7 @@ std::vector<replication::Behavior> planned_behaviors(const FaultPlan& plan,
   return behaviors;
 }
 
-void schedule_fault(const FaultPlan& plan, bft::BftCluster& cluster,
+void schedule_fault(const FaultPlan& plan, replication::Cluster& cluster,
                     const std::shared_ptr<support::Rng>& link_rng) {
   if (is_byzantine(plan.kind) || plan.victims.empty()) return;
   sim::Simulator& sim = cluster.simulator();

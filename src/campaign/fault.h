@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "bft/cluster.h"
 #include "config/catalog.h"
 #include "diversity/analyzer.h"
+#include "replication/cluster.h"
 #include "support/rng.h"
 
 namespace findep::campaign {
@@ -40,9 +40,10 @@ enum class FaultKind : std::uint8_t {
   kCorrupt,       ///< messages on links touching exposed replicas flip
                   ///< bits with probability `rate` until the heal
   kCollude,       ///< exposed replicas turn Byzantine: equivocate as
-                  ///< primary, endorse every digest (bft::kCollude)
+                  ///< primary, endorse every digest
+                  ///< (replication::Behavior::kCollude)
   kCensor,        ///< exposed replicas censor odd-id client requests when
-                  ///< primary (bft::kCensor)
+                  ///< primary (replication::Behavior::kCensor)
 };
 
 /// All kinds in declaration order, with their spelled names (the `fault`
@@ -110,7 +111,7 @@ struct FaultPlan {
 /// (no-op for byzantine kinds). `link_rng` feeds the per-message
 /// corruption draws and must stay alive for the whole run — the shared
 /// pointer is captured by the installed policy.
-void schedule_fault(const FaultPlan& plan, bft::BftCluster& cluster,
+void schedule_fault(const FaultPlan& plan, replication::Cluster& cluster,
                     const std::shared_ptr<support::Rng>& link_rng);
 
 }  // namespace findep::campaign

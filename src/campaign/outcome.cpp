@@ -4,7 +4,7 @@
 
 namespace findep::campaign {
 
-std::size_t unresolved_stragglers(const bft::BftCluster& cluster,
+std::size_t unresolved_stragglers(const replication::Cluster& cluster,
                                   const FaultPlan& plan) {
   if (plan.kind != FaultKind::kCrash) return cluster.stranded_replicas();
   std::vector<bool> is_victim(cluster.size(), false);
@@ -22,7 +22,7 @@ std::size_t unresolved_stragglers(const bft::BftCluster& cluster,
   return stragglers;
 }
 
-Outcome classify_outcome(const bft::BftCluster& cluster,
+Outcome classify_outcome(const replication::Cluster& cluster,
                          const FaultPlan& plan, std::size_t submitted) {
   Outcome out;
   out.submitted = submitted;
@@ -34,14 +34,12 @@ Outcome classify_outcome(const bft::BftCluster& cluster,
   std::vector<bool> is_victim(cluster.size(), false);
   for (const std::size_t r : plan.victims) is_victim[r] = true;
 
+  out.max_view_changes = cluster.max_progress_disruptions();
   for (std::size_t r = 0; r < cluster.size(); ++r) {
     // Protocol-neutral detection evidence: PBFT reports view changes
     // started (and a nonzero installed view), HotStuff pacemaker
-    // timeouts. For PBFT these are the exact expressions the classifier
-    // always used, so pbft campaign outputs are unchanged.
+    // timeouts.
     const replication::OrderingProtocol& replica = cluster.node(r);
-    out.max_view_changes =
-        std::max(out.max_view_changes, replica.progress_disruptions());
     out.corrupted_rejected += replica.corrupted_rejected();
     if (!is_victim[r] && replica.observed_disruption()) {
       out.detected = true;

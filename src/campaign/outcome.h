@@ -21,8 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "bft/cluster.h"
 #include "campaign/fault.h"
+#include "replication/cluster.h"
 
 namespace findep::campaign {
 
@@ -37,8 +37,8 @@ struct Outcome {
   /// Seconds from fault injection to the last request commit when the
   /// cell recovered; -1 otherwise.
   double recovery_time_s = -1.0;
-  /// Max view_changes_started over all replicas (victims included —
-  /// this is a cost metric, not a detection verdict).
+  /// Cluster::max_progress_disruptions() (victims included — this is a
+  /// cost metric, not a detection verdict).
   std::uint64_t max_view_changes = 0;
   std::uint64_t corrupted_rejected = 0;
   std::uint64_t state_transfers = 0;
@@ -49,12 +49,12 @@ struct Outcome {
 /// stranded_replicas() (byzantine victims are already skipped there);
 /// for a permanent crash the victims are dead, not unrecovered, so both
 /// the horizon and the stragglers are computed over survivors only.
-[[nodiscard]] std::size_t unresolved_stragglers(const bft::BftCluster& cluster,
-                                                const FaultPlan& plan);
+[[nodiscard]] std::size_t unresolved_stragglers(
+    const replication::Cluster& cluster, const FaultPlan& plan);
 
 /// Classifies a finished cell run. Deterministic: reads only cluster
 /// counters, in replica-index order.
-[[nodiscard]] Outcome classify_outcome(const bft::BftCluster& cluster,
+[[nodiscard]] Outcome classify_outcome(const replication::Cluster& cluster,
                                        const FaultPlan& plan,
                                        std::size_t submitted);
 

@@ -1,30 +1,30 @@
-#include "bft/cluster.h"
+#include "replication/cluster.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 
-BftCluster::BftCluster(std::size_t n, ClusterOptions options,
-                       std::vector<replication::Behavior> behaviors)
+Cluster::Cluster(std::size_t n, ClusterOptions options,
+                 std::vector<Behavior> behaviors)
     : options_(options) {
   FINDEP_REQUIRE(n >= 4);
   init(std::vector<double>(n, 1.0), std::move(behaviors));
 }
 
-BftCluster::BftCluster(std::vector<double> weights, ClusterOptions options,
-                       std::vector<replication::Behavior> behaviors)
+Cluster::Cluster(std::vector<double> weights, ClusterOptions options,
+                 std::vector<Behavior> behaviors)
     : options_(options) {
   init(std::move(weights), std::move(behaviors));
 }
 
-void BftCluster::init(std::vector<double> weights,
-                      std::vector<replication::Behavior> behaviors) {
+void Cluster::init(std::vector<double> weights,
+                   std::vector<Behavior> behaviors) {
   const std::size_t n = weights.size();
   FINDEP_REQUIRE(n >= 4);
-  behaviors.resize(n, replication::Behavior::kHonest);
+  behaviors.resize(n, Behavior::kHonest);
   behaviors_ = behaviors;
 
   net::NetworkOptions net_options = options_.network;
@@ -46,18 +46,18 @@ void BftCluster::init(std::vector<double> weights,
   registry_.enroll(*client_keys_);
   client_id_ = static_cast<net::NodeId>(n);
 
-  replication::ReplicaOptions ropts = options_.replica;
+  ReplicaOptions ropts = options_.replica;
   for (std::size_t i = 0; i < n; ++i) {
     ropts.behavior = behaviors_[i];
     // Replica-local RNG (random peer choice in state transfer), derived
     // per replica from the cluster seed so runs stay reproducible.
     ropts.rng_seed = support::mix64(options_.seed ^ (0xb1f70000ULL + i));
-    if (options_.protocol == replication::Protocol::kHotStuff) {
-      replicas_.push_back(std::make_unique<replication::HotStuff>(
+    if (options_.protocol == Protocol::kHotStuff) {
+      replicas_.push_back(std::make_unique<HotStuff>(
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     } else {
-      replicas_.push_back(std::make_unique<replication::Pbft>(
+      replicas_.push_back(std::make_unique<Pbft>(
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     }
@@ -67,33 +67,33 @@ void BftCluster::init(std::vector<double> weights,
   real_executed_.assign(n, 0);
 }
 
-replication::Pbft& BftCluster::replica(std::size_t i) {
-  FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
+Pbft& Cluster::replica(std::size_t i) {
+  FINDEP_REQUIRE_MSG(options_.protocol == Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<replication::Pbft&>(*replicas_[i]);
+  return static_cast<Pbft&>(*replicas_[i]);
 }
 
-const replication::Pbft& BftCluster::replica(std::size_t i) const {
-  FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
+const Pbft& Cluster::replica(std::size_t i) const {
+  FINDEP_REQUIRE_MSG(options_.protocol == Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<const replication::Pbft&>(*replicas_[i]);
+  return static_cast<const Pbft&>(*replicas_[i]);
 }
 
-replication::HotStuff& BftCluster::hotstuff(std::size_t i) {
+HotStuff& Cluster::hotstuff(std::size_t i) {
   FINDEP_REQUIRE_MSG(
-      options_.protocol == replication::Protocol::kHotStuff,
+      options_.protocol == Protocol::kHotStuff,
       "hotstuff() requires protocol=hotstuff; use node()");
-  return static_cast<replication::HotStuff&>(*replicas_[i]);
+  return static_cast<HotStuff&>(*replicas_[i]);
 }
 
-const replication::HotStuff& BftCluster::hotstuff(std::size_t i) const {
+const HotStuff& Cluster::hotstuff(std::size_t i) const {
   FINDEP_REQUIRE_MSG(
-      options_.protocol == replication::Protocol::kHotStuff,
+      options_.protocol == Protocol::kHotStuff,
       "hotstuff() requires protocol=hotstuff; use node()");
-  return static_cast<const replication::HotStuff&>(*replicas_[i]);
+  return static_cast<const HotStuff&>(*replicas_[i]);
 }
 
-std::uint64_t BftCluster::submit() {
+std::uint64_t Cluster::submit() {
   const std::uint64_t rid = next_request_id_++;
   Request request;
   request.id = rid;
@@ -111,7 +111,7 @@ std::uint64_t BftCluster::submit() {
   return rid;
 }
 
-void BftCluster::observe_executions() {
+void Cluster::observe_executions() {
   // Record the earliest honest execution time per request; scans only
   // entries appended since the previous observation.
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -120,7 +120,7 @@ void BftCluster::observe_executions() {
       const ExecutedEntry& e = log[j];
       if (e.request.id == 0) continue;
       ++real_executed_[i];
-      if (behaviors_[i] != replication::Behavior::kHonest) continue;
+      if (behaviors_[i] != Behavior::kHonest) continue;
       const std::size_t idx = static_cast<std::size_t>(e.request.id) - 1;
       if (idx < traces_.size() && !traces_[idx].done()) {
         traces_[idx].executed_at = sim_.now();
@@ -130,7 +130,7 @@ void BftCluster::observe_executions() {
   }
 }
 
-bool BftCluster::run_until_executed(std::size_t count, double deadline) {
+bool Cluster::run_until_executed(std::size_t count, double deadline) {
   while (sim_.now() < deadline) {
     if (min_honest_executed() >= count) return true;
     if (!sim_.has_pending()) break;
@@ -141,7 +141,7 @@ bool BftCluster::run_until_executed(std::size_t count, double deadline) {
   return min_honest_executed() >= count;
 }
 
-void BftCluster::run_for(double duration) {
+void Cluster::run_for(double duration) {
   const double deadline = sim_.now() + duration;
   while (sim_.now() < deadline && sim_.has_pending()) {
     sim_.step();
@@ -149,10 +149,10 @@ void BftCluster::run_for(double duration) {
   }
 }
 
-bool BftCluster::logs_consistent() const {
-  const replication::OrderingProtocol* reference = nullptr;
+bool Cluster::logs_consistent() const {
+  const OrderingProtocol* reference = nullptr;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != replication::Behavior::kHonest) continue;
+    if (behaviors_[i] != Behavior::kHonest) continue;
     if (reference == nullptr) {
       reference = replicas_[i].get();
       continue;
@@ -170,18 +170,18 @@ bool BftCluster::logs_consistent() const {
   return true;
 }
 
-std::size_t BftCluster::min_honest_executed() const {
+std::size_t Cluster::min_honest_executed() const {
   std::size_t min_count = SIZE_MAX;
   bool any = false;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != replication::Behavior::kHonest) continue;
+    if (behaviors_[i] != Behavior::kHonest) continue;
     any = true;
     min_count = std::min(min_count, real_executed_[i]);
   }
   return any ? min_count : 0;
 }
 
-std::size_t BftCluster::completed_requests() const {
+std::size_t Cluster::completed_requests() const {
   std::size_t count = 0;
   for (const RequestTrace& t : traces_) {
     if (t.done()) ++count;
@@ -189,7 +189,7 @@ std::size_t BftCluster::completed_requests() const {
   return count;
 }
 
-double BftCluster::last_completion_time() const {
+double Cluster::last_completion_time() const {
   double latest = 0.0;
   for (const RequestTrace& t : traces_) {
     if (t.done()) latest = std::max(latest, t.executed_at);
@@ -197,26 +197,34 @@ double BftCluster::last_completion_time() const {
   return latest;
 }
 
-SeqNum BftCluster::max_honest_last_executed() const {
+SeqNum Cluster::max_honest_last_executed() const {
   SeqNum max_seq = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != replication::Behavior::kHonest) continue;
+    if (behaviors_[i] != Behavior::kHonest) continue;
     max_seq = std::max(max_seq, replicas_[i]->last_executed());
   }
   return max_seq;
 }
 
-std::size_t BftCluster::stranded_replicas() const {
+std::size_t Cluster::stranded_replicas() const {
   const SeqNum horizon = max_honest_last_executed();
   std::size_t count = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (behaviors_[i] != replication::Behavior::kHonest) continue;
+    if (behaviors_[i] != Behavior::kHonest) continue;
     if (replicas_[i]->last_executed() < horizon) ++count;
   }
   return count;
 }
 
-std::uint64_t BftCluster::state_transfers_completed() const {
+std::uint64_t Cluster::max_progress_disruptions() const {
+  std::uint64_t most = 0;
+  for (const auto& replica : replicas_) {
+    most = std::max(most, replica->progress_disruptions());
+  }
+  return most;
+}
+
+std::uint64_t Cluster::state_transfers_completed() const {
   std::uint64_t sum = 0;
   for (const auto& replica : replicas_) {
     sum += replica->state_transfers_completed();
@@ -224,7 +232,7 @@ std::uint64_t BftCluster::state_transfers_completed() const {
   return sum;
 }
 
-std::uint64_t BftCluster::state_transfer_bytes() const {
+std::uint64_t Cluster::state_transfer_bytes() const {
   std::uint64_t sum = 0;
   for (const auto& replica : replicas_) {
     sum += replica->state_transfer_bytes();
@@ -232,13 +240,13 @@ std::uint64_t BftCluster::state_transfer_bytes() const {
   return sum;
 }
 
-std::uint64_t BftCluster::verify_tasks() const {
+std::uint64_t Cluster::verify_tasks() const {
   std::uint64_t sum = 0;
   for (const auto& replica : replicas_) sum += replica->verify_tasks();
   return sum;
 }
 
-std::uint64_t BftCluster::verify_dropped_stale() const {
+std::uint64_t Cluster::verify_dropped_stale() const {
   std::uint64_t sum = 0;
   for (const auto& replica : replicas_) {
     sum += replica->verify_dropped_stale();
@@ -246,7 +254,7 @@ std::uint64_t BftCluster::verify_dropped_stale() const {
   return sum;
 }
 
-double BftCluster::mean_latency() const {
+double Cluster::mean_latency() const {
   double sum = 0.0;
   std::size_t count = 0;
   for (const RequestTrace& t : traces_) {
@@ -259,7 +267,7 @@ double BftCluster::mean_latency() const {
   return sum / static_cast<double>(count);
 }
 
-double BftCluster::latency_percentile(double q) const {
+double Cluster::latency_percentile(double q) const {
   FINDEP_REQUIRE(q > 0.0 && q <= 1.0);
   std::vector<double> latencies;
   latencies.reserve(traces_.size());
@@ -275,4 +283,4 @@ double BftCluster::latency_percentile(double q) const {
   return latencies[std::max<std::size_t>(rank, 1) - 1];
 }
 
-}  // namespace findep::bft
+}  // namespace findep::replication

@@ -1,4 +1,4 @@
-// BftCluster: a whole replicated deployment in one object — replicas,
+// Cluster: a whole replicated deployment in one object — replicas,
 // client, simulated network — plus the safety/liveness checkers the
 // experiments assert on. This is the harness both the test suite and the
 // benchmark binaries drive. The ordering protocol is an axis: the same
@@ -15,14 +15,14 @@
 #include "replication/pbft.h"
 #include "sim/simulator.h"
 
-namespace findep::bft {
+namespace findep::replication {
 
 struct ClusterOptions {
   net::NetworkOptions network;
-  replication::ReplicaOptions replica;
+  ReplicaOptions replica;
   std::uint64_t seed = 99;
   /// Which ordering protocol every replica runs.
-  replication::Protocol protocol = replication::Protocol::kPbft;
+  Protocol protocol = Protocol::kPbft;
 };
 
 /// Per-request latency record (submit time → first honest execution).
@@ -37,16 +37,16 @@ struct RequestTrace {
   }
 };
 
-class BftCluster {
+class Cluster {
  public:
   /// Unit-weight cluster of n replicas with the given behaviours
   /// (`behaviors` may be shorter than n; missing entries are honest).
-  BftCluster(std::size_t n, ClusterOptions options,
-             std::vector<replication::Behavior> behaviors = {});
+  Cluster(std::size_t n, ClusterOptions options,
+          std::vector<Behavior> behaviors = {});
 
   /// Weighted cluster: `weights[i]` is replica i's voting power.
-  BftCluster(std::vector<double> weights, ClusterOptions options,
-             std::vector<replication::Behavior> behaviors);
+  Cluster(std::vector<double> weights, ClusterOptions options,
+          std::vector<Behavior> behaviors);
 
   /// Submits a fresh client request (to every replica, as a PBFT client
   /// would on retry; dedup is by request id). Returns the request id.
@@ -69,19 +69,18 @@ class BftCluster {
 
   [[nodiscard]] std::size_t size() const noexcept { return replicas_.size(); }
   /// Protocol-neutral view of replica i (what generic metrics read).
-  [[nodiscard]] replication::OrderingProtocol& node(std::size_t i) {
+  [[nodiscard]] OrderingProtocol& node(std::size_t i) {
     return *replicas_[i];
   }
-  [[nodiscard]] const replication::OrderingProtocol& node(
-      std::size_t i) const {
+  [[nodiscard]] const OrderingProtocol& node(std::size_t i) const {
     return *replicas_[i];
   }
   /// PBFT-typed view of replica i. Requires protocol == kPbft.
-  [[nodiscard]] replication::Pbft& replica(std::size_t i);
-  [[nodiscard]] const replication::Pbft& replica(std::size_t i) const;
+  [[nodiscard]] Pbft& replica(std::size_t i);
+  [[nodiscard]] const Pbft& replica(std::size_t i) const;
   /// HotStuff-typed view of replica i. Requires protocol == kHotStuff.
-  [[nodiscard]] replication::HotStuff& hotstuff(std::size_t i);
-  [[nodiscard]] const replication::HotStuff& hotstuff(std::size_t i) const;
+  [[nodiscard]] HotStuff& hotstuff(std::size_t i);
+  [[nodiscard]] const HotStuff& hotstuff(std::size_t i) const;
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] net::SimNetwork& network() noexcept { return *network_; }
   [[nodiscard]] const std::vector<RequestTrace>& traces() const noexcept {
@@ -113,6 +112,11 @@ class BftCluster {
   /// the laggards state transfer exists to rescue (0 once converged).
   [[nodiscard]] std::size_t stranded_replicas() const;
 
+  /// The most ordering-progress disruptions any replica recorded (PBFT
+  /// view changes started, HotStuff pacemaker timeouts), victims
+  /// included: the `max_view_changes` metric.
+  [[nodiscard]] std::uint64_t max_progress_disruptions() const;
+
   /// Completed state transfers summed over all replicas.
   [[nodiscard]] std::uint64_t state_transfers_completed() const;
 
@@ -127,8 +131,7 @@ class BftCluster {
   [[nodiscard]] std::uint64_t verify_dropped_stale() const;
 
  private:
-  void init(std::vector<double> weights,
-            std::vector<replication::Behavior> behaviors);
+  void init(std::vector<double> weights, std::vector<Behavior> behaviors);
   void observe_executions();
 
   sim::Simulator sim_;
@@ -136,8 +139,8 @@ class BftCluster {
   std::unique_ptr<net::SimNetwork> network_;
   crypto::KeyRegistry registry_;
   std::unique_ptr<crypto::KeyPair> client_keys_;
-  std::vector<std::unique_ptr<replication::OrderingProtocol>> replicas_;
-  std::vector<replication::Behavior> behaviors_;
+  std::vector<std::unique_ptr<OrderingProtocol>> replicas_;
+  std::vector<Behavior> behaviors_;
   std::vector<RequestTrace> traces_;
   /// Per-replica cursor into executed() already scanned (and the count of
   /// real, non-noop entries seen so far), so observation is O(new).
@@ -147,4 +150,4 @@ class BftCluster {
   net::NodeId client_id_ = 0;
 };
 
-}  // namespace findep::bft
+}  // namespace findep::replication

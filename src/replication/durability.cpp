@@ -74,6 +74,7 @@ void CheckpointStore::prune_votes() {
 StateFetchMachine::StateFetchMachine(const NodeHarness& harness, Hooks hooks)
     : harness_(&harness),
       hooks_(std::move(hooks)),
+      timer_(harness.simulator()),
       st_rng_(support::mix64(harness.options().rng_seed)) {
   FINDEP_REQUIRE(hooks_.horizon != nullptr);
   FINDEP_REQUIRE(hooks_.send_request != nullptr);
@@ -114,15 +115,11 @@ bft::SeqNum StateFetchMachine::catchup_target() const {
 
 void StateFetchMachine::maybe_schedule() {
   if (!harness_->options().enable_state_transfer) return;
-  if (timer_.has_value()) return;  // already scheduled/awaiting
+  if (timer_.armed()) return;  // already scheduled/awaiting
   if (catchup_target() == 0) return;
   // Grace period: in-flight slots usually commit from live traffic
   // within a round trip; fetch only if the gap persists.
-  timer_ = harness_->simulator().schedule_after(
-      harness_->options().state_transfer_grace, [this] {
-        timer_.reset();
-        tick();
-      });
+  timer_.arm(harness_->options().state_transfer_grace, [this] { tick(); });
 }
 
 void StateFetchMachine::tick() {
@@ -149,53 +146,38 @@ void StateFetchMachine::tick() {
   last_fetch_peer_ = peer;
   ++requests_sent_;
   hooks_.send_request(peer);
-  timer_ = harness_->simulator().schedule_after(
-      harness_->options().state_transfer_timeout, [this] {
-        timer_.reset();
-        tick();
-      });
+  timer_.arm(harness_->options().state_transfer_timeout, [this] { tick(); });
 }
 
 void StateFetchMachine::on_rejected(bft::ReplicaId from) {
-  if (!timer_.has_value()) return;
+  if (!timer_.armed()) return;
   // Retry elsewhere immediately instead of waiting out the timer;
   // last_fetch_peer_ steers the pick away from this responder.
-  disarm();
+  timer_.cancel();
   last_fetch_peer_ = from;
   tick();
 }
 
 void StateFetchMachine::on_adopted() {
-  disarm();
+  timer_.cancel();
   last_fetch_peer_.reset();
-}
-
-void StateFetchMachine::disarm() {
-  if (timer_.has_value()) {
-    harness_->simulator().cancel(*timer_);
-    timer_.reset();
-  }
 }
 
 bool verify_checkpoint_proof(const NodeHarness& harness,
                              const bft::Checkpoint& checkpoint,
                              const std::vector<bft::SignedCheckpoint>& proof) {
-  double weight = 0.0;
-  std::vector<bool> seen(harness.n(), false);
+  // Every vote must match the checkpoint, so all of them signed its one
+  // digest.
+  const crypto::Digest digest = checkpoint.digest();
+  QuorumCheck check(harness);
   for (const bft::SignedCheckpoint& sc : proof) {
-    if (sc.sender >= harness.n() || seen[sc.sender]) return false;
     if (sc.checkpoint.seq != checkpoint.seq ||
-        sc.checkpoint.state_digest != checkpoint.state_digest) {
+        sc.checkpoint.state_digest != checkpoint.state_digest ||
+        !check.add(sc.sender, digest, sc.signature)) {
       return false;
     }
-    if (!harness.registry().verify(harness.directory()[sc.sender],
-                                   sc.checkpoint.digest(), sc.signature)) {
-      return false;
-    }
-    seen[sc.sender] = true;
-    weight += harness.weight_of(sc.sender);
   }
-  return harness.is_quorum(weight);
+  return check.quorum();
 }
 
 crypto::Digest state_digest_over(

@@ -127,8 +127,6 @@ class StateFetchMachine {
   /// A response was verified and adopted: stand down.
   void on_adopted();
 
-  void disarm();
-
   /// StateRequest messages sent (first attempts and retries).
   [[nodiscard]] std::uint64_t requests_sent() const noexcept {
     return requests_sent_;
@@ -147,15 +145,15 @@ class StateFetchMachine {
   std::vector<bft::SeqNum> peer_claims_;
   /// The timer doubles as the state (armed = a fetch is scheduled or
   /// awaiting a response).
-  std::optional<sim::EventId> timer_;
+  sim::Timer timer_;
   std::optional<bft::ReplicaId> last_fetch_peer_;
   support::Rng st_rng_;
   std::uint64_t requests_sent_ = 0;
 };
 
-/// Verifies a checkpoint's signed vote quorum: distinct in-directory
-/// senders, votes matching the checkpoint, valid signatures, quorum
-/// weight. The state-transfer receive path's first check.
+/// Verifies a checkpoint's signed vote quorum: votes matching the
+/// checkpoint, and a QuorumCheck over their senders. The state-transfer
+/// receive path's first check.
 [[nodiscard]] bool verify_checkpoint_proof(
     const NodeHarness& harness, const bft::Checkpoint& checkpoint,
     const std::vector<bft::SignedCheckpoint>& proof);

@@ -142,12 +142,14 @@ void NodeHarness::offload_verify(const net::Message& raw,
       std::holds_alternative<bft::Request>(env.payload())
           ? runtime::TaskPriority::kSpeculative
           : runtime::TaskPriority::kCritical;
-  // Quorum proofs ride one envelope and are batch-verified; the protocol
-  // declares the extra cost (a NEW-VIEW carries its view-change quorum, a
-  // proposal its QC, a state response its checkpoint vote quorum).
-  // Everything else is one signature check.
-  const double cost = options_.cost_model.verify_seconds() +
-                      protocol_->verify_extra_cost(env.payload());
+  // Quorum proofs ride one envelope and are batch-verified with it (a
+  // NEW-VIEW carries its view-change quorum, a proposal its QC, a state
+  // response its checkpoint vote quorum). Everything else is one
+  // signature check.
+  double cost = options_.cost_model.verify_seconds();
+  if (const auto proofs = bft::proof_signatures(env.payload())) {
+    cost += options_.cost_model.batch_verify_seconds(*proofs);
+  }
   // Keep the shared envelope body alive until the completion runs; the
   // completion re-reads it and takes the exact inline dispatch path.
   net::Envelope keep = raw.envelope;
@@ -162,6 +164,18 @@ void NodeHarness::offload_verify(const net::Message& raw,
         if (!bft::verify_envelope(*registry_, *env)) return;
         protocol_->dispatch_payload(*env, from, bytes);
       });
+}
+
+bool QuorumCheck::add(bft::ReplicaId signer, const crypto::Digest& digest,
+                      const crypto::Signature& signature) {
+  if (signer >= seen_.size() || seen_[signer]) return false;
+  if (!harness_->registry().verify(harness_->directory()[signer], digest,
+                                   signature)) {
+    return false;
+  }
+  seen_[signer] = true;
+  weight_ += harness_->weight_of(signer);
+  return true;
 }
 
 }  // namespace findep::replication

@@ -134,4 +134,30 @@ class NodeHarness {
   double sign_ready_at_ = 0.0;
 };
 
+/// Checks a signed quorum proof one vote at a time: every signer must be
+/// in the directory, sign at most once, and hold a valid signature over
+/// the digest it signed. quorum() then tells whether the admitted
+/// signers carry > 2/3 of the voting weight. The one check behind every
+/// proof a replica verifies: checkpoint vote quorums, NEW-VIEW
+/// view-change quorums and HotStuff QCs.
+class QuorumCheck {
+ public:
+  explicit QuorumCheck(const NodeHarness& harness)
+      : harness_(&harness), seen_(harness.n(), false) {}
+
+  /// Admits `signer`'s vote. False when the signer is outside the
+  /// directory, already signed, or `signature` does not cover `digest`;
+  /// the whole proof is then invalid.
+  [[nodiscard]] bool add(bft::ReplicaId signer, const crypto::Digest& digest,
+                         const crypto::Signature& signature);
+  [[nodiscard]] bool quorum() const noexcept {
+    return harness_->is_quorum(weight_);
+  }
+
+ private:
+  const NodeHarness* harness_;
+  std::vector<bool> seen_;
+  double weight_ = 0.0;
+};
+
 }  // namespace findep::replication

@@ -24,35 +24,7 @@ HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
   high_qc_ = QuorumCert{0, 0, genesis_digest_, {}};
 }
 
-void HotStuff::submit(const Request& request) {
-  if (options().behavior == Behavior::kSilent) return;
-  on_request(request, id());
-}
-
 // --- dispatch --------------------------------------------------------------
-
-double HotStuff::verify_extra_cost(const Payload& payload) const {
-  // Every QC rides one envelope and is batch-verified with its carrier.
-  if (const auto* p = std::get_if<HsProposal>(&payload)) {
-    return options().cost_model.batch_verify_seconds(
-        p->block.justify.votes.size());
-  }
-  if (const auto* r = std::get_if<HsBlockResponse>(&payload)) {
-    return options().cost_model.batch_verify_seconds(
-        r->block.justify.votes.size());
-  }
-  if (const auto* t = std::get_if<HsTimeout>(&payload)) {
-    return options().cost_model.batch_verify_seconds(
-        t->high_qc.votes.size());
-  }
-  if (const auto* n = std::get_if<HsQcNotice>(&payload)) {
-    return options().cost_model.batch_verify_seconds(n->qc.votes.size());
-  }
-  if (const auto* resp = std::get_if<StateResponse>(&payload)) {
-    return options().cost_model.batch_verify_seconds(resp->proof.size());
-  }
-  return 0.0;
-}
 
 runtime::WorkerPool::StaleCheck HotStuff::verify_stale_check(
     const Payload& payload) const {
@@ -138,21 +110,13 @@ bool HotStuff::verify_qc(const QuorumCert& qc) const {
     return qc.votes.empty() && qc.height == 0 &&
            qc.block_digest == genesis_digest_;
   }
-  if (qc.votes.empty()) return false;
   const crypto::Digest vote_digest =
       HsVote{qc.round, qc.height, qc.block_digest}.digest();
-  double weight = 0.0;
-  std::vector<bool> seen(harness_.n(), false);
+  QuorumCheck check(harness_);
   for (const HsSignedVote& v : qc.votes) {
-    if (v.voter >= harness_.n() || seen[v.voter]) return false;
-    if (!harness_.registry().verify(harness_.directory()[v.voter],
-                                    vote_digest, v.signature)) {
-      return false;
-    }
-    seen[v.voter] = true;
-    weight += weight_of(v.voter);
+    if (!check.add(v.voter, vote_digest, v.signature)) return false;
   }
-  return is_quorum(weight);
+  return check.quorum();
 }
 
 void HotStuff::store_block(const HsBlock& b, const crypto::Digest& digest) {
@@ -268,7 +232,7 @@ void HotStuff::on_block_response(const HsBlockResponse& resp) {
   }
   // Retry the commit rule even when the block was already known: the
   // copy that beat this response here (a late proposal, say) may have
-  // arrived after our high-QC did, leaving the 3-chain walk blocked on
+  // arrived after our high-QC did, leaving the two-chain walk blocked on
   // it without anything re-driving the commit.
   try_commit();
   ensure_pacemaker();
@@ -401,7 +365,7 @@ bool HotStuff::needs_flush() const {
   }
 }
 
-bool HotStuff::try_propose() {
+bool HotStuff::try_propose(bool cut_partial) {
   if (options().behavior == Behavior::kSilent) return false;
   if (leader_of(round_) != id()) return false;
   if (last_proposed_round_ >= round_) return false;
@@ -412,14 +376,17 @@ bool HotStuff::try_propose() {
   std::vector<Request> eligible = eligible_requests();
   if (eligible.empty()) {
     if (!needs_flush()) return false;  // clean chain, nothing to do
-    propose(Batch{});                  // no-op block drives the 3-chain
+    propose(Batch{});  // a no-op block drives the two-chain
     return true;
   }
-  if (eligible.size() < options().batch_size) {
+  if (!cut_partial && eligible.size() < options().batch_size) {
     // Partial batch: give stragglers batch_timeout to arrive (validated
     // < pacemaker_timeout, so the cut always lands before peers expire
     // the round). The armed timer counts as an in-flight proposal.
-    arm_batch_timer();
+    if (!batch_timer_.armed()) {
+      batch_timer_.arm(options().batch_timeout,
+                       [this] { try_propose(/*cut_partial=*/true); });
+    }
     return true;
   }
   Batch batch;
@@ -430,7 +397,7 @@ bool HotStuff::try_propose() {
 
 void HotStuff::propose(Batch batch) {
   FINDEP_REQUIRE(leader_of(round_) == id());
-  disarm_batch_timer();
+  batch_timer_.cancel();
   last_proposed_round_ = round_;
   HsBlock b;
   b.round = round_;
@@ -451,13 +418,8 @@ void HotStuff::propose(Batch batch) {
     // structurally rather than by detection.
     HsBlock forged = b;
     forged.batch = forge_batch(b.batch);
-    const HsProposal real{b};
-    const HsProposal fake{forged};
-    for (ReplicaId r = 0; r < harness_.n(); ++r) {
-      if (r == id()) continue;
-      send_to(r, r % 2 == 0 ? Payload{real} : Payload{fake});
-    }
-    return;  // the equivocator does not even convince itself
+    equivocate(HsProposal{std::move(b)}, HsProposal{std::move(forged)});
+    return;
   }
 
   broadcast(HsProposal{std::move(b)});
@@ -476,8 +438,8 @@ void HotStuff::enter_round(Round r, bool via_qc) {
   }
   timeout_votes_.erase(timeout_votes_.begin(),
                        timeout_votes_.lower_bound(round_));
-  disarm_batch_timer();
-  disarm_round_timer();
+  batch_timer_.cancel();
+  round_timer_.cancel();
   ensure_pacemaker();
 }
 
@@ -487,15 +449,12 @@ void HotStuff::ensure_pacemaker() {
   if (!dirty) {
     // Quiescent: no timer, so a drained simulation terminates instead of
     // timing out forever on an empty chain.
-    disarm_round_timer();
+    round_timer_.cancel();
     return;
   }
-  if (round_timer_.has_value()) return;
-  round_timer_ = sim().schedule_after(
-      options().pacemaker_timeout * backoff_, [this] {
-        round_timer_.reset();
-        round_expired();
-      });
+  if (round_timer_.armed()) return;
+  round_timer_.arm(options().pacemaker_timeout * backoff_,
+                   [this] { round_expired(); });
 }
 
 void HotStuff::round_expired() {
@@ -506,7 +465,7 @@ void HotStuff::round_expired() {
   ++round_;
   FINDEP_BFT_TRACE("t=%.3f [%u] hs timeout -> round=%llu backoff=%.1f\n",
                    sim().now(), id(), (unsigned long long)round_, backoff_);
-  disarm_batch_timer();
+  batch_timer_.cancel();
   // A response that never came may be waiting behind a pruned request
   // mark; allow re-asking after the stall.
   requested_blocks_.clear();
@@ -574,34 +533,6 @@ void HotStuff::on_timeout(const HsTimeout& t, ReplicaId from) {
     try_propose();
   }
   ensure_pacemaker();
-}
-
-void HotStuff::arm_batch_timer() {
-  if (batch_timer_.has_value()) return;
-  batch_timer_ = sim().schedule_after(options().batch_timeout, [this] {
-    batch_timer_.reset();
-    if (leader_of(round_) != id() || last_proposed_round_ >= round_) return;
-    if (high_qc_.round + 1 != round_ && tc_round_ < round_) return;
-    std::vector<Request> eligible = eligible_requests();
-    if (eligible.empty() && !needs_flush()) return;
-    Batch batch;
-    batch.requests = std::move(eligible);
-    propose(std::move(batch));
-  });
-}
-
-void HotStuff::disarm_batch_timer() {
-  if (batch_timer_.has_value()) {
-    sim().cancel(*batch_timer_);
-    batch_timer_.reset();
-  }
-}
-
-void HotStuff::disarm_round_timer() {
-  if (round_timer_.has_value()) {
-    sim().cancel(*round_timer_);
-    round_timer_.reset();
-  }
 }
 
 // --- durability ------------------------------------------------------------

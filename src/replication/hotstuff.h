@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -80,8 +79,6 @@ class HotStuff final : public OrderingProtocol {
            std::vector<crypto::PublicKey> directory,
            crypto::KeyRegistry& registry, crypto::KeyPair keys,
            net::SimNetwork& network, ReplicaOptions options);
-
-  void submit(const Request& request) override;
 
   [[nodiscard]] Round round() const noexcept { return round_; }
   [[nodiscard]] const QuorumCert& high_qc() const noexcept {
@@ -118,8 +115,6 @@ class HotStuff final : public OrderingProtocol {
                         std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
       const Payload& payload) const override;
-  [[nodiscard]] double verify_extra_cost(
-      const Payload& payload) const override;
 
  private:
   /// Vote accumulator for one (round, block digest) pair. The signed
@@ -130,7 +125,8 @@ class HotStuff final : public OrderingProtocol {
   };
 
   // --- dispatch ---------------------------------------------------------
-  void on_request(const Request& request, net::NodeId from);
+  /// Relays a client request to the current and next leaders.
+  void on_request(const Request& request, net::NodeId from) override;
   void on_proposal(const HsProposal& p, ReplicaId from);
   void on_vote(const HsVote& v, ReplicaId from,
                const crypto::Signature& signature);
@@ -140,9 +136,9 @@ class HotStuff final : public OrderingProtocol {
   void on_block_response(const HsBlockResponse& resp);
 
   // --- chain / safety ---------------------------------------------------
-  /// Verifies a QC: distinct in-directory voters whose signatures cover
-  /// HsVote{round, height, block_digest}, with quorum weight. The
-  /// genesis QC (round 0) is the one vote-free certificate.
+  /// Verifies a QC: a QuorumCheck over voters whose signatures cover
+  /// HsVote{round, height, block_digest}. The genesis QC (round 0) is
+  /// the one vote-free certificate.
   [[nodiscard]] bool verify_qc(const QuorumCert& qc) const;
   /// Adopts `qc` as high-QC if it certifies a later round, then runs the
   /// commit rule. Returns true if high-QC advanced.
@@ -163,9 +159,10 @@ class HotStuff final : public OrderingProtocol {
   // --- proposing --------------------------------------------------------
   /// Proposes in round_ if this replica leads it, has not proposed in it
   /// yet, and holds the license to (a QC from the previous round or a
-  /// timeout quorum for this one). Returns true if a proposal (or a
-  /// deferred partial-batch cut) is in flight.
-  bool try_propose();
+  /// timeout quorum for this one). A partial batch waits out the batch
+  /// timer unless `cut_partial` (the timer's own call). Returns true if a
+  /// proposal (or a deferred partial-batch cut) is in flight.
+  bool try_propose(bool cut_partial = false);
   void propose(Batch batch);
   /// Request ids already carried by the uncommitted chain from high_qc_
   /// down (a new proposal must not repeat them).
@@ -187,9 +184,6 @@ class HotStuff final : public OrderingProtocol {
   /// keeps no timer, so drained runs terminate.
   void ensure_pacemaker();
   void round_expired();
-  void disarm_round_timer();
-  void arm_batch_timer();
-  void disarm_batch_timer();
 
   /// Drops committed blocks at and below the stable checkpoint.
   void prune_blocks();
@@ -233,8 +227,8 @@ class HotStuff final : public OrderingProtocol {
   /// Digests already asked for via HsBlockRequest (one ask per orphan).
   std::map<crypto::Digest, bool> requested_blocks_;
 
-  std::optional<sim::EventId> round_timer_;
-  std::optional<sim::EventId> batch_timer_;
+  sim::Timer round_timer_{sim()};
+  sim::Timer batch_timer_{sim()};
 };
 
 }  // namespace findep::replication

@@ -18,19 +18,6 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
 
 // --- dispatch --------------------------------------------------------------
 
-double Pbft::verify_extra_cost(const Payload& payload) const {
-  // Quorum proofs ride one envelope and are batch-verified: a NEW-VIEW
-  // carries its view-change quorum, a state response its checkpoint vote
-  // quorum.
-  if (const auto* nv = std::get_if<NewView>(&payload)) {
-    return options().cost_model.batch_verify_seconds(nv->proofs.size());
-  }
-  if (const auto* resp = std::get_if<StateResponse>(&payload)) {
-    return options().cost_model.batch_verify_seconds(resp->proof.size());
-  }
-  return 0.0;
-}
-
 runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
     const Payload& payload) const {
   // Only messages the handler would provably ignore are shed: normal-case
@@ -113,36 +100,12 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 void Pbft::replay_future_messages() {
   std::vector<Envelope> pending;
   pending.swap(future_messages_);
-  for (Envelope& env : pending) {
-    std::visit(
-        [&](const auto& m) {
-          using T = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<T, PrePrepare> ||
-                        std::is_same_v<T, Prepare> ||
-                        std::is_same_v<T, Commit>) {
-            if (m.view > view_) {
-              future_messages_.push_back(env);
-              return;
-            }
-            if constexpr (std::is_same_v<T, PrePrepare>) {
-              on_preprepare(m, env.sender());
-            } else if constexpr (std::is_same_v<T, Prepare>) {
-              on_prepare(m, env.sender());
-            } else {
-              on_commit(m, env.sender());
-            }
-          }
-        },
-        env.payload());
-  }
+  // Only replica normal-case traffic is buffered, and its handlers read
+  // neither the raw sender nor the byte count.
+  for (const Envelope& env : pending) dispatch_payload(env, env.sender(), 0);
 }
 
 // --- normal case ----------------------------------------------------------
-
-void Pbft::submit(const Request& request) {
-  if (options().behavior == Behavior::kSilent) return;
-  on_request(request, id());
-}
 
 void Pbft::on_request(const Request& request, net::NodeId from) {
   if (!admit(request)) return;
@@ -174,13 +137,17 @@ void Pbft::enqueue_for_proposal(const Request& request) {
     // the moment it arrives and the batch timer is never armed, which is
     // exactly the unbatched protocol.
     cut_batch();
-  } else {
-    arm_batch_timer();
+  } else if (!batch_timer_.armed()) {
+    batch_timer_.arm(options().batch_timeout, [this] {
+      // Cut whatever accumulated: a partial batch must not wait for
+      // traffic that may never come (liveness of light load).
+      if (!in_view_change_ && is_primary()) cut_batch();
+    });
   }
 }
 
 void Pbft::cut_batch() {
-  disarm_batch_timer();
+  batch_timer_.cancel();
   if (batch_queue_.empty()) return;
   if (next_seq_ > ckpt_.stable() + options().high_watermark_window) {
     // High-watermark back-pressure: the queue holds the batch until the
@@ -221,8 +188,8 @@ void Pbft::propose(Batch batch) {
 
   if (options().behavior == Behavior::kEquivocate ||
       options().behavior == Behavior::kCollude) {
-    // Conflicting proposals: the real batch to the first half, a
-    // fabricated one (every request forged) to the second half. A lone
+    // Conflicting proposals: the real batch to the even replicas, a
+    // fabricated one (every request forged) to the odd ones. A lone
     // equivocator is harmless — neither half can reach a prepared
     // certificate for a conflicting pair, because commit weight only
     // comes from replicas that prepared that digest. A *colluding*
@@ -232,15 +199,12 @@ void Pbft::propose(Batch batch) {
     // colluding power exceeds a third.
     const PrePrepare fake{view_, seq, forge_batch(batch)};
     const PrePrepare real{view_, seq, std::move(batch)};
-    for (ReplicaId r = 0; r < harness_.n(); ++r) {
-      if (r == id()) continue;
-      send_to(r, r % 2 == 0 ? Payload{real} : Payload{fake});
-    }
+    equivocate(real, fake);
     if (options().behavior == Behavior::kCollude) {
       collude_endorse(view_, seq, real.batch.digest());
       collude_endorse(view_, seq, fake.batch.digest());
     }
-    return;  // the equivocator does not even convince itself
+    return;
   }
 
   broadcast(PrePrepare{view_, seq, std::move(batch)});
@@ -375,7 +339,7 @@ void Pbft::execute_ready() {
   }
   if (pending_requests_.empty()) {
     // Fully drained: drop the timer and the (all-dead) deadline queue.
-    disarm_request_timer();
+    request_timer_.cancel();
     request_deadlines_.clear();
   }
   // Otherwise the armed timer stays put. Each request carries its own
@@ -425,13 +389,10 @@ void Pbft::arm_request_timer() {
          !pending_requests_.contains(request_deadlines_.front().second)) {
     request_deadlines_.pop_front();
   }
-  if (request_timer_.has_value() || request_deadlines_.empty()) return;
+  if (request_timer_.armed() || request_deadlines_.empty()) return;
   const double wait =
       std::max(0.0, request_deadlines_.front().first - sim().now());
-  request_timer_ = sim().schedule_after(wait, [this] {
-    request_timer_.reset();
-    request_timer_fired();
-  });
+  request_timer_.arm(wait, [this] { request_timer_fired(); });
 }
 
 void Pbft::request_timer_fired() {
@@ -456,48 +417,6 @@ void Pbft::request_timer_fired() {
   arm_request_timer();
 }
 
-void Pbft::disarm_request_timer() {
-  if (request_timer_.has_value()) {
-    sim().cancel(*request_timer_);
-    request_timer_.reset();
-  }
-}
-
-void Pbft::arm_viewchange_timer(View target) {
-  disarm_viewchange_timer();
-  viewchange_timer_ = sim().schedule_after(
-      options().view_change_timeout, [this, target] {
-        viewchange_timer_.reset();
-        if (in_view_change_ && pending_view_ == target) {
-          start_view_change(target + 1);  // new primary also failed
-        }
-      });
-}
-
-void Pbft::disarm_viewchange_timer() {
-  if (viewchange_timer_.has_value()) {
-    sim().cancel(*viewchange_timer_);
-    viewchange_timer_.reset();
-  }
-}
-
-void Pbft::arm_batch_timer() {
-  if (batch_timer_.has_value() || batch_queue_.empty()) return;
-  batch_timer_ = sim().schedule_after(options().batch_timeout, [this] {
-    batch_timer_.reset();
-    // Cut whatever accumulated: a partial batch must not wait for
-    // traffic that may never come (liveness of light load).
-    if (!in_view_change_ && is_primary()) cut_batch();
-  });
-}
-
-void Pbft::disarm_batch_timer() {
-  if (batch_timer_.has_value()) {
-    sim().cancel(*batch_timer_);
-    batch_timer_.reset();
-  }
-}
-
 // --- view change -------------------------------------------------------
 
 void Pbft::start_view_change(View target) {
@@ -510,8 +429,8 @@ void Pbft::start_view_change(View target) {
                    sim().now(), id(), (unsigned long long)target,
                    (unsigned long long)last_executed_,
                    pending_requests_.size());
-  disarm_request_timer();
-  disarm_batch_timer();
+  request_timer_.cancel();
+  batch_timer_.cancel();
 
   ViewChange vc;
   vc.new_view = target;
@@ -522,7 +441,12 @@ void Pbft::start_view_change(View target) {
           PreparedEntry{slot.prepared_view, seq, slot.batch});
     }
   }
-  arm_viewchange_timer(target);
+  viewchange_timer_.cancel();
+  viewchange_timer_.arm(options().view_change_timeout, [this, target] {
+    if (in_view_change_ && pending_view_ == target) {
+      start_view_change(target + 1);  // new primary also failed
+    }
+  });
   broadcast(vc);
 }
 
@@ -606,21 +530,16 @@ void Pbft::maybe_assemble_new_view(View target) {
 }
 
 bool Pbft::verify_new_view(const NewView& nv) const {
-  // Verify the view-change quorum: distinct senders, valid signatures,
-  // matching target view, quorum weight.
-  double weight = 0.0;
-  std::vector<bool> seen(harness_.n(), false);
+  // Verify the view-change quorum: every proof targets this view, and a
+  // QuorumCheck over their senders.
+  QuorumCheck check(harness_);
   for (const SignedViewChange& s : nv.proofs) {
-    if (s.sender() >= harness_.n() || seen[s.sender()]) return false;
-    if (s.vc().new_view != nv.view) return false;
-    if (!harness_.registry().verify(harness_.directory()[s.sender()],
-                                    s.digest(), s.signature())) {
+    if (s.vc().new_view != nv.view ||
+        !check.add(s.sender(), s.digest(), s.signature())) {
       return false;
     }
-    seen[s.sender()] = true;
-    weight += weight_of(s.sender());
   }
-  if (!is_quorum(weight)) return false;
+  if (!check.quorum()) return false;
 
   // Recompute the re-proposals; a lying primary is rejected here.
   const std::vector<PrePrepare> expected =
@@ -648,7 +567,7 @@ void Pbft::install_new_view(const NewView& nv) {
   in_view_change_ = false;
   pending_view_ = nv.view;
   last_new_view_ = std::make_shared<const NewView>(nv);
-  disarm_viewchange_timer();
+  viewchange_timer_.cancel();
   viewchange_votes_.erase(viewchange_votes_.begin(),
                           viewchange_votes_.upper_bound(nv.view));
   // The proofs are signed claims of their senders' stable checkpoints;
@@ -674,7 +593,7 @@ void Pbft::install_new_view(const NewView& nv) {
   assigned_.clear();
   // The old view's batch queue is void: its requests are still in
   // pending_requests_ and get re-driven below, through the new primary.
-  disarm_batch_timer();
+  batch_timer_.cancel();
   batch_queue_.clear();
   queued_ids_.clear();
   cut_deferred_ = false;  // nothing queued, nothing deferred
@@ -721,9 +640,9 @@ void Pbft::on_state_adopted(const StateResponse& resp) {
       // are still starved the request timer below re-escalates.
       in_view_change_ = false;
       pending_view_ = view_;
-      disarm_viewchange_timer();
+      viewchange_timer_.cancel();
     }
-    disarm_request_timer();  // the adoption itself is execution progress
+    request_timer_.cancel();  // the adoption itself is execution progress
     execute_ready();
     replay_future_messages();
     // Catching up across the outage is cluster-wide progress for every

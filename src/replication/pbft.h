@@ -43,7 +43,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -64,10 +63,6 @@ class Pbft final : public OrderingProtocol {
        std::vector<crypto::PublicKey> directory,
        crypto::KeyRegistry& registry, crypto::KeyPair keys,
        net::SimNetwork& network, ReplicaOptions options);
-
-  /// Client entry point: hands a request to this replica (it forwards to
-  /// the primary if needed and arms the liveness timer).
-  void submit(const Request& request) override;
 
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] std::uint64_t view_changes_started() const noexcept {
@@ -99,8 +94,6 @@ class Pbft final : public OrderingProtocol {
                         std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
       const Payload& payload) const override;
-  [[nodiscard]] double verify_extra_cost(
-      const Payload& payload) const override;
 
  private:
   /// Consensus state of one sequence number. One slot agrees on one
@@ -121,7 +114,8 @@ class Pbft final : public OrderingProtocol {
   };
 
   // --- dispatch ---------------------------------------------------------
-  void on_request(const Request& request, net::NodeId from);
+  /// Forwards to the primary if needed and arms the liveness timer.
+  void on_request(const Request& request, net::NodeId from) override;
   void on_preprepare(const PrePrepare& pp, ReplicaId from);
   void on_prepare(const Prepare& p, ReplicaId from);
   void on_commit(const Commit& c, ReplicaId from);
@@ -144,6 +138,8 @@ class Pbft final : public OrderingProtocol {
   void prune_to(SeqNum seq);
 
   // --- view change ------------------------------------------------------
+  /// Re-dispatches the buffered future-view traffic; what is still ahead
+  /// of the installed view is buffered again.
   void replay_future_messages();
   void start_view_change(View target);
   void maybe_assemble_new_view(View target);
@@ -173,14 +169,9 @@ class Pbft final : public OrderingProtocol {
   /// fresh timeout, as the single-timer design did).
   void refresh_request_deadlines();
   void arm_request_timer();
-  void disarm_request_timer();
   void request_timer_fired();
   /// kCollude: endorse (prepare + commit) a digest we heard of, once.
   void collude_endorse(View v, SeqNum seq, const crypto::Digest& digest);
-  void arm_viewchange_timer(View target);
-  void disarm_viewchange_timer();
-  void arm_batch_timer();
-  void disarm_batch_timer();
 
   View view_ = 0;
   bool in_view_change_ = false;
@@ -221,9 +212,9 @@ class Pbft final : public OrderingProtocol {
   /// slots_ at checkpoints).
   std::map<SeqNum, std::vector<crypto::Digest>> colluded_;
 
-  std::optional<sim::EventId> request_timer_;
-  std::optional<sim::EventId> viewchange_timer_;
-  std::optional<sim::EventId> batch_timer_;
+  sim::Timer request_timer_{sim()};
+  sim::Timer viewchange_timer_{sim()};
+  sim::Timer batch_timer_{sim()};
 };
 
 }  // namespace findep::replication

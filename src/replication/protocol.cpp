@@ -66,6 +66,13 @@ Batch OrderingProtocol::forge_batch(const Batch& batch) {
   return forged;
 }
 
+void OrderingProtocol::equivocate(const Payload& real, const Payload& fake) {
+  for (ReplicaId r = 0; r < harness_.n(); ++r) {
+    if (r == id()) continue;
+    send_to(r, r % 2 == 0 ? real : fake);
+  }
+}
+
 void OrderingProtocol::maybe_checkpoint() {
   const SeqNum seq =
       ckpt_.maybe_emit(last_executed_, options().checkpoint_interval);

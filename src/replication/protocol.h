@@ -2,34 +2,38 @@
 // below and a concrete ordering protocol above, plus everything a
 // replica does that is not ordering.
 //
-// A protocol implements exactly three inbound hooks — dispatch_payload
-// (an authenticated envelope), verify_stale_check (may this payload be
-// shed from the verify queue?), verify_extra_cost (quorum proofs riding
-// the envelope, batch-verified) — plus submit() for client ingress, and
-// drives everything else through the harness' broadcast()/send_to() and
-// simulator timers.
+// A protocol implements exactly three inbound hooks — on_request (client
+// ingress, reached through the base's submit() and the lane's own
+// dispatch), dispatch_payload (an authenticated envelope) and
+// verify_stale_check (may this payload be shed from the verify queue?)
+// — and drives everything else through the harness' broadcast()/send_to()
+// and sim::Timer. What a payload costs to verify is the payload's own
+// property (bft::proof_signatures), not the protocol's.
 //
 // The rest of a replica is the same for every protocol and is
 // implemented once, here (protocol.cpp): the replicated log with its
-// executed-id set and pending requests, client-ingress admission, the
-// batch-execution unroll with cross-batch dedup, the request-id-ordered
-// pending walk, the equivocator's forged batch, checkpoint emission, and
-// the Checkpoint / StateRequest / StateResponse handlers over the
-// durability layer (durability.h). A lane calls these directly; the
-// checkpoint and state-response handlers return whether the stable
-// checkpoint advanced or a transferred state was adopted, and the lane
-// then runs its own tail (prune its consensus state, re-drive its commit
-// rule), so every send and timer arm keeps one order.
+// executed-id set and pending requests, client submit and ingress
+// admission, the batch-execution unroll with cross-batch dedup, the
+// request-id-ordered pending walk, the equivocator's forged batch and
+// even/odd split, checkpoint emission, and the Checkpoint /
+// StateRequest / StateResponse handlers over the durability layer
+// (durability.h). A lane calls these directly; the checkpoint and
+// state-response handlers return whether the stable checkpoint advanced
+// or a transferred state was adopted, and the lane then runs its own
+// tail (prune its consensus state, re-drive its commit rule), so every
+// send and timer arm keeps one order.
 //
-// The observable surface below is what the cluster harness, scenario
-// metrics and campaign outcome classifier read; only the two disruption
-// getters differ per protocol.
+// The observable surface below is what the cluster harness
+// (replication::Cluster, cluster.h), scenario metrics and campaign
+// outcome classifier read; only the two disruption getters differ per
+// protocol.
 //
 // To add a third protocol (e.g. an attestation-backed MinBFT using
 // src/attest/ trusted counters): derive from OrderingProtocol, write the
 // ordering rules (proposal, votes, leader change) and call execute_batch
-// for each decided batch, add its wire messages to bft::Payload, and
-// register the axis value in parse_protocol + the cluster factory.
+// for each decided batch, add its wire messages to bft::Payload (and any
+// proof-carrying one to bft::proof_signatures), and register the axis
+// value in parse_protocol and in the Cluster factory (cluster.cpp).
 #pragma once
 
 #include <cstdint>
@@ -99,8 +103,12 @@ class OrderingProtocol {
 
   /// Attaches the network handler. Call once before the simulation runs.
   void start() { harness_.start(); }
-  /// Client entry point: hands a request to this replica.
-  virtual void submit(const Request& request) = 0;
+  /// Client entry point: hands a request to this replica (a silent
+  /// replica drops it).
+  void submit(const Request& request) {
+    if (behavior() == Behavior::kSilent) return;
+    on_request(request, id());
+  }
 
   // --- harness → protocol ----------------------------------------------
   /// The post-authentication half of message receipt: routes the payload
@@ -115,13 +123,6 @@ class OrderingProtocol {
       const Payload& payload) const {
     (void)payload;
     return nullptr;
-  }
-  /// Modeled verify cost beyond the envelope signature itself: quorum
-  /// proofs embedded in `payload`, batch-verified in one pool task.
-  [[nodiscard]] virtual double verify_extra_cost(
-      const Payload& payload) const {
-    (void)payload;
-    return 0.0;
   }
 
   // --- observables -------------------------------------------------------
@@ -188,6 +189,11 @@ class OrderingProtocol {
                    net::SimNetwork& network, ReplicaOptions options,
                    Protocol kind);
 
+  /// Client ingress: admits `request` and drives it towards a proposal.
+  /// `from` is the client, a relaying replica, or this replica's own id
+  /// for a local submit().
+  virtual void on_request(const Request& request, net::NodeId from) = 0;
+
   // --- the replicated log ------------------------------------------------
   /// Client-ingress admission: false for a request that already executed
   /// here, and, on a kCensor replica, for every odd id (client-selective
@@ -207,6 +213,9 @@ class OrderingProtocol {
   /// The equivocator's second proposal: `batch` with every request
   /// forged (flipped id, rehashed operation), so it has a distinct digest.
   [[nodiscard]] static Batch forge_batch(const Batch& batch);
+  /// The equivocator's split: `real` to the even replicas, `fake` to the
+  /// odd ones, nothing to itself (it does not even convince itself).
+  void equivocate(const Payload& real, const Payload& fake);
   /// Broadcasts this replica's checkpoint once the log has run a full
   /// checkpoint interval past the stable checkpoint.
   void maybe_checkpoint();

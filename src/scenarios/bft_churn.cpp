@@ -1,10 +1,9 @@
 #include "scenarios/bft_churn.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 
-#include "bft/cluster.h"
+#include "replication/cluster.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 
@@ -28,8 +27,8 @@ std::string BftChurnScenario::grid_label(const Params& p) {
   label += " o=" + runtime::ParamValue(p.outage_s).to_string();
   label += " b=" + std::to_string(p.batch_size);
   if (!p.state_transfer) label += " nost";
-  if (p.protocol_axis) {
-    label += std::string(" proto=") + replication::protocol_name(p.protocol);
+  if (p.protocol.has_value()) {
+    label += std::string(" proto=") + replication::protocol_name(*p.protocol);
   }
   return label;
 }
@@ -40,7 +39,7 @@ std::string BftChurnScenario::name() const {
 
 runtime::MetricRecord BftChurnScenario::run(
     const runtime::RunContext& ctx) const {
-  bft::ClusterOptions options;
+  replication::ClusterOptions options;
   options.seed = ctx.seed;
   // Fast-LAN profile (the same one the BFT test suite uses): the subject
   // here is churn recovery, not overload — the sustained offered load
@@ -51,8 +50,8 @@ runtime::MetricRecord BftChurnScenario::run(
   options.replica.batch_size = params_.batch_size;
   options.replica.checkpoint_interval = params_.checkpoint_interval;
   options.replica.enable_state_transfer = params_.state_transfer;
-  options.protocol = params_.protocol;
-  bft::BftCluster cluster(params_.n, options);
+  options.protocol = params_.protocol.value_or(replication::Protocol::kPbft);
+  replication::Cluster cluster(params_.n, options);
 
   // Open-loop load sustained from t = 0 until tail_s past the heal, so
   // the live quorum advances checkpoints *during* the outage (that is
@@ -100,14 +99,6 @@ runtime::MetricRecord BftChurnScenario::run(
     if (!cluster.simulator().has_pending()) break;
   }
 
-  // PBFT view changes / HotStuff pacemaker timeouts — identical values
-  // to the historical expression on the PBFT lane.
-  std::uint64_t view_changes = 0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    view_changes = std::max(view_changes,
-                            cluster.node(i).progress_disruptions());
-  }
-
   runtime::MetricRecord metrics;
   metrics.set("committed_requests",
               static_cast<double>(cluster.completed_requests()));
@@ -119,7 +110,8 @@ runtime::MetricRecord BftChurnScenario::run(
               static_cast<double>(cluster.state_transfers_completed()));
   metrics.set("state_transfer_bytes",
               static_cast<double>(cluster.state_transfer_bytes()));
-  metrics.set("max_view_changes", static_cast<double>(view_changes));
+  metrics.set("max_view_changes",
+              static_cast<double>(cluster.max_progress_disruptions()));
   return metrics;
 }
 
@@ -149,18 +141,16 @@ const runtime::ScenarioRegistration kBftChurn{{
         },
     .factory =
         [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      const std::string protocol =
-          p.has("protocol") ? p.get_string("protocol") : "";
       return std::make_unique<BftChurnScenario>(BftChurnScenario::Params{
           .n = p.get_size("n"),
           .crash_fraction = p.get_double("crash"),
           .outage_s = p.get_double("outage"),
           .batch_size = p.get_size("batch_size"),
           .state_transfer = p.get_int("state_transfer") != 0,
-          .protocol = protocol.empty()
-                          ? replication::Protocol::kPbft
-                          : replication::parse_protocol(protocol),
-          .protocol_axis = !protocol.empty()});
+          .protocol = p.has("protocol")
+                          ? std::optional(replication::parse_protocol(
+                                p.get_string("protocol")))
+                          : std::nullopt});
     },
 }};
 

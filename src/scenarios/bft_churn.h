@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "replication/options.h"
@@ -45,11 +46,10 @@ class BftChurnScenario : public runtime::Scenario {
     double outage_start = 1.0;
     double tail_s = 2.0;
     double deadline = 60.0;
-    /// Ordering protocol (the optional `protocol` axis); when it came
-    /// from a grid that spells it out, the label ends in " proto=<name>"
-    /// (legacy protocol-less cells keep their historical labels).
-    replication::Protocol protocol = replication::Protocol::kPbft;
-    bool protocol_axis = false;
+    /// Ordering protocol (the optional `protocol` axis); when set, the
+    /// label ends in " proto=<name>". Unset means a legacy grid without
+    /// the axis: the cell runs PBFT and keeps its historical label.
+    std::optional<replication::Protocol> protocol;
     std::string label;
   };
 

@@ -1,9 +1,9 @@
 #include "scenarios/bft_scaling.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
+#include "replication/cluster.h"
 #include "runtime/param.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
@@ -28,7 +28,7 @@ std::string BftScalingScenario::name() const {
 
 runtime::MetricRecord BftScalingScenario::run(
     const runtime::RunContext& ctx) const {
-  bft::ClusterOptions options;
+  replication::ClusterOptions options;
   options.seed = ctx.seed;
   options.replica.batch_size = params_.batch_size;
   options.replica.batch_timeout = params_.batch_timeout;
@@ -36,8 +36,8 @@ runtime::MetricRecord BftScalingScenario::run(
   options.replica.view_change_timeout = params_.view_change_timeout;
   options.replica.cost_model = params_.cost_model;
   options.replica.crypto_workers = params_.workers;
-  options.protocol = params_.protocol;
-  bft::BftCluster cluster(params_.n, options, params_.behaviors);
+  options.protocol = params_.protocol.value_or(replication::Protocol::kPbft);
+  replication::Cluster cluster(params_.n, options, params_.behaviors);
   if (params_.offered_load > 0.0) {
     // Open-loop arrivals: request i enters at i / rate. Submission runs
     // as a simulation event so traces record the true arrival time.
@@ -54,14 +54,6 @@ runtime::MetricRecord BftScalingScenario::run(
 
   const auto requests = static_cast<std::uint64_t>(params_.requests);
   const net::TrafficStats& stats = cluster.network().stats();
-  // progress_disruptions() is view_changes_started() on a PBFT node, so
-  // the metric (and its name, kept for catalog stability) is unchanged
-  // there; on HotStuff it counts pacemaker timeouts.
-  std::uint64_t view_changes = 0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    view_changes = std::max(view_changes,
-                            cluster.node(i).progress_disruptions());
-  }
   const std::size_t committed = cluster.completed_requests();
   const double span = cluster.last_completion_time();
 
@@ -86,12 +78,15 @@ runtime::MetricRecord BftScalingScenario::run(
                             : -1.0);
   metrics.set("requests_per_second",
               span > 0.0 ? static_cast<double>(committed) / span : 0.0);
-  metrics.set("max_view_changes", static_cast<double>(view_changes));
-  if (params_.protocol_axis) {
+  // PBFT view changes started, HotStuff pacemaker timeouts; the name is
+  // kept for catalog stability.
+  metrics.set("max_view_changes",
+              static_cast<double>(cluster.max_progress_disruptions()));
+  if (params_.protocol.has_value()) {
     // Commit-latency distribution (simulated clock, nearest-rank). Only
     // emitted for protocol-comparison cells so legacy records stay
     // byte-identical; deterministic per (instance, seed) like every
-    // other simulated quantity, so the perf gate may pin these exactly.
+    // other simulated quantity, so the golden catalog pins them exactly.
     metrics.set("commit_latency_p50_ms",
                 committed > 0 ? cluster.latency_percentile(0.5) * 1000.0
                               : -1.0);
@@ -103,8 +98,8 @@ runtime::MetricRecord BftScalingScenario::run(
     // Modeled-crypto observability. Gated on the cost model so the
     // crypto=free record stays byte-identical to historical output (the
     // CI inertness cmp); committed_requests is the raw count behind
-    // requests_per_second — the quantity the worker-count sweep pins in
-    // the perf gate.
+    // requests_per_second, which the golden catalog pins for every cell
+    // of the worker-count sweep.
     metrics.set("committed_requests", static_cast<double>(committed));
     metrics.set("verify_tasks",
                 static_cast<double>(cluster.verify_tasks()));
@@ -133,14 +128,10 @@ std::vector<replication::Behavior> behaviors_for_mix(const std::string& mix) {
 
 }  // namespace
 
-std::string BftScalingScenario::grid_label(std::size_t n,
-                                           const std::string& mix,
-                                           std::size_t batch_size,
-                                           int requests,
-                                           double offered_load,
-                                           const std::string& crypto,
-                                           std::size_t workers,
-                                           const std::string& protocol) {
+std::string BftScalingScenario::grid_label(
+    std::size_t n, const std::string& mix, std::size_t batch_size,
+    int requests, double offered_load, const std::string& crypto,
+    std::size_t workers, std::optional<replication::Protocol> protocol) {
   std::string label = "n=" + std::to_string(n);
   if (mix != "honest") label += " " + mix;
   if (batch_size != 1) label += " b=" + std::to_string(batch_size);
@@ -157,7 +148,9 @@ std::string BftScalingScenario::grid_label(std::size_t n,
     label += " w=" + std::to_string(workers);
   }
   // The protocol suffix is always last (see the header doc).
-  if (!protocol.empty()) label += " proto=" + protocol;
+  if (protocol.has_value()) {
+    label += std::string(" proto=") + replication::protocol_name(*protocol);
+  }
   return label;
 }
 
@@ -174,8 +167,10 @@ std::unique_ptr<runtime::Scenario> BftScalingScenario::from_params(
   const std::size_t workers = p.has("workers") ? p.get_size("workers") : 1;
   // The protocol axis is optional the same way: absent means the
   // historical PBFT lane with no label suffix and no extra metrics.
-  const std::string protocol =
-      p.has("protocol") ? p.get_string("protocol") : "";
+  const std::optional<replication::Protocol> protocol =
+      p.has("protocol") ? std::optional(replication::parse_protocol(
+                              p.get_string("protocol")))
+                        : std::nullopt;
   // A non-free cost model is a throughput study, not a liveness one:
   // park the timers so a saturated single-core replica is measured
   // instead of view-changed (see Params::request_timeout).
@@ -190,9 +185,7 @@ std::unique_ptr<runtime::Scenario> BftScalingScenario::from_params(
       .view_change_timeout = modeled ? 45.0 : 1.5,
       .cost_model = crypto::CostModel::parse(crypto),
       .workers = workers,
-      .protocol = protocol.empty() ? replication::Protocol::kPbft
-                                   : replication::parse_protocol(protocol),
-      .protocol_axis = !protocol.empty(),
+      .protocol = protocol,
       .label = grid_label(n, mix, batch_size, requests, offered_load,
                           crypto, workers, protocol)});
 }
@@ -226,7 +219,7 @@ const runtime::ScenarioRegistration kBftScaling{{
             // block heavy enough that per-replica verify work (not the
             // network latency floor) dominates the span — that is what
             // makes committed-requests/sec scale near-linearly in the
-            // worker count. The perf gate pins every cell's
+            // worker count. The golden catalog pins every cell's
             // committed_requests and requests_per_second, and CI asserts
             // the w=8 : w=1 throughput ratio stays >= 3.
             runtime::ParamGrid{{"n", {4, 10}},
@@ -241,8 +234,8 @@ const runtime::ScenarioRegistration kBftScaling{{
             // leader-relayed pipeline, swept across committee sizes.
             // msgs_per_committed_request is quadratic in n on the PBFT
             // side and linear on the HotStuff side, so the ordering
-            // flips as n grows (asserted in tests, pinned in the perf
-            // gate for every cell).
+            // flips as n grows (asserted in tests, pinned in the golden
+            // catalog for every cell).
             runtime::ParamGrid{{"n", {4, 10, 25, 50}},
                                {"mix", {"honest"}},
                                {"batch_size", {4}},

@@ -6,11 +6,12 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bft/cluster.h"
 #include "crypto/cost.h"
+#include "replication/options.h"
 #include "runtime/param.h"
 #include "runtime/scenario.h"
 
@@ -45,13 +46,11 @@ class BftScalingScenario : public runtime::Scenario {
     /// Modeled verification cores per replica (the `workers` axis; only
     /// meaningful with a non-free cost model).
     std::size_t workers = 1;
-    /// Ordering protocol every replica runs (the `protocol` axis).
-    replication::Protocol protocol = replication::Protocol::kPbft;
-    /// True when the instance came from a grid that spells the protocol
-    /// out. Gates the commit-latency percentile metrics so every record
-    /// from a legacy (protocol-less) grid stays byte-identical to
-    /// historical output.
-    bool protocol_axis = false;
+    /// Ordering protocol every replica runs (the optional `protocol`
+    /// axis). Unset means a legacy grid without the axis: the cell runs
+    /// PBFT and emits no commit-latency percentiles, so every legacy
+    /// record stays byte-identical to historical output.
+    std::optional<replication::Protocol> protocol;
     /// Optional display label ("silent primary"); default "n=<n>".
     std::string label;
   };
@@ -61,18 +60,14 @@ class BftScalingScenario : public runtime::Scenario {
   /// " modeled w=<workers>" suffixes only for non-default values — so a
   /// bft_batching instance dialed back to the defaults renders
   /// *byte-identically* to the equivalent bft_scaling instance (the CI
-  /// no-batching invariant). `protocol` is empty for legacy grids; when a
+  /// no-batching invariant). `protocol` is unset for legacy grids; when a
   /// grid carries the protocol axis the label ends in " proto=<name>"
   /// (always last, so CI end-of-line anchors on legacy labels never match
   /// a protocol cell).
-  [[nodiscard]] static std::string grid_label(std::size_t n,
-                                              const std::string& mix,
-                                              std::size_t batch_size,
-                                              int requests,
-                                              double offered_load,
-                                              const std::string& crypto,
-                                              std::size_t workers,
-                                              const std::string& protocol);
+  [[nodiscard]] static std::string grid_label(
+      std::size_t n, const std::string& mix, std::size_t batch_size,
+      int requests, double offered_load, const std::string& crypto,
+      std::size_t workers, std::optional<replication::Protocol> protocol);
 
   /// Shared factory for the bft_scaling / bft_batching registrations.
   [[nodiscard]] static std::unique_ptr<runtime::Scenario> from_params(

@@ -6,12 +6,12 @@
 
 #include "attest/authority.h"
 #include "attest/registry.h"
-#include "bft/cluster.h"
 #include "committee/diversity_aware.h"
 #include "committee/sortition.h"
 #include "config/sampler.h"
 #include "diversity/metrics.h"
 #include "faults/injector.h"
+#include "replication/cluster.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/table.h"
@@ -103,9 +103,9 @@ runtime::MetricRecord CommitteePipelineScenario::run(
       config_fault_power += committee_population[i].power;
     }
   }
-  bft::ClusterOptions cluster_options;
+  replication::ClusterOptions cluster_options;
   cluster_options.seed = support::mix64(ctx.seed ^ 0xc0117e);
-  bft::BftCluster cluster(weights, cluster_options, behaviors);
+  replication::Cluster cluster(weights, cluster_options, behaviors);
   for (int i = 0; i < params_.requests; ++i) cluster.submit();
   const bool live = cluster.run_until_executed(
       static_cast<std::size_t>(params_.requests), 120.0);

@@ -4,13 +4,13 @@
 #include <memory>
 #include <vector>
 
-#include "bft/cluster.h"
 #include "config/sampler.h"
 #include "diversity/datasets.h"
 #include "diversity/metrics.h"
 #include "diversity/propositions.h"
 #include "diversity/resilience.h"
 #include "faults/adversary.h"
+#include "replication/cluster.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/table.h"
@@ -141,9 +141,9 @@ namespace {
 
 std::uint64_t measured_messages(std::size_t n, int requests,
                                 std::uint64_t seed) {
-  bft::ClusterOptions opt;
+  replication::ClusterOptions opt;
   opt.seed = seed;
-  bft::BftCluster cluster(n, opt);
+  replication::Cluster cluster(n, opt);
   for (int i = 0; i < requests; ++i) cluster.submit();
   cluster.run_until_executed(static_cast<std::size_t>(requests), 120.0);
   return cluster.network().stats().messages_sent /

@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -225,6 +226,41 @@ class Simulator {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+};
+
+/// A one-shot timer that tracks its own pending event, so an owner never
+/// holds a raw EventId. It reads as disarmed before `fn` runs, so a
+/// callback may re-arm its own timer. Not copyable: the scheduled
+/// closure points back at the timer.
+class Timer {
+ public:
+  explicit Timer(Simulator& sim) noexcept : sim_(&sim) {}
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Schedules `fn` to run `delay` (>= 0) seconds from now. Requires
+  /// !armed().
+  template <typename F>
+  void arm(Time delay, F&& fn) {
+    FINDEP_REQUIRE_MSG(!armed(), "timer already armed");
+    id_ = sim_->schedule_after(
+        delay, [this, fn = std::forward<F>(fn)]() mutable {
+          id_.reset();
+          fn();
+        });
+  }
+  /// Cancels the pending event; a no-op when disarmed.
+  void cancel() {
+    if (id_.has_value()) {
+      sim_->cancel(*id_);
+      id_.reset();
+    }
+  }
+  [[nodiscard]] bool armed() const noexcept { return id_.has_value(); }
+
+ private:
+  Simulator* sim_;
+  std::optional<EventId> id_;
 };
 
 // ——— Hot-path definitions ———

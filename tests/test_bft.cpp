@@ -2,26 +2,14 @@
 // quorums, checkpointing. Safety is asserted via log prefix-consistency.
 #include <gtest/gtest.h>
 
-#include "bft/cluster.h"
+#include "bft_test_util.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
 
-using replication::Behavior;
-
-ClusterOptions fast_options(std::uint64_t seed = 1) {
-  ClusterOptions opt;
-  opt.network.min_latency = 0.005;
-  opt.network.mean_extra_latency = 0.01;
-  opt.replica.request_timeout = 0.8;
-  opt.replica.view_change_timeout = 1.2;
-  opt.seed = seed;
-  return opt;
-}
-
 TEST(Bft, HappyPathExecutesAndAgrees) {
-  BftCluster cluster(4, fast_options());
+  Cluster cluster(4, fast_options());
   for (int i = 0; i < 5; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(5, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -30,13 +18,13 @@ TEST(Bft, HappyPathExecutesAndAgrees) {
 }
 
 TEST(Bft, RejectsTooSmallCluster) {
-  EXPECT_THROW(BftCluster(3, fast_options()), support::ContractViolation);
+  EXPECT_THROW(Cluster(3, fast_options()), support::ContractViolation);
 }
 
 class BftSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BftSizes, ExecutesAcrossClusterSizes) {
-  BftCluster cluster(GetParam(), fast_options(GetParam()));
+  Cluster cluster(GetParam(), fast_options(GetParam()));
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0)) << GetParam();
   EXPECT_TRUE(cluster.logs_consistent());
@@ -49,7 +37,7 @@ TEST(Bft, ToleratesSilentBackupReplica) {
   // n = 4 tolerates f = 1; replica 2 (a backup) is silent.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[2] = Behavior::kSilent;
-  BftCluster cluster(4, fast_options(2), behaviors);
+  Cluster cluster(4, fast_options(2), behaviors);
   for (int i = 0; i < 5; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(5, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -58,7 +46,7 @@ TEST(Bft, ToleratesSilentBackupReplica) {
 TEST(Bft, SilentPrimaryTriggersViewChangeAndRecovers) {
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kSilent;  // primary of view 0
-  BftCluster cluster(4, fast_options(3), behaviors);
+  Cluster cluster(4, fast_options(3), behaviors);
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -73,7 +61,7 @@ TEST(Bft, SilentPrimaryTriggersViewChangeAndRecovers) {
 TEST(Bft, EquivocatingPrimaryCannotViolateSafety) {
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kEquivocate;
-  BftCluster cluster(4, fast_options(4), behaviors);
+  Cluster cluster(4, fast_options(4), behaviors);
   for (int i = 0; i < 3; ++i) cluster.submit();
   // Progress resumes after the view change evicts the equivocator.
   EXPECT_TRUE(cluster.run_until_executed(3, 90.0));
@@ -85,7 +73,7 @@ TEST(Bft, TwoSilentInSevenTolerated) {
   std::vector<Behavior> behaviors(7, Behavior::kHonest);
   behaviors[3] = Behavior::kSilent;
   behaviors[5] = Behavior::kSilent;
-  BftCluster cluster(7, fast_options(5), behaviors);
+  Cluster cluster(7, fast_options(5), behaviors);
   for (int i = 0; i < 4; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(4, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -96,7 +84,7 @@ TEST(Bft, CascadedPrimaryFailuresEventuallyRecover) {
   std::vector<Behavior> behaviors(7, Behavior::kHonest);
   behaviors[0] = Behavior::kSilent;
   behaviors[1] = Behavior::kSilent;
-  BftCluster cluster(7, fast_options(6), behaviors);
+  Cluster cluster(7, fast_options(6), behaviors);
   for (int i = 0; i < 2; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(2, 120.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -112,7 +100,7 @@ TEST(Bft, BeyondThresholdStallsButStaysSafe) {
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[1] = Behavior::kSilent;
   behaviors[2] = Behavior::kSilent;
-  BftCluster cluster(4, fast_options(7), behaviors);
+  Cluster cluster(4, fast_options(7), behaviors);
   cluster.submit();
   EXPECT_FALSE(cluster.run_until_executed(1, 20.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -125,14 +113,14 @@ TEST(Bft, WeightedQuorumFollowsPowerNotCount) {
   std::vector<double> weights = {6.0, 1.0, 1.0, 1.0, 1.0};
   std::vector<Behavior> behaviors(5, Behavior::kHonest);
   behaviors[0] = Behavior::kSilent;
-  BftCluster heavy(weights, fast_options(8), behaviors);
+  Cluster heavy(weights, fast_options(8), behaviors);
   heavy.submit();
   EXPECT_FALSE(heavy.run_until_executed(1, 20.0));
 
   // Same weights but a *light* replica fails: 9/10 > 2/3 remains.
   std::vector<Behavior> light_fail(5, Behavior::kHonest);
   light_fail[4] = Behavior::kSilent;
-  BftCluster light(weights, fast_options(9), light_fail);
+  Cluster light(weights, fast_options(9), light_fail);
   for (int i = 0; i < 3; ++i) light.submit();
   EXPECT_TRUE(light.run_until_executed(3, 30.0));
   EXPECT_TRUE(light.logs_consistent());
@@ -141,7 +129,7 @@ TEST(Bft, WeightedQuorumFollowsPowerNotCount) {
 TEST(Bft, CheckpointsPruneAndStabilize) {
   ClusterOptions opt = fast_options(10);
   opt.replica.checkpoint_interval = 4;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 10; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(10, 60.0));
   cluster.run_for(5.0);  // let checkpoint votes settle
@@ -153,7 +141,7 @@ TEST(Bft, CheckpointsPruneAndStabilize) {
 
 TEST(Bft, MessageComplexityGrowsSuperlinearly) {
   const auto messages_for = [](std::size_t n) {
-    BftCluster cluster(n, fast_options(11));
+    Cluster cluster(n, fast_options(11));
     for (int i = 0; i < 3; ++i) cluster.submit();
     EXPECT_TRUE(cluster.run_until_executed(3, 60.0));
     return cluster.network().stats().messages_sent;
@@ -167,7 +155,7 @@ TEST(Bft, MessageComplexityGrowsSuperlinearly) {
 }
 
 TEST(Bft, ExecutedSequencesAreDense) {
-  BftCluster cluster(4, fast_options(12));
+  Cluster cluster(4, fast_options(12));
   for (int i = 0; i < 6; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(6, 30.0));
   const auto& log = cluster.replica(1).executed();
@@ -177,7 +165,7 @@ TEST(Bft, ExecutedSequencesAreDense) {
 }
 
 TEST(Bft, DuplicateClientSubmissionsExecuteOnce) {
-  BftCluster cluster(4, fast_options(13));
+  Cluster cluster(4, fast_options(13));
   cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(1, 30.0));
   const std::size_t before = cluster.replica(0).executed().size();
@@ -191,7 +179,7 @@ TEST(Bft, LatencyScalesWithNetworkDelay) {
   ClusterOptions fast = fast_options(14);
   ClusterOptions slow = fast_options(14);
   slow.network.min_latency = 0.2;
-  BftCluster a(4, fast), b(4, slow);
+  Cluster a(4, fast), b(4, slow);
   a.submit();
   b.submit();
   ASSERT_TRUE(a.run_until_executed(1, 30.0));
@@ -200,4 +188,4 @@ TEST(Bft, LatencyScalesWithNetworkDelay) {
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

@@ -3,26 +3,14 @@
 // and recovery dynamics beyond the happy paths of test_bft.cpp.
 #include <gtest/gtest.h>
 
-#include "bft/cluster.h"
+#include "bft_test_util.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
 
-using replication::Behavior;
-
-ClusterOptions fast_options(std::uint64_t seed = 1) {
-  ClusterOptions opt;
-  opt.network.min_latency = 0.005;
-  opt.network.mean_extra_latency = 0.01;
-  opt.replica.request_timeout = 0.8;
-  opt.replica.view_change_timeout = 1.2;
-  opt.seed = seed;
-  return opt;
-}
-
 /// Real (non-noop) executions of one replica.
-std::size_t real_executed(const replication::Pbft& replica) {
+std::size_t real_executed(const Pbft& replica) {
   std::size_t count = 0;
   for (const ExecutedEntry& e : replica.executed()) {
     if (e.request.id != 0) ++count;
@@ -31,7 +19,7 @@ std::size_t real_executed(const replication::Pbft& replica) {
 }
 
 /// Number of replicas that executed at least `target` real requests.
-std::size_t replicas_at(const BftCluster& cluster, std::size_t target) {
+std::size_t replicas_at(const Cluster& cluster, std::size_t target) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (real_executed(cluster.replica(i)) >= target) ++count;
@@ -40,7 +28,7 @@ std::size_t replicas_at(const BftCluster& cluster, std::size_t target) {
 }
 
 TEST(BftAdversarial, PartitionStallsThenHeals) {
-  BftCluster cluster(4, fast_options(21));
+  Cluster cluster(4, fast_options(21));
   // Cut replica 3 off; the 3 connected replicas still form a quorum and
   // make progress; the partitioned one cannot (no state transfer).
   cluster.network().set_partition_group(3, 1);
@@ -68,7 +56,7 @@ TEST(BftAdversarial, PartitionStallsThenHeals) {
 TEST(BftAdversarial, AdversarialLinkDropAgainstOneReplica) {
   // The adversary drops everything TO replica 2 (it can still send).
   // n = 4 tolerates one such isolated replica: the other three commit.
-  BftCluster cluster(4, fast_options(22));
+  Cluster cluster(4, fast_options(22));
   cluster.network().set_filter(
       [](net::NodeId, net::NodeId to) { return to != 2; });
   for (int i = 0; i < 3; ++i) cluster.submit();
@@ -82,7 +70,7 @@ TEST(BftAdversarial, AdversarialDelayOnlySlowsDown) {
   // §II-B: the attacker may arbitrarily delay messages. Half a second on
   // every link of one replica must not break safety or liveness (the
   // other three carry the quorum).
-  BftCluster cluster(4, fast_options(23));
+  Cluster cluster(4, fast_options(23));
   cluster.network().set_delay_policy([](net::NodeId from, net::NodeId to) {
     return (from == 1 || to == 1) ? 0.5 : 0.0;
   });
@@ -92,7 +80,7 @@ TEST(BftAdversarial, AdversarialDelayOnlySlowsDown) {
 }
 
 TEST(BftAdversarial, ForgedEnvelopeIsIgnored) {
-  BftCluster cluster(4, fast_options(24));
+  Cluster cluster(4, fast_options(24));
   // An outsider injects a PrePrepare claiming to be replica 0 (the
   // primary) but signed with a key that is not in the directory.
   crypto::KeyPair outsider = crypto::KeyPair::derive(999999);
@@ -155,7 +143,7 @@ TEST(BftAdversarial, ViewChangeProofKeepsTheSignedDigest) {
 }
 
 TEST(BftAdversarial, OutsiderCannotSendProtocolMessages) {
-  BftCluster cluster(4, fast_options(25));
+  Cluster cluster(4, fast_options(25));
   // A *valid* key, but sender id beyond the directory: protocol messages
   // (non-Request) from clients must be ignored.
   crypto::KeyPair client = crypto::KeyPair::derive(424242);
@@ -178,7 +166,7 @@ TEST(BftAdversarial, WeightedEquivocatorBelowThirdIsHarmless) {
   std::vector<Behavior> behaviors = {Behavior::kEquivocate,
                                      Behavior::kHonest, Behavior::kHonest,
                                      Behavior::kHonest};
-  BftCluster cluster(weights, fast_options(26), behaviors);
+  Cluster cluster(weights, fast_options(26), behaviors);
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 90.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -190,7 +178,7 @@ TEST(BftAdversarial, HeavySilentMajorityStallsForever) {
   std::vector<double> weights = {4.0, 2.0, 2.0, 2.0};
   std::vector<Behavior> behaviors = {Behavior::kSilent, Behavior::kHonest,
                                      Behavior::kHonest, Behavior::kHonest};
-  BftCluster cluster(weights, fast_options(27), behaviors);
+  Cluster cluster(weights, fast_options(27), behaviors);
   cluster.submit();
   EXPECT_FALSE(cluster.run_until_executed(1, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -205,7 +193,7 @@ TEST(BftAdversarial, HeavySilentMajorityStallsForever) {
 TEST(BftAdversarial, LateJoinerCatchesUpViaBufferedMessages) {
   // A replica whose inbound links are delayed by more than a view-change
   // round still converges thanks to future-view message buffering.
-  BftCluster cluster(7, fast_options(28));
+  Cluster cluster(7, fast_options(28));
   cluster.network().set_delay_policy([](net::NodeId, net::NodeId to) {
     return to == 6 ? 0.4 : 0.0;  // replica 6 lags behind everyone
   });
@@ -226,7 +214,7 @@ TEST(BftAdversarial, ContinuousLoadAcrossAViewChange) {
   // submitted must eventually execute exactly once.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kSilent;
-  BftCluster cluster(4, fast_options(29), behaviors);
+  Cluster cluster(4, fast_options(29), behaviors);
   for (int wave = 0; wave < 4; ++wave) {
     for (int i = 0; i < 3; ++i) cluster.submit();
     cluster.run_for(1.0);
@@ -253,7 +241,7 @@ TEST(BftAdversarial, EquivocatingPrimaryConflictingBatches) {
   opt.replica.batch_size = 4;
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kEquivocate;
-  BftCluster cluster(4, opt, behaviors);
+  Cluster cluster(4, opt, behaviors);
   for (int i = 0; i < 8; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(8, 120.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -278,7 +266,7 @@ TEST(BftAdversarial, ViewChangeCarriesBatchPreparedOnMinority) {
   ClusterOptions opt = fast_options(32);
   opt.replica.batch_size = 3;
   opt.replica.batch_timeout = 0.3;  // cut by size, not timer
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   cluster.network().set_filter([](net::NodeId from, net::NodeId to) {
     if (from >= 4) return true;  // the client reaches everyone
     if (from == 0 && (to == 1 || to == 2)) return true;
@@ -319,7 +307,7 @@ TEST(BftAdversarial, DuplicateRequestInBatchesExecutesOnce) {
   // (derived exactly as the cluster derives it), so they pass
   // authentication — this is the primary misbehaving, not an outsider.
   ClusterOptions opt = fast_options(33);
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   const crypto::KeyPair primary_keys =
       crypto::KeyPair::derive(opt.seed * 1000003 + 0);
   const Request r{500, crypto::sha256("dup-op")};
@@ -359,7 +347,7 @@ TEST(BftAdversarial, CensoringPrimaryCaughtDespiteSustainedProgress) {
   // everything.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kCensor;
-  BftCluster cluster(4, fast_options(34), behaviors);
+  Cluster cluster(4, fast_options(34), behaviors);
   std::size_t submitted = 0;
   for (int wave = 0; wave < 10; ++wave) {
     // submit() ids count up from 1: every wave is one censored (odd) and
@@ -392,7 +380,7 @@ TEST(BftAdversarial, ColludingCoalitionAboveThirdViolatesSafety) {
   std::vector<Behavior> behaviors = {Behavior::kCollude, Behavior::kCollude,
                                      Behavior::kHonest, Behavior::kHonest,
                                      Behavior::kHonest};
-  BftCluster cluster(weights, fast_options(35), behaviors);
+  Cluster cluster(weights, fast_options(35), behaviors);
   cluster.submit();
   cluster.run_for(30.0);
   EXPECT_GE(cluster.max_honest_last_executed(), 1u);
@@ -412,7 +400,7 @@ TEST(BftAdversarial, ColludingCoalitionBelowThirdStaysSafe) {
   // number.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[0] = Behavior::kCollude;
-  BftCluster cluster(4, fast_options(36), behaviors);
+  Cluster cluster(4, fast_options(36), behaviors);
   for (int i = 0; i < 3; ++i) cluster.submit();
   cluster.run_for(90.0);
   EXPECT_EQ(cluster.completed_requests(), 3u);
@@ -424,7 +412,7 @@ TEST(BftAdversarial, CorruptedLinksAreRejectedAndCounted) {
   // is rejected at the signature check and counted, never dispatched.
   // The other three replicas carry consensus; the victim contributes
   // nothing but stays safe.
-  BftCluster cluster(4, fast_options(37));
+  Cluster cluster(4, fast_options(37));
   cluster.network().set_corrupt_policy(
       [](net::NodeId, net::NodeId to) { return to == 2; });
   for (int i = 0; i < 3; ++i) cluster.submit();
@@ -444,7 +432,7 @@ TEST(BftAdversarial, CrashedNodeDropsTrafficUntilRestart) {
   // executes. The crashed replicas kept their in-memory state (this is
   // the network hook, not a process restart), so no state transfer is
   // required for them to rejoin.
-  BftCluster cluster(4, fast_options(38));
+  Cluster cluster(4, fast_options(38));
   cluster.network().set_node_down(2, true);
   cluster.network().set_node_down(3, true);
   cluster.submit();
@@ -467,7 +455,7 @@ TEST(BftAdversarial, LossyNetworkQuorumStillCommits) {
   ClusterOptions opt = fast_options(30);
   opt.network.drop_probability = 0.20;
   opt.replica.request_timeout = 0.5;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 3; ++i) cluster.submit();
   cluster.run_for(240.0);
   EXPECT_GE(replicas_at(cluster, 3), 2u);
@@ -475,4 +463,4 @@ TEST(BftAdversarial, LossyNetworkQuorumStillCommits) {
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

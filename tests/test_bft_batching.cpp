@@ -7,33 +7,15 @@
 
 #include <set>
 
-#include "bft/cluster.h"
+#include "bft_test_util.h"
 #include "scenarios/bft_scaling.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
-
-ClusterOptions fast_options(std::uint64_t seed = 1) {
-  ClusterOptions opt;
-  opt.network.min_latency = 0.005;
-  opt.network.mean_extra_latency = 0.01;
-  opt.replica.request_timeout = 0.8;
-  opt.replica.view_change_timeout = 1.2;
-  opt.seed = seed;
-  return opt;
-}
 
 Request make_request(std::uint64_t id) {
   return Request{id, crypto::Sha256{}.update_u64(id).finish()};
-}
-
-std::set<std::uint64_t> executed_ids(const replication::Pbft& replica) {
-  std::set<std::uint64_t> ids;
-  for (const ExecutedEntry& e : replica.executed()) {
-    if (e.request.id != 0) ids.insert(e.request.id);
-  }
-  return ids;
 }
 
 TEST(BftBatch, DigestCommitsToContentOrderAndCount) {
@@ -83,7 +65,7 @@ TEST(BftBatch, FullBatchesCommitAndUnrollPerRequest) {
   // request timer.
   opt.replica.batch_timeout = 5.0;
   opt.replica.request_timeout = 8.0;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 8; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(8, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -104,7 +86,7 @@ TEST(BftBatch, PartialBatchIsCutByTimeout) {
   ClusterOptions opt = fast_options(42);
   opt.replica.batch_size = 8;
   opt.replica.batch_timeout = 0.05;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -119,7 +101,7 @@ TEST(BftBatch, LatencyTracksRequestsNotBatches) {
   ClusterOptions opt = fast_options(43);
   opt.replica.batch_size = 2;
   opt.replica.batch_timeout = 0.04;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 4; ++i) {
     cluster.submit();
     cluster.run_for(0.1);
@@ -178,7 +160,7 @@ TEST(BftBatch, SameRequestsCommittedAcrossBatchSizes) {
     opt.replica.batch_size = batch_size;
     opt.replica.batch_timeout = 5.0;
     opt.replica.request_timeout = 8.0;
-    BftCluster cluster(4, opt);
+    Cluster cluster(4, opt);
     for (int i = 0; i < 12; ++i) cluster.submit();
     EXPECT_TRUE(cluster.run_until_executed(12, 60.0));
     EXPECT_TRUE(cluster.logs_consistent());
@@ -226,8 +208,8 @@ TEST(BftBatch, LaggardSurvivesRemoteCheckpointAtDepth) {
 TEST(BftBatch, RejectsZeroBatchSize) {
   ClusterOptions opt = fast_options(45);
   opt.replica.batch_size = 0;
-  EXPECT_THROW(BftCluster(4, opt), support::ContractViolation);
+  EXPECT_THROW(Cluster(4, opt), support::ContractViolation);
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

@@ -6,13 +6,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <variant>
 #include <vector>
 
-#include "bft/cluster.h"
 #include "crypto/cost.h"
+#include "replication/cluster.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
 
 ClusterOptions crypto_options(std::uint64_t seed, crypto::CostModel model,
@@ -39,7 +41,7 @@ struct RunResult {
 
 RunResult run_cluster(crypto::CostModel model, std::size_t workers,
                       int requests = 64) {
-  BftCluster cluster(4, crypto_options(7, model, workers));
+  Cluster cluster(4, crypto_options(7, model, workers));
   for (int i = 0; i < requests; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(
       static_cast<std::size_t>(requests), 120.0));
@@ -108,11 +110,52 @@ TEST(BftCrypto, ModeledRunsAreDeterministic) {
   EXPECT_EQ(a.verify_tasks, b.verify_tasks);
 }
 
+TEST(BftCrypto, ProofSignaturesCountTheVotesACarrierEmbeds) {
+  // What a receiver batch-verifies on top of the envelope signature is
+  // a property of the payload: the six proof carriers report how many
+  // signatures they embed, every other payload carries no proof.
+  const crypto::KeyPair keys = crypto::KeyPair::derive(1);
+  const crypto::Signature sig = keys.sign(crypto::sha256("vote"));
+  const QuorumCert qc{3, 2, crypto::sha256("block"),
+                      {{0, sig}, {1, sig}, {2, sig}}};
+  NewView nv{.view = 1};
+  for (ReplicaId r = 0; r < 4; ++r) {
+    nv.proofs.emplace_back(
+        make_envelope(r, keys, ViewChange{.new_view = 1}));
+  }
+  StateResponse resp;
+  resp.proof.assign(2, SignedCheckpoint{});
+  const HsBlock block{.round = 4, .height = 3, .justify = qc};
+
+  EXPECT_EQ(proof_signatures(nv), std::optional<std::size_t>(4));
+  EXPECT_EQ(proof_signatures(resp), std::optional<std::size_t>(2));
+  EXPECT_EQ(proof_signatures(HsProposal{block}),
+            std::optional<std::size_t>(3));
+  EXPECT_EQ(proof_signatures(HsBlockResponse{block}),
+            std::optional<std::size_t>(3));
+  EXPECT_EQ(proof_signatures(HsTimeout{5, qc}),
+            std::optional<std::size_t>(3));
+  EXPECT_EQ(proof_signatures(HsQcNotice{qc}), std::optional<std::size_t>(3));
+  // A proposal justified by the vote-free genesis QC still carries a
+  // (zero-signature) proof, so it pays the batch base cost.
+  EXPECT_EQ(proof_signatures(HsProposal{}), std::optional<std::size_t>(0));
+
+  static_assert(std::variant_size_v<Payload> == 15,
+                "a new payload must be classified here");
+  const std::vector<Payload> plain = {
+      Request{},    PrePrepare{},   Prepare{}, Commit{}, Checkpoint{},
+      ViewChange{}, StateRequest{}, HsVote{},  HsBlockRequest{}};
+  for (const Payload& payload : plain) {
+    EXPECT_EQ(proof_signatures(payload), std::nullopt)
+        << "payload index " << payload.index();
+  }
+}
+
 TEST(BftCrypto, RejectsZeroWorkers) {
   EXPECT_THROW(
-      BftCluster(4, crypto_options(1, crypto::CostModel::modeled(), 0)),
+      Cluster(4, crypto_options(1, crypto::CostModel::modeled(), 0)),
       support::ContractViolation);
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

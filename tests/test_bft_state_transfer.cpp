@@ -5,14 +5,14 @@
 // disabling the mechanism reproduces the historical stranding.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
+#include <tuple>
 
-#include "bft/cluster.h"
+#include "replication/cluster.h"
 #include "scenarios/bft_churn.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
 
 ClusterOptions churn_options(std::uint64_t seed = 1) {
@@ -29,7 +29,7 @@ ClusterOptions churn_options(std::uint64_t seed = 1) {
 }
 
 /// Offered load at `rate` req/s until `until` (simulated seconds).
-void offer_load(BftCluster& cluster, double rate, double until) {
+void offer_load(Cluster& cluster, double rate, double until) {
   const int count = static_cast<int>(until * rate);
   for (int i = 0; i < count; ++i) {
     cluster.simulator().schedule_at(static_cast<double>(i) / rate,
@@ -39,7 +39,7 @@ void offer_load(BftCluster& cluster, double rate, double until) {
 
 /// Partition the given replicas away (each in its own group) at `from`,
 /// heal everyone at `to`.
-void schedule_outage(BftCluster& cluster, std::vector<net::NodeId> crashed,
+void schedule_outage(Cluster& cluster, std::vector<net::NodeId> crashed,
                      double from, double to) {
   cluster.simulator().schedule_at(from, [&cluster, crashed] {
     std::uint32_t group = 1;
@@ -57,7 +57,7 @@ TEST(BftStateTransfer, LaggardRecoversAcrossMultiCheckpointOutage) {
   // the laggard's missed traffic is unrecoverable from live messages —
   // only state transfer can close the gap.
   ClusterOptions opt = churn_options(101);
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   offer_load(cluster, 12.0, 9.0);
   schedule_outage(cluster, {3}, 1.0, 7.0);
   cluster.run_for(6.0);
@@ -83,7 +83,7 @@ TEST(BftStateTransfer, DisabledStateTransferReproducesStranding) {
   // checkpoint and thrashes hopeless view changes.
   ClusterOptions opt = churn_options(101);
   opt.replica.enable_state_transfer = false;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   offer_load(cluster, 12.0, 9.0);
   schedule_outage(cluster, {3}, 1.0, 7.0);
   cluster.run_for(20.0);
@@ -101,7 +101,7 @@ TEST(BftStateTransfer, TwoLaggardsTwoCheckpointsBehindBothRecover) {
   // checkpoint-adoption fix — the cluster must stabilize a *new*
   // checkpoint after the heal with the former laggards participating.
   ClusterOptions opt = churn_options(102);
-  BftCluster cluster(7, opt);
+  Cluster cluster(7, opt);
   offer_load(cluster, 12.0, 10.0);
   schedule_outage(cluster, {5, 6}, 1.0, 7.5);
   cluster.run_for(6.0);
@@ -129,7 +129,7 @@ TEST(BftStateTransfer, ViewChangeRacesInFlightTransfer) {
   // new view (via the NEW-VIEW relayed in the state response or heard
   // live), then participate normally.
   ClusterOptions opt = churn_options(103);
-  BftCluster cluster(7, opt);
+  Cluster cluster(7, opt);
   offer_load(cluster, 12.0, 10.0);
   schedule_outage(cluster, {6}, 1.0, 7.0);
   // Primary of view 0 drops off just as the laggard rejoins.
@@ -151,55 +151,96 @@ TEST(BftStateTransfer, ViewChangeRacesInFlightTransfer) {
   EXPECT_TRUE(cluster.logs_consistent());
 }
 
-class BftStateTransferByProtocol
-    : public ::testing::TestWithParam<replication::Protocol> {};
+/// What a malicious responder can try. It cannot forge a proof quorum
+/// (that would need > 2/3 of the signing keys), so each kind breaks one
+/// check of the shared receive path.
+enum class Poison {
+  kTamperedEntries,  ///< the real checkpoint and proof, garbage entries
+  kRepeatedSigner,   ///< all three proof votes from signer 0
+  kUnknownSigner,    ///< one proof vote from signer 7 of an n=4 cluster
+  kWrongKey,         ///< one proof vote signed with another replica's key
+};
 
-TEST_P(BftStateTransferByProtocol, MaliciousResponderWrongDigestIsRejected) {
-  // A malicious responder cannot forge the checkpoint proof (it would
-  // need > 2/3 of signing weight), so its only move is a *real* stable
-  // checkpoint with tampered entries. The requester must detect the
-  // state-digest mismatch, reject wholesale, and still converge via an
-  // honest responder. Both lanes share the receive path that checks it.
+std::string poison_name(Poison poison) {
+  switch (poison) {
+    case Poison::kTamperedEntries:
+      return "tampered_entries";
+    case Poison::kRepeatedSigner:
+      return "repeated_signer";
+    case Poison::kUnknownSigner:
+      return "unknown_signer";
+    case Poison::kWrongKey:
+      return "wrong_key";
+  }
+  return "?";
+}
+
+class BftStateTransferPoison
+    : public ::testing::TestWithParam<std::tuple<Protocol, Poison>> {};
+
+TEST_P(BftStateTransferPoison, MaliciousResponderIsRejected) {
+  // Replica 1 answers the laggard with garbage entries. With the real
+  // checkpoint and proof, the state digest gives them away. The other
+  // kinds claim a fake checkpoint whose digest the garbage reproduces,
+  // so only the proof's quorum check stands between the laggard and the
+  // poison. Each kind must be rejected without executing a poisoned
+  // request, and the laggard must still converge via an honest
+  // responder. Both lanes share the receive path that checks it.
+  const auto [protocol, poison] = GetParam();
   ClusterOptions opt = churn_options(104);
-  opt.protocol = GetParam();
-  BftCluster cluster(4, opt);
+  opt.protocol = protocol;
+  Cluster cluster(4, opt);
   offer_load(cluster, 12.0, 9.0);
   schedule_outage(cluster, {3}, 1.0, 7.0);
   cluster.run_for(6.5);  // mid-outage: checkpoints are stable, 3 lags
 
-  // Craft the poison: replica 1's keys (derived exactly as the cluster
-  // derives them) sign a response carrying the *real* stable checkpoint
-  // and proof-quorum votes, but garbage entries.
+  // Keys derived exactly as the cluster derives them.
+  const auto keys_of = [&opt](ReplicaId r) {
+    return crypto::KeyPair::derive(opt.seed * 1000003 + r);
+  };
   const SeqNum stable = cluster.node(1).stable_checkpoint();
-  ASSERT_GT(stable, cluster.node(3).last_executed());
-  const Checkpoint real_cp{stable,
-                           cluster.node(1).stable_checkpoint_digest()};
-  StateResponse poison;
-  poison.request_from = cluster.node(3).last_executed();
-  poison.checkpoint = real_cp;
-  for (ReplicaId r = 0; r < 3; ++r) {
-    const crypto::KeyPair keys =
-        crypto::KeyPair::derive(opt.seed * 1000003 + r);
-    poison.proof.push_back(
-        SignedCheckpoint{r, real_cp, keys.sign(real_cp.digest())});
-  }
-  for (SeqNum s = poison.request_from + 1; s <= stable; ++s) {
-    poison.entries.push_back(
+  StateResponse resp;
+  resp.request_from = cluster.node(3).last_executed();
+  ASSERT_GT(stable, resp.request_from);
+  for (SeqNum s = resp.request_from + 1; s <= stable; ++s) {
+    resp.entries.push_back(
         ExecutedEntry{s, Request{90000 + s, crypto::sha256("tampered")}});
   }
-  const crypto::KeyPair responder_keys =
-      crypto::KeyPair::derive(opt.seed * 1000003 + 1);
+  resp.checkpoint =
+      poison == Poison::kTamperedEntries
+          ? Checkpoint{stable, cluster.node(1).stable_checkpoint_digest()}
+          : Checkpoint{stable, state_digest_over(cluster.node(3).executed(),
+                                                 resp.entries)};
+  const auto vote = [&](ReplicaId signer, ReplicaId key) {
+    return SignedCheckpoint{signer, resp.checkpoint,
+                            keys_of(key).sign(resp.checkpoint.digest())};
+  };
+  switch (poison) {
+    case Poison::kTamperedEntries:
+      resp.proof = {vote(0, 0), vote(1, 1), vote(2, 2)};
+      break;
+    case Poison::kRepeatedSigner:
+      resp.proof = {vote(0, 0), vote(0, 0), vote(0, 0)};
+      break;
+    case Poison::kUnknownSigner:
+      resp.proof = {vote(0, 0), vote(1, 1), vote(7, 7)};
+      break;
+    case Poison::kWrongKey:
+      resp.proof = {vote(0, 0), vote(1, 1), vote(2, 3)};
+      break;
+  }
+  const crypto::KeyPair responder_keys = keys_of(1);
   // Heal only the laggard's link and inject the poison immediately.
-  cluster.simulator().schedule_at(7.0, [&cluster, &responder_keys, poison] {
+  cluster.simulator().schedule_at(7.0, [&cluster, &responder_keys, resp] {
     cluster.network().send(
-        1, 3, net::Envelope(make_envelope(1, responder_keys, poison)),
-        payload_wire_bytes(Payload{poison}));
+        1, 3, net::Envelope(make_envelope(1, responder_keys, resp)),
+        payload_wire_bytes(Payload{resp}));
   });
   cluster.run_for(13.5);
 
   EXPECT_GE(cluster.node(3).state_transfers_rejected(), 1u);
   // ...and the honest path still won: fully converged, logs clean, no
-  // tampered request ever executed.
+  // poisoned request ever executed.
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   EXPECT_TRUE(cluster.logs_consistent());
   for (const ExecutedEntry& e : cluster.node(3).executed()) {
@@ -208,11 +249,16 @@ TEST_P(BftStateTransferByProtocol, MaliciousResponderWrongDigestIsRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Protocols, BftStateTransferByProtocol,
-    ::testing::Values(replication::Protocol::kPbft,
-                      replication::Protocol::kHotStuff),
-    [](const ::testing::TestParamInfo<replication::Protocol>& info) {
-      return std::string(replication::protocol_name(info.param));
+    ProtocolsAndPoisons, BftStateTransferPoison,
+    ::testing::Combine(::testing::Values(Protocol::kPbft,
+                                         Protocol::kHotStuff),
+                       ::testing::Values(Poison::kTamperedEntries,
+                                         Poison::kRepeatedSigner,
+                                         Poison::kUnknownSigner,
+                                         Poison::kWrongKey)),
+    [](const ::testing::TestParamInfo<std::tuple<Protocol, Poison>>& info) {
+      return std::string(protocol_name(std::get<0>(info.param))) + "_" +
+             poison_name(std::get<1>(info.param));
     });
 
 TEST(BftStateTransfer, SingleFarFutureClaimDoesNotTriggerFetch) {
@@ -221,7 +267,7 @@ TEST(BftStateTransfer, SingleFarFutureClaimDoesNotTriggerFetch) {
   // state transfer either — a Byzantine replica advertising a fantasy
   // horizon costs the cluster nothing.
   ClusterOptions opt = churn_options(105);
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   const crypto::KeyPair liar_keys =
       crypto::KeyPair::derive(opt.seed * 1000003 + 2);
   for (int wave = 0; wave < 5; ++wave) {
@@ -251,7 +297,7 @@ TEST(BftStateTransfer, SustainedLoadCausesNoSpuriousViewChanges) {
   // request committed promptly. Progress must keep the timer quiet.
   ClusterOptions opt = churn_options(106);
   opt.replica.batch_size = 4;
-  BftCluster cluster(10, opt);
+  Cluster cluster(10, opt);
   offer_load(cluster, 12.0, 6.0);
   cluster.run_for(10.0);
   EXPECT_EQ(cluster.completed_requests(), 72u);
@@ -268,15 +314,15 @@ TEST(BftStateTransfer, OptionsValidationFailsFast) {
   // checkpoint interval.
   ClusterOptions bad_batch = churn_options(107);
   bad_batch.replica.batch_timeout = bad_batch.replica.request_timeout;
-  EXPECT_THROW(BftCluster(4, bad_batch), support::ContractViolation);
+  EXPECT_THROW(Cluster(4, bad_batch), support::ContractViolation);
 
   ClusterOptions bad_interval = churn_options(108);
   bad_interval.replica.checkpoint_interval = 0;
-  EXPECT_THROW(BftCluster(4, bad_interval), support::ContractViolation);
+  EXPECT_THROW(Cluster(4, bad_interval), support::ContractViolation);
 
   ClusterOptions bad_grace = churn_options(109);
   bad_grace.replica.state_transfer_grace = 0.0;
-  EXPECT_THROW(BftCluster(4, bad_grace), support::ContractViolation);
+  EXPECT_THROW(Cluster(4, bad_grace), support::ContractViolation);
 }
 
 TEST(BftStateTransfer, ChurnScenarioPinsBothDirections) {
@@ -307,4 +353,4 @@ TEST(BftStateTransfer, ChurnScenarioPinsBothDirections) {
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

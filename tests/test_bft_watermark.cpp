@@ -7,29 +7,11 @@
 
 #include <set>
 
-#include "bft/cluster.h"
+#include "bft_test_util.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
-
-ClusterOptions fast_options(std::uint64_t seed = 1) {
-  ClusterOptions opt;
-  opt.network.min_latency = 0.005;
-  opt.network.mean_extra_latency = 0.01;
-  opt.replica.request_timeout = 0.8;
-  opt.replica.view_change_timeout = 1.2;
-  opt.seed = seed;
-  return opt;
-}
-
-std::set<std::uint64_t> executed_ids(const replication::Pbft& replica) {
-  std::set<std::uint64_t> ids;
-  for (const ExecutedEntry& e : replica.executed()) {
-    if (e.request.id != 0) ids.insert(e.request.id);
-  }
-  return ids;
-}
 
 TEST(BftWatermark, BurstBeyondWindowDefersThenCommitsEverything) {
   // 20 requests against window 4 / checkpoint interval 2: the primary
@@ -38,7 +20,7 @@ TEST(BftWatermark, BurstBeyondWindowDefersThenCommitsEverything) {
   ClusterOptions opt = fast_options(61);
   opt.replica.checkpoint_interval = 2;
   opt.replica.high_watermark_window = 4;
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 20; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(20, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -62,7 +44,7 @@ TEST(BftWatermark, DefaultWindowNeverBitesInHealthyRun) {
   // normal burst must sail through with zero deferrals (and therefore
   // byte-identical sweep counters to the pre-watermark protocol).
   ClusterOptions opt = fast_options(62);
-  BftCluster cluster(4, opt);
+  Cluster cluster(4, opt);
   for (int i = 0; i < 24; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(24, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -77,8 +59,8 @@ TEST(BftWatermark, RejectsWindowTighterThanTwoCheckpointIntervals) {
   ClusterOptions opt = fast_options(63);
   opt.replica.checkpoint_interval = 4;
   opt.replica.high_watermark_window = 7;
-  EXPECT_THROW(BftCluster(4, opt), support::ContractViolation);
+  EXPECT_THROW(Cluster(4, opt), support::ContractViolation);
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bft/cluster.h"
 #include "campaign/cell.h"
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
@@ -18,6 +17,7 @@
 #include "campaign/spec.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
+#include "replication/cluster.h"
 #include "runtime/suite.h"
 #include "runtime/task.h"
 
@@ -207,8 +207,8 @@ TEST(CampaignFault, ByzantineKindsExploitTheWorstComponent) {
 
 // --- outcome classification -------------------------------------------------
 
-bft::ClusterOptions fast_options(std::uint64_t seed) {
-  bft::ClusterOptions options;
+replication::ClusterOptions fast_options(std::uint64_t seed) {
+  replication::ClusterOptions options;
   options.seed = seed;
   options.network.min_latency = 0.005;
   options.network.mean_extra_latency = 0.01;
@@ -216,7 +216,7 @@ bft::ClusterOptions fast_options(std::uint64_t seed) {
 }
 
 TEST(CampaignOutcome, KnownGoodRunClassifiesRecovered) {
-  bft::BftCluster cluster(4, fast_options(17));
+  replication::Cluster cluster(4, fast_options(17));
   for (int i = 0; i < 5; ++i) (void)cluster.submit();
   cluster.run_for(10.0);
   FaultPlan plan;  // empty crash plan: nothing was injected
@@ -239,7 +239,7 @@ TEST(CampaignOutcome, KnownViolationClassifiesSafetyViolated) {
   std::vector<Behavior> behaviors = {Behavior::kCollude, Behavior::kCollude,
                                      Behavior::kHonest, Behavior::kHonest,
                                      Behavior::kHonest};
-  bft::BftCluster cluster(weights, fast_options(35), behaviors);
+  replication::Cluster cluster(weights, fast_options(35), behaviors);
   (void)cluster.submit();
   cluster.run_for(30.0);
   ASSERT_FALSE(cluster.logs_consistent());

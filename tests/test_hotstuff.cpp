@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
-#include "bft/cluster.h"
+#include "replication/cluster.h"
 #include "support/assert.h"
 
-namespace findep::bft {
+namespace findep::replication {
 namespace {
-
-using replication::Behavior;
 
 ClusterOptions fast_options(std::uint64_t seed = 1) {
   ClusterOptions opt;
@@ -21,13 +20,13 @@ ClusterOptions fast_options(std::uint64_t seed = 1) {
   opt.network.mean_extra_latency = 0.01;
   opt.replica.pacemaker_timeout = 0.5;
   opt.replica.batch_timeout = 0.05;
-  opt.protocol = replication::Protocol::kHotStuff;
+  opt.protocol = Protocol::kHotStuff;
   opt.seed = seed;
   return opt;
 }
 
 /// Honest replicas' pacemaker expiries, summed.
-std::uint64_t total_timeouts(BftCluster& cluster,
+std::uint64_t total_timeouts(Cluster& cluster,
                              const std::vector<Behavior>& behaviors) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -38,7 +37,7 @@ std::uint64_t total_timeouts(BftCluster& cluster,
 }
 
 TEST(HotStuff, HappyPathExecutesAndAgrees) {
-  BftCluster cluster(4, fast_options());
+  Cluster cluster(4, fast_options());
   for (int i = 0; i < 5; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(5, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -52,7 +51,7 @@ TEST(HotStuff, HappyPathExecutesAndAgrees) {
 class HotStuffSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HotStuffSizes, ExecutesAcrossClusterSizes) {
-  BftCluster cluster(GetParam(), fast_options(GetParam()));
+  Cluster cluster(GetParam(), fast_options(GetParam()));
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0)) << GetParam();
   EXPECT_TRUE(cluster.logs_consistent());
@@ -66,7 +65,7 @@ TEST(HotStuff, LeaderCrashMidChainTimesOutOntoNextLeader) {
   // leaders extend the highest QC across the dead replica's rounds: with
   // the two-chain rule a run of three consecutive live leaders commits,
   // and n = 4 with one crash always has one.
-  BftCluster cluster(4, fast_options(7));
+  Cluster cluster(4, fast_options(7));
   for (int i = 0; i < 4; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(4, 30.0));
   const SeqNum before = cluster.hotstuff(0).committed_height();
@@ -100,7 +99,7 @@ TEST(HotStuff, CertifiedBatchSurvivesRotationAcrossPartition) {
   // carry an outdated high-QC) draw a catch-up QC notice from the
   // quiescent majority — the batch the wedge was cut off from commits
   // for them too instead of forking or vanishing.
-  BftCluster cluster(7, fast_options(11));
+  Cluster cluster(7, fast_options(11));
   for (int i = 0; i < 3; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(3, 30.0));
 
@@ -125,7 +124,7 @@ TEST(HotStuff, EquivocatingLeaderRejectedByQcRules) {
   // forged request (ids carry the 2^63 marker bit) ever executes.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[1] = Behavior::kEquivocate;
-  BftCluster cluster(4, fast_options(13), behaviors);
+  Cluster cluster(4, fast_options(13), behaviors);
   for (int i = 0; i < 4; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(4, 90.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -139,6 +138,46 @@ TEST(HotStuff, EquivocatingLeaderRejectedByQcRules) {
   }
 }
 
+TEST(HotStuff, QcNoticeRepeatingOneVoteIsRejected) {
+  // One valid vote repeated three times is not a quorum: a QC notice for
+  // round 1000 built that way must leave the receiver's high-QC where it
+  // was. The control, the same notice signed by three distinct voters,
+  // is adopted.
+  const ClusterOptions opt = fast_options(19);
+  Cluster cluster(4, opt);
+  for (int i = 0; i < 3; ++i) cluster.submit();
+  ASSERT_TRUE(cluster.run_until_executed(3, 30.0));
+  cluster.run_for(5.0);  // drain: a quiescent cluster keeps no timer
+  const QuorumCert before = cluster.hotstuff(3).high_qc();
+  ASSERT_GT(before.round, 0u);
+
+  // Keys derived exactly as the cluster derives them.
+  const auto keys_of = [&opt](ReplicaId r) {
+    return crypto::KeyPair::derive(opt.seed * 1000003 + r);
+  };
+  const auto notice_from = [&](const std::vector<ReplicaId>& voters) {
+    QuorumCert qc{1000, before.height, before.block_digest, {}};
+    const crypto::Digest digest =
+        HsVote{qc.round, qc.height, qc.block_digest}.digest();
+    for (const ReplicaId v : voters) {
+      qc.votes.push_back(HsSignedVote{v, keys_of(v).sign(digest)});
+    }
+    return HsQcNotice{qc};
+  };
+  const crypto::KeyPair sender_keys = keys_of(1);
+  const auto deliver = [&](const HsQcNotice& notice) {
+    cluster.network().send(
+        1, 3, net::Envelope(make_envelope(1, sender_keys, notice)),
+        payload_wire_bytes(Payload{notice}));
+    cluster.run_for(1.0);
+  };
+
+  deliver(notice_from({0, 0, 0}));
+  EXPECT_EQ(cluster.hotstuff(3).high_qc().round, before.round);
+  deliver(notice_from({0, 1, 2}));
+  EXPECT_EQ(cluster.hotstuff(3).high_qc().round, 1000u);
+}
+
 TEST(HotStuff, LinearMessagingBeatsPbftQuadraticAtN25) {
   // The protocol-axis acceptance claim: per committed request, HotStuff's
   // vote-to-next-leader pattern costs O(n) messages where PBFT's
@@ -147,10 +186,10 @@ TEST(HotStuff, LinearMessagingBeatsPbftQuadraticAtN25) {
   const std::size_t kN = 25;
   const int kRequests = 8;
 
-  auto run = [&](replication::Protocol protocol) {
+  auto run = [&](Protocol protocol) {
     ClusterOptions opt = fast_options(17);
     opt.protocol = protocol;
-    BftCluster cluster(kN, opt);
+    Cluster cluster(kN, opt);
     for (int i = 0; i < kRequests; ++i) cluster.submit();
     EXPECT_TRUE(cluster.run_until_executed(kRequests, 120.0));
     EXPECT_TRUE(cluster.logs_consistent());
@@ -159,12 +198,12 @@ TEST(HotStuff, LinearMessagingBeatsPbftQuadraticAtN25) {
            static_cast<double>(cluster.completed_requests());
   };
 
-  const double hotstuff = run(replication::Protocol::kHotStuff);
-  const double pbft = run(replication::Protocol::kPbft);
+  const double hotstuff = run(Protocol::kHotStuff);
+  const double pbft = run(Protocol::kPbft);
   EXPECT_LT(hotstuff, pbft);
   // The crossover is structural, not marginal: expect at least 2x.
   EXPECT_LT(2.0 * hotstuff, pbft);
 }
 
 }  // namespace
-}  // namespace findep::bft
+}  // namespace findep::replication

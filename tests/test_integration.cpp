@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "attest/registry.h"
-#include "bft/cluster.h"
 #include "committee/diversity_aware.h"
 #include "committee/sortition.h"
 #include "config/sampler.h"
@@ -16,6 +15,7 @@
 #include "faults/injector.h"
 #include "nakamoto/attack.h"
 #include "nakamoto/pools.h"
+#include "replication/cluster.h"
 #include "support/assert.h"
 
 namespace findep {
@@ -79,9 +79,9 @@ TEST(Integration, CorrelatedFaultStallsBftExactlyWhenPredicted) {
   for (const std::size_t r : predicted.compromised) {
     behaviors[r] = Behavior::kSilent;
   }
-  bft::ClusterOptions opt;
+  replication::ClusterOptions opt;
   opt.replica.request_timeout = 0.5;
-  bft::BftCluster broken(4, opt, behaviors);
+  replication::Cluster broken(4, opt, behaviors);
   broken.submit();
   EXPECT_FALSE(broken.run_until_executed(1, 15.0));
   EXPECT_TRUE(broken.logs_consistent());  // safe, just not live
@@ -89,7 +89,7 @@ TEST(Integration, CorrelatedFaultStallsBftExactlyWhenPredicted) {
   // Control: a fault on a *distinct* configuration (1/4 ≤ 1/3) is fine.
   std::vector<Behavior> single(4, Behavior::kHonest);
   single[1] = Behavior::kSilent;
-  bft::BftCluster healthy(4, opt, single);
+  replication::Cluster healthy(4, opt, single);
   healthy.submit();
   EXPECT_TRUE(healthy.run_until_executed(1, 15.0));
 }
@@ -173,7 +173,7 @@ TEST(Integration, DiverseCommitteeRunsWeightedConsensus) {
   // Run weighted PBFT with the committee's weights.
   std::vector<double> weights;
   for (const auto& m : formed.members) weights.push_back(m.weight);
-  bft::BftCluster cluster(weights, bft::ClusterOptions{}, {});
+  replication::Cluster cluster(weights, replication::ClusterOptions{}, {});
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "support/assert.h"
 #include "support/rng.h"
 
 namespace findep::sim {
@@ -239,6 +240,66 @@ TEST(SimEngine, StatsExposeCalendarGeometry) {
   EXPECT_GE(st.rebuilds, 1u);  // growth from the 16-bucket seed
   sim.run();
   EXPECT_EQ(sim.executed_count(), 1000u);
+}
+
+TEST(SimTimer, ArmedUntilItFires) {
+  Simulator sim;
+  Timer timer(sim);
+  EXPECT_FALSE(timer.armed());
+  bool ran = false;
+  bool armed_in_callback = true;
+  timer.arm(1.0, [&] {
+    ran = true;
+    armed_in_callback = timer.armed();
+  });
+  EXPECT_TRUE(timer.armed());
+  sim.run_until(0.5);
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(armed_in_callback);  // disarmed before the callback runs
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimTimer, CancelBeforeTheDeadlineDropsTheEvent) {
+  Simulator sim;
+  Timer timer(sim);
+  bool ran = false;
+  timer.arm(1.0, [&] { ran = true; });
+  sim.run_until(0.5);
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_FALSE(sim.has_pending());
+  sim.run();
+  EXPECT_FALSE(ran);
+  timer.cancel();  // a no-op once disarmed
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimTimer, CallbackMayRearmItsOwnTimer) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  std::function<void()> tick = [&] {
+    fired.push_back(sim.now());
+    if (fired.size() < 3) timer.arm(1.0, tick);
+  };
+  timer.arm(1.0, tick);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{1.0, 2.0, 3.0}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimTimer, ArmingAnArmedTimerThrows) {
+  Simulator sim;
+  Timer timer(sim);
+  int runs = 0;
+  timer.arm(1.0, [&] { ++runs; });
+  EXPECT_THROW(timer.arm(2.0, [&] { runs += 10; }),
+               support::ContractViolation);
+  EXPECT_EQ(sim.pending_count(), 1u);  // the first arm is untouched
+  sim.run();
+  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace
