@@ -57,7 +57,7 @@ class CampaignCellScenario : public runtime::Scenario {
       const runtime::RunContext& ctx) const override;
 
   /// The default campaign grid (every target × every fault × two rates),
-  /// the grid `findep-campaign` spec files override axes of.
+  /// the grid campaign spec files (`findep-bench --spec`) override.
   [[nodiscard]] static runtime::ParamGrid default_grid();
 
  private:

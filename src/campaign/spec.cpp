@@ -156,6 +156,24 @@ CampaignSpec load_campaign_spec(const std::string& path) {
   return parse_campaign_spec(buffer.str());
 }
 
+std::vector<std::string> spec_arguments(const CampaignSpec& spec) {
+  std::vector<std::string> args = {"--family", "campaign"};
+  for (const auto& [axis, values] : spec.overrides) {
+    std::string set = axis + '=';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i != 0) set += ',';
+      set += values[i];
+    }
+    args.push_back("--set");
+    args.push_back(std::move(set));
+  }
+  if (spec.seeds.has_value()) {
+    args.push_back("--seeds");
+    args.push_back(std::to_string(*spec.seeds));
+  }
+  return args;
+}
+
 runtime::ParamGrid campaign_grid(const CampaignSpec& spec) {
   runtime::ParamGrid grid = CampaignCellScenario::default_grid();
   for (const auto& [axis, values] : spec.overrides) {

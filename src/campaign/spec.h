@@ -12,17 +12,18 @@
 //   seeds  = 3
 //
 // Axes omitted keep the registered campaign defaults. `seeds` is not a
-// grid axis: it sets the per-cell seed count (the CLI's --seeds wins when
-// both are given). Validation is strict and happens at parse time, before
-// any cell runs: unknown axes, duplicate axis lines, duplicate values
-// within an axis (two identical cells — an overlapping campaign is almost
-// always a spec bug), unknown target/fault names, rates outside (0, 1]
-// and n < 4 are all rejected with the offending line number.
+// grid axis: it sets the per-cell seed count. Validation is strict and
+// happens at parse time, before any cell runs: unknown axes, duplicate
+// axis lines, duplicate values within an axis (two identical cells — an
+// overlapping campaign is almost always a spec bug), unknown target/fault
+// names, rates outside (0, 1] and n < 4 are all rejected with the
+// offending line number.
 //
-// A parsed spec lowers to the same `--set`-style overrides the CLI takes,
-// so `findep-campaign --spec FILE` and hand-written `--set` flags drive
-// the identical expansion path (run_families_main), including
-// `--emit-tasks` sharding.
+// A parsed spec lowers to ordinary findep-bench flags (spec_arguments),
+// so `findep-bench --spec FILE` and hand-written `--set` flags drive the
+// identical expansion path (run_families_main), including `--emit-tasks`
+// sharding. findep-bench puts the spec's flags before the command
+// line's, so a later `--set` or `--seeds` on the command line wins.
 #pragma once
 
 #include <cstdint>
@@ -54,5 +55,11 @@ struct CampaignSpec {
 /// The campaign grid with the spec's overrides applied — the cells this
 /// spec expands to (cartesian product of the resulting axes).
 [[nodiscard]] runtime::ParamGrid campaign_grid(const CampaignSpec& spec);
+
+/// The spec as findep-bench flags: `--family campaign`, one
+/// `--set axis=v1,v2` per spec line in file order, then `--seeds N` when
+/// the spec sets a seed count.
+[[nodiscard]] std::vector<std::string> spec_arguments(
+    const CampaignSpec& spec);
 
 }  // namespace findep::campaign

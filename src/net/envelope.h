@@ -26,7 +26,7 @@
 
 namespace findep::net {
 
-/// Generic payload for tests, examples and harness plumbing.
+/// Generic payload for tests, microbenchmarks and harness plumbing.
 struct Probe {
   std::int64_t value = 0;
   std::string note;

@@ -128,11 +128,7 @@ int usage_error(std::ostream& err, const std::string& message) {
 
 }  // namespace
 
-int run_families_main(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& default_families, std::string intro,
-    const std::vector<std::pair<std::string, std::vector<std::string>>>&
-        overrides) {
+int run_families_main(int argc, const char* const* argv) {
   SuiteOptions options;
   if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
 
@@ -154,55 +150,26 @@ int run_families_main(
     return code;
   }
 
-  const ScenarioRegistry& registry = ScenarioRegistry::global();
+  std::vector<const ScenarioFamily*> selected =
+      ScenarioRegistry::global().families();
 
-  // The binary's built-in subset (empty = the whole registry). A missing
-  // name here is a programming error in the driver, not user input.
-  std::vector<const ScenarioFamily*> selected;
-  if (default_families.empty()) {
-    selected = registry.families();
-  } else {
-    for (const std::string& name : default_families) {
-      const ScenarioFamily* family = registry.find(name);
-      if (family == nullptr) {
-        return usage_error(std::cerr, "driver references unregistered "
-                                      "scenario family '" +
-                                          name + "'");
-      }
-      selected.push_back(family);
+  // --family narrows the catalog, which stays in name order; every
+  // requested name must resolve.
+  const std::vector<std::string>& wanted = options.families;
+  for (const std::string& name : wanted) {
+    if (ScenarioRegistry::global().find(name) != nullptr) continue;
+    std::string known;
+    for (const ScenarioFamily* f : selected) {
+      if (!known.empty()) known += ", ";
+      known += f->name;
     }
-    std::sort(selected.begin(), selected.end(),
-              [](const ScenarioFamily* a, const ScenarioFamily* b) {
-                return a->name < b->name;
-              });
+    return usage_error(std::cerr, "unknown family '" + name +
+                                      "' (available: " + known + ")");
   }
-
-  // --family narrows further; every requested name must resolve.
-  if (!options.families.empty()) {
-    std::vector<const ScenarioFamily*> narrowed;
-    for (const std::string& name : options.families) {
-      const auto it = std::find_if(
-          selected.begin(), selected.end(),
-          [&](const ScenarioFamily* f) { return f->name == name; });
-      if (it == selected.end()) {
-        std::string known;
-        for (const ScenarioFamily* f : selected) {
-          if (!known.empty()) known += ", ";
-          known += f->name;
-        }
-        return usage_error(std::cerr, "unknown family '" + name +
-                                          "' (available: " + known + ")");
-      }
-      if (std::find(narrowed.begin(), narrowed.end(), *it) ==
-          narrowed.end()) {
-        narrowed.push_back(*it);
-      }
-    }
-    std::sort(narrowed.begin(), narrowed.end(),
-              [](const ScenarioFamily* a, const ScenarioFamily* b) {
-                return a->name < b->name;
-              });
-    selected = std::move(narrowed);
+  if (!wanted.empty()) {
+    std::erase_if(selected, [&](const ScenarioFamily* f) {
+      return std::find(wanted.begin(), wanted.end(), f->name) == wanted.end();
+    });
   }
 
   if (options.list) {
@@ -210,20 +177,15 @@ int run_families_main(
     return 0;
   }
 
-  // Working copies of the grids, then axis overrides: the driver's
-  // baked-in ones first, the command line's on top. Every override must
-  // hit at least one selected grid — a typoed axis is a usage error.
+  // Working copies of the grids, then the axis overrides in command-line
+  // order. Every override must hit at least one selected grid — a
+  // typoed axis is a usage error.
   std::vector<std::vector<ParamGrid>> grids;
   grids.reserve(selected.size());
   for (const ScenarioFamily* family : selected) {
     grids.push_back(family->grids);
   }
-  std::vector<AxisOverride> all_sets;
-  for (const auto& [axis, values] : overrides) {
-    all_sets.push_back(AxisOverride{axis, values});
-  }
-  all_sets.insert(all_sets.end(), options.sets.begin(), options.sets.end());
-  for (const AxisOverride& over : all_sets) {
+  for (const AxisOverride& over : options.sets) {
     bool applied = false;
     for (std::vector<ParamGrid>& family_grids : grids) {
       for (ParamGrid& grid : family_grids) {
@@ -266,7 +228,7 @@ int run_families_main(
     return 0;
   }
 
-  ScenarioSuite suite(std::move(intro));
+  ScenarioSuite suite("findep-bench: the registered scenario catalog");
   for (std::size_t f = 0; f < selected.size(); ++f) {
     // Factories and scenario constructors validate their parameters
     // (string axes like mix/fleet/case, numeric preconditions); with

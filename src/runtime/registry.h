@@ -6,13 +6,12 @@
 // `Scenario` instance. Families register themselves process-wide at
 // static-initialization time (`ScenarioRegistration` in the family's
 // translation unit), so every binary linking the scenario library — the
-// unified `findep-bench` CLI, the thin per-bench drivers, the tests —
-// sees the same catalog.
+// `findep-bench` CLI and the tests — sees the same catalog.
 //
-// `run_families_main()` is the shared driver main on top of it: select
-// families (`--family`, or the binary's built-in subset), override grid
-// axes (`--set axis=v1,v2`), expand, and sweep everything through the
-// suite's global (scenario, seed) work queue.
+// `run_families_main()` is findep-bench's main on top of it: select
+// families (`--family`, default all), override grid axes
+// (`--set axis=v1,v2`), expand, and sweep everything through the suite's
+// global (scenario, seed) work queue.
 #pragma once
 
 #include <functional>
@@ -76,16 +75,9 @@ struct ScenarioRegistration {
 [[nodiscard]] std::vector<std::unique_ptr<Scenario>> instantiate_family(
     const ScenarioFamily& family, const std::vector<ParamGrid>& grids);
 
-/// The shared registry-driven main for `findep-bench` and the thin
-/// per-bench binaries. `default_families` restricts the binary to a
-/// subset of the registry (empty = every registered family); `overrides`
-/// are baked-in `--set`-style axis overrides applied before the command
-/// line's (used by example drivers that re-aim a family's grid).
-/// Understands every suite flag plus `--family` and `--set`.
-int run_families_main(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& default_families, std::string intro,
-    const std::vector<std::pair<std::string, std::vector<std::string>>>&
-        overrides = {});
+/// The registry-driven main of `findep-bench`: understands every suite
+/// flag (runtime/suite.h) and runs the selected families, or the whole
+/// registry when no `--family` is given.
+int run_families_main(int argc, const char* const* argv);
 
 }  // namespace findep::runtime

@@ -1,8 +1,7 @@
 #include "runtime/suite.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
-#include <iostream>
 #include <ostream>
 
 #include "runtime/counters.h"
@@ -14,14 +13,13 @@ namespace findep::runtime {
 namespace {
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  // strtoull happily wraps "-1" to 2^64-1; only plain digits are valid.
-  if (text.empty()) return false;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
+  // The whole text must be digits that fit: from_chars rejects signs,
+  // spaces and the empty string, and reports overflow instead of
+  // clamping it the way strtoull does.
+  std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
   out = v;
   return true;
 }
@@ -46,7 +44,8 @@ void print_usage(std::ostream& err) {
          "[--exclude SUBSTR] [--family NAME[,NAME]] [--set AXIS=V[,V]] "
          "[--list] [--csv] [--json] [--out FILE]\n"
          "       [--emit-tasks | --worker | --merge SHARD...]  "
-         "(distributed sweep; see DESIGN.md)\n";
+         "(distributed sweep; see DESIGN.md)\n"
+         "       [--spec FILE] | --report SHARD...  (fault campaigns)\n";
 }
 
 bool fail(std::ostream& err, const std::string& message) {
@@ -197,11 +196,6 @@ void ScenarioSuite::add(std::unique_ptr<Scenario> scenario) {
 
 int ScenarioSuite::run(const SuiteOptions& options, std::ostream& out,
                        std::ostream& err) const {
-  if (options.list) {
-    for (const auto& scenario : scenarios_) out << scenario->name() << '\n';
-    return 0;
-  }
-
   // Select first, then sweep everything through one global work queue so
   // the whole suite shares the worker pool (fills cores at --seeds 1).
   std::vector<const Scenario*> selected;
@@ -275,12 +269,6 @@ int ScenarioSuite::run(const SuiteOptions& options, std::ostream& out,
     return 1;
   }
   return 0;
-}
-
-int ScenarioSuite::run_main(int argc, const char* const* argv) const {
-  SuiteOptions options;
-  if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
-  return run(options, std::cout, std::cerr);
 }
 
 }  // namespace findep::runtime

@@ -1,10 +1,11 @@
-// ScenarioSuite: the shared driver main for benches and examples.
+// ScenarioSuite: the uniform experiment flags and the sweep-and-render
+// step behind `findep-bench`.
 //
-// A driver registers its scenarios and delegates to run_main(), which
-// parses the uniform experiment flags, sweeps every scenario across the
-// requested seeds on a worker pool, and renders results through the
-// MetricsSink. This replaces the per-binary setup/run/aggregate loops the
-// old bench drivers each hand-rolled.
+// parse_suite_options() reads the flags below; run_families_main()
+// (runtime/registry.h) resolves them against the scenario registry, adds
+// the selected scenarios to a suite, and ScenarioSuite::run() sweeps
+// every scenario across the requested seeds on a worker pool and renders
+// results through the MetricsSink.
 //
 //   --seed S      master seed (default 1); every per-run seed derives
 //                 from it, so one flag reproduces an entire sweep
@@ -14,18 +15,17 @@
 //   --exclude SUB skip scenarios whose name contains SUB (applied after
 //                 --only; what CI uses to carve protocol-comparison
 //                 cells out of byte-identity cmp's)
-//   --family F    run only the named families (repeatable / comma list;
-//                 interpreted by the registry driver, run_families_main)
-//   --set A=V,V   override grid axis A with the listed values (registry
-//                 driver only)
-//   --list        print scenario families / names and exit
+//   --family F    run only the named families (repeatable / comma list)
+//   --set A=V,V   override grid axis A with the listed values; a later
+//                 --set of the same axis wins
+//   --list        print the selected scenario families and exit
 //   --csv / --json  machine-readable output instead of tables
 //   --out FILE    write the rendered results to FILE instead of stdout
 //                 (stdout keeps a one-line confirmation, so scripted
 //                 sweeps can pipe freely)
 //
-// Distributed-sweep modes (registry driver only; mutually exclusive —
-// see runtime/task.h for the wire protocol):
+// Distributed-sweep modes (mutually exclusive — see runtime/task.h for
+// the wire protocol):
 //   --emit-tasks  print the selected catalog as task JSONL and exit
 //   --worker      execute task JSONL from stdin, stream result JSONL
 //   --merge F...  gather result shards ("-" = stdin) into the standard
@@ -113,9 +113,6 @@ class ScenarioSuite {
   /// Returns a process exit code (non-zero when any run failed).
   int run(const SuiteOptions& options, std::ostream& out,
           std::ostream& err) const;
-
-  /// Convenience for driver main(): parse flags, run, return exit code.
-  int run_main(int argc, const char* const* argv) const;
 
  private:
   std::string intro_;

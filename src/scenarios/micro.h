@@ -1,9 +1,9 @@
 // Microbenchmark family: wall-clock timings of the hot primitives
 // (SHA-256, Merkle trees, entropy metrics, analyzer runs) through the
 // standard scenario interface, so `findep-bench` can sweep them next to
-// the experiments. The google-benchmark driver (`bench/micro_core.cpp`)
-// remains the precision instrument; this family is the always-available
-// smoke-level view.
+// the experiments. `ci/perf_gate.sh` times this family, and
+// `bench/perf`'s probes wrap the same loops for the host-time
+// benchmark.
 //
 // NOTE: timings are *measured*, not derived from the seed — this family
 // is registered with `deterministic = false` and is exempt from the

@@ -1,7 +1,8 @@
-// The campaign engine: spec parsing and rejection, target fleets, fault
-// planning, outcome classification on known-good and known-violated runs,
-// cell seed-determinism, the paper's safety-threshold cross-check, and
-// the distributed shard pipeline's byte-identity for campaign cells.
+// The campaign engine: spec parsing, rejection and lowering to
+// findep-bench flags, target fleets, fault planning, outcome
+// classification on known-good and known-violated runs, cell
+// seed-determinism, the paper's safety-threshold cross-check, and the
+// distributed shard pipeline's byte-identity for campaign cells.
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -110,6 +111,42 @@ TEST(CampaignSpec, RejectsDuplicatesAndOverlaps) {
   }
   EXPECT_THROW((void)campaign::parse_campaign_spec("seeds = 2\nseeds = 3\n"),
                std::invalid_argument);
+}
+
+TEST(CampaignSpec, LowersToFindepBenchFlags) {
+  const std::vector<std::string> args =
+      campaign::spec_arguments(campaign::parse_campaign_spec(
+          "target = uniform, lazarus\n"
+          "fault  = crash, collude\n"
+          "rate   = 1.0, 0.5\n"
+          "seeds  = 2\n"));
+  EXPECT_EQ(args, (std::vector<std::string>{
+                      "--family", "campaign", "--set",
+                      "target=uniform,lazarus", "--set", "fault=crash,collude",
+                      "--set", "rate=1.0,0.5", "--seeds", "2"}));
+
+  // A spec without a seeds line leaves the seed count to the CLI.
+  EXPECT_EQ(
+      campaign::spec_arguments(campaign::parse_campaign_spec("n = 7\n")),
+      (std::vector<std::string>{"--family", "campaign", "--set", "n=7"}));
+
+  // findep-bench puts the spec's flags before the user's, so a user
+  // --seeds wins over the spec's.
+  std::vector<const char*> argv = {"findep-bench"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  argv.push_back("--seeds");
+  argv.push_back("1");
+  runtime::SuiteOptions options;
+  std::ostringstream err;
+  ASSERT_TRUE(runtime::parse_suite_options(static_cast<int>(argv.size()),
+                                           argv.data(), options, err))
+      << err.str();
+  EXPECT_EQ(options.sweep.num_seeds, 1u);
+  EXPECT_EQ(options.families, (std::vector<std::string>{"campaign"}));
+  ASSERT_EQ(options.sets.size(), 3u);
+  EXPECT_EQ(options.sets[2].axis, "rate");
+  EXPECT_EQ(options.sets[2].values,
+            (std::vector<std::string>{"1.0", "0.5"}));
 }
 
 // --- target fleets ----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -202,9 +203,8 @@ TEST(ScenarioRegistry, GlobalRegistryCarriesTheFullCatalog) {
   EXPECT_GE(registry.size(), 21u);
 }
 
-// The old fig1 driver's exit code asserted the paper's headline bound
-// (entropy below an 8-replica uniform BFT's 3 bits for every x); keep
-// that guarantee as a test now that the driver is a thin invocation.
+// Figure 1's headline bound: Bitcoin's entropy stays below an 8-replica
+// uniform BFT's 3 bits for every x.
 TEST(ScenarioRegistry, Fig1EntropyStaysBelowBft8ForEveryX) {
   const ScenarioFamily* family =
       ScenarioRegistry::global().find("fig1_entropy");
@@ -400,6 +400,23 @@ TEST(SuiteOptionsFlags, RejectsZeroNegativeAndGarbageNumerics) {
   EXPECT_FALSE(parse({"--threads", "many"}).first);
   EXPECT_FALSE(parse({"--threads"}).first);  // missing value
   EXPECT_TRUE(parse({"--threads", "0"}).first);  // 0 = hardware default
+  EXPECT_FALSE(parse({"--seed", ""}).first);
+  EXPECT_FALSE(parse({"--seed", " 1"}).first);
+  EXPECT_FALSE(parse({"--seed", "+1"}).first);
+
+  // Values past 2^64 - 1 are rejected, not clamped, and the error names
+  // the flag; the largest 64-bit seed is still accepted.
+  for (const auto& [flag, value] :
+       {std::pair{"--seed", "18446744073709551616"},
+        std::pair{"--seeds", "99999999999999999999"},
+        std::pair{"--threads", "99999999999999999999"}}) {
+    auto [ok, message] = parse({flag, value});
+    EXPECT_FALSE(ok) << flag;
+    EXPECT_NE(message.find(std::string(flag) + " expects"),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_TRUE(parse({"--seed", "18446744073709551615"}).first);
 
   auto [ok_err, message] = parse({"--seeds", "abc"});
   EXPECT_FALSE(ok_err);
