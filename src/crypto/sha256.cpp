@@ -3,7 +3,13 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_compress.h"
 #include "support/assert.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace findep::crypto {
 
@@ -81,45 +87,173 @@ std::uint64_t Digest::prefix64() const noexcept {
 
 Sha256::Sha256() noexcept : state_(kInitialState) {}
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::array<std::uint32_t, 64> w;
-  for (std::size_t i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+namespace sha256_internal {
+
+void compress_portable(State& state, const std::uint8_t* blocks,
+                       std::size_t n) noexcept {
+  for (const std::uint8_t* block = blocks; n != 0; --n, block += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(block[4 * i + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) +
+             w[i - 16];
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t t1 = h + big_sigma1(e) + ((e & f) ^ (~e & g)) +
+                               kRoundConstants[i] + w[i];
+      const std::uint32_t t2 =
+          big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  for (std::size_t i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) +
-           w[i - 16];
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_sha_ni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) {
+    return false;
+  }
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+namespace {
+
+// The SHA extensions keep the eight working variables in two registers,
+// ABEF and CDGH (most significant word first). SHA256RNDS2 runs two
+// rounds from the low two words of its message-plus-constant operand,
+// SHA256MSG1 and SHA256MSG2 extend the message schedule four words at a
+// time, and PSHUFB turns each big-endian word of the block into a lane.
+
+#define FINDEP_SHA_NI __attribute__((target("sha,sse4.1,ssse3")))
+
+FINDEP_SHA_NI inline __m128i load_words(const std::uint8_t* p) noexcept {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+// Rounds 4i..4i+3, where `w` holds W[4i..4i+3].
+FINDEP_SHA_NI inline void four_rounds(__m128i& abef, __m128i& cdgh,
+                                      __m128i w, std::size_t i) noexcept {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(
+             reinterpret_cast<const __m128i*>(&kRoundConstants[4 * i])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+// W[t..t+3] from the four word groups before it: w0 holds W[t-16..t-13]
+// and w3 holds W[t-4..t-1]. alignr picks out W[t-7..t-4].
+FINDEP_SHA_NI inline __m128i next_words(__m128i w0, __m128i w1, __m128i w2,
+                                        __m128i w3) noexcept {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+      w3);
+}
+
+}  // namespace
+
+FINDEP_SHA_NI void compress_sha_ni(State& state, const std::uint8_t* blocks,
+                                   std::size_t n) noexcept {
+  // state[0..3] = ABCD and state[4..7] = EFGH, one word per lane.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (const std::uint8_t* block = blocks; n != 0; --n, block += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = load_words(block);
+    __m128i w1 = load_words(block + 16);
+    __m128i w2 = load_words(block + 32);
+    __m128i w3 = load_words(block + 48);
+    four_rounds(abef, cdgh, w0, 0);
+    four_rounds(abef, cdgh, w1, 1);
+    four_rounds(abef, cdgh, w2, 2);
+    four_rounds(abef, cdgh, w3, 3);
+    for (std::size_t i = 4; i < 16; i += 4) {
+      w0 = next_words(w0, w1, w2, w3);
+      four_rounds(abef, cdgh, w0, i);
+      w1 = next_words(w1, w2, w3, w0);
+      four_rounds(abef, cdgh, w1, i + 1);
+      w2 = next_words(w2, w3, w0, w1);
+      four_rounds(abef, cdgh, w2, i + 2);
+      w3 = next_words(w3, w0, w1, w2);
+      four_rounds(abef, cdgh, w3, i + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
 
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t t1 =
-        h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kRoundConstants[i] + w[i];
-    const std::uint32_t t2 =
-        big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+#undef FINDEP_SHA_NI
+
+#endif
+
+}  // namespace sha256_internal
+
+namespace {
+
+using Compression = void (*)(sha256_internal::State&, const std::uint8_t*,
+                             std::size_t) noexcept;
+
+Compression select_compression() noexcept {
+#if defined(__x86_64__)
+  if (sha256_internal::cpu_has_sha_ni()) {
+    return sha256_internal::compress_sha_ni;
   }
+#endif
+  return sha256_internal::compress_portable;
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+}  // namespace
+
+void Sha256::compress(const std::uint8_t* blocks, std::size_t n) noexcept {
+  // Resolved on first use, which may come from a static initializer.
+  static const Compression selected = select_compression();
+  selected(state_, blocks, n);
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
@@ -134,14 +268,15 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
     p += take;
     remaining -= take;
     if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress(buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (remaining >= 64) {
-    process_block(p);
-    p += 64;
-    remaining -= 64;
+  if (remaining >= 64) {
+    const std::size_t blocks = remaining / 64;
+    compress(p, blocks);
+    p += 64 * blocks;
+    remaining -= 64 * blocks;
   }
   if (remaining != 0) {
     std::memcpy(buffer_.data(), p, remaining);
@@ -175,14 +310,14 @@ Digest Sha256::finish() {
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
     std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
-    process_block(buffer_.data());
+    compress(buffer_.data(), 1);
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (std::size_t i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
+  compress(buffer_.data(), 1);
   buffered_ = 0;
 
   Digest out;

@@ -50,7 +50,9 @@ class Sha256 {
   [[nodiscard]] Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  /// Folds `n` whole 64-byte blocks into the state, on SHA-NI when the
+  /// CPU has it (sha256_compress.h).
+  void compress(const std::uint8_t* blocks, std::size_t n) noexcept;
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};

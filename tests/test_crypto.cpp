@@ -1,6 +1,9 @@
 // SHA-256 / HMAC against official vectors; simulated signatures and VRF.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "crypto/vrf.h"
 #include "support/assert.h"
 #include "support/rng.h"
@@ -60,6 +64,39 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(std::string_view(msg).substr(split));
     EXPECT_EQ(h.finish(), sha256(msg)) << "split=" << split;
   }
+
+  // 4 KiB + 17 bytes reaches the whole-block run path: one update hands
+  // all 64 full blocks to one compression call. Pinned to the value
+  // Python's hashlib gives.
+  std::vector<std::uint8_t> big(4096 + 17);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const Digest one_shot = sha256(big);
+  EXPECT_EQ(one_shot.to_hex(),
+            "2cae9d09464ce822402ac6dd461198fccb3f89333425e4504ef55f31409bcc93");
+
+  // From each offset 1-15 into a heap buffer, which operator new aligns
+  // to 16 bytes: the compression must load blocks unaligned.
+  std::vector<std::uint8_t> shifted(big.size() + 16);
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    std::copy(big.begin(), big.end(), shifted.begin() + offset);
+    EXPECT_EQ(sha256(std::span<const std::uint8_t>(shifted).subspan(
+                  offset, big.size())),
+              one_shot)
+        << "offset=" << offset;
+  }
+
+  // In pieces that fill the block buffer byte by byte, stop one short of
+  // a block, match it, or overrun it into a run.
+  for (const std::size_t piece : {1U, 63U, 64U, 65U}) {
+    Sha256 h;
+    for (std::size_t at = 0; at < big.size(); at += piece) {
+      h.update(std::span<const std::uint8_t>(big).subspan(
+          at, std::min(piece, big.size() - at)));
+    }
+    EXPECT_EQ(h.finish(), one_shot) << "piece=" << piece;
+  }
 }
 
 TEST(Sha256, EveryPaddingBoundary) {
@@ -78,6 +115,62 @@ TEST(Sha256, EveryPaddingBoundary) {
   }
   EXPECT_EQ(fold.finish().to_hex(),
             "f0a356ea9e6f1782f5f990ba58676d20f035df61db3b6545e977112d486331c9");
+}
+
+TEST(Sha256, ShaNiCompressionMatchesPortable) {
+  // The vectors above run through whichever compression CPUID selects.
+  // The compression is a pure function of state and blocks, so agreement
+  // here lets them vouch for the other one too. Without this test an
+  // SHA-NI host never runs the portable code other CPUs depend on.
+#if defined(__x86_64__)
+  using sha256_internal::State;
+  if (!sha256_internal::cpu_has_sha_ni()) {
+    GTEST_SKIP() << "CPUID lacks SHA, SSE4.1 or SSSE3: no SHA-NI compression "
+                    "to compare with the portable one";
+  }
+  std::array<std::uint8_t, 4 * 64> blocks{};
+  const auto check = [&blocks](const State& start, std::size_t n) {
+    State portable = start;
+    State sha_ni = start;
+    sha256_internal::compress_portable(portable, blocks.data(), n);
+    sha256_internal::compress_sha_ni(sha_ni, blocks.data(), n);
+    if (portable == sha_ni) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << n << " block(s) from state " << ::testing::PrintToString(start)
+           << ": portable " << ::testing::PrintToString(portable)
+           << ", SHA-NI " << ::testing::PrintToString(sha_ni);
+  };
+  support::Rng rng(17);
+  const auto randomize = [&] {
+    for (std::size_t i = 0; i < blocks.size(); i += 8) {
+      const std::uint64_t word = rng();
+      std::memcpy(blocks.data() + i, &word, 8);
+    }
+  };
+
+  const State iv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  State ones{};
+  ones.fill(0xffffffff);
+  for (const State& start : {iv, State{}, ones}) {
+    for (std::size_t n = 1; n <= 4; ++n) {
+      blocks.fill(0x00);
+      EXPECT_TRUE(check(start, n));
+      blocks.fill(0xff);
+      EXPECT_TRUE(check(start, n));
+      randomize();
+      EXPECT_TRUE(check(start, n));
+    }
+  }
+  for (int trial = 0; trial < 10000; ++trial) {
+    State start{};
+    for (std::uint32_t& word : start) word = static_cast<std::uint32_t>(rng());
+    randomize();
+    ASSERT_TRUE(check(start, 1 + rng.below(4))) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "not an x86-64 build: there is no SHA-NI compression";
+#endif
 }
 
 TEST(Sha256, ContextReuseRejected) {
