@@ -1,7 +1,6 @@
 #include "crypto/hmac.h"
 
 #include <algorithm>
-#include <array>
 
 namespace findep::crypto {
 
@@ -21,8 +20,8 @@ HmacKey::HmacKey(std::span<const std::uint8_t> key) noexcept {
     inner_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36);
     outer_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5c);
   }
-  inner_.update(inner_pad);
-  outer_.update(outer_pad);
+  inner_ = Sha256{}.update(inner_pad).state_;
+  outer_ = Sha256{}.update(outer_pad).state_;
 }
 
 Digest HmacKey::mac(std::span<const std::uint8_t> message) const {

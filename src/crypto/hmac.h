@@ -3,6 +3,8 @@
 // PRF inside the simulated signature and VRF schemes.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -10,10 +12,11 @@
 
 namespace findep::crypto {
 
-/// A key's HMAC schedule: the SHA-256 states after absorbing the inner
-/// and outer pad blocks, computed once per key. Each MAC then resumes
-/// from them, so a MAC over a 32-byte digest costs two compressions
-/// instead of four (plus the key pre-hash, for keys over 64 bytes).
+/// A key's HMAC schedule: the SHA-256 midstates after compressing the
+/// inner and outer pad blocks, computed once per key. Each MAC resumes a
+/// Sha256 from them, so a MAC over a 32-byte digest costs two
+/// compressions instead of four (plus the key pre-hash, for keys over 64
+/// bytes), and the schedule is 64 bytes rather than two whole contexts.
 class HmacKey {
  public:
   /// Keys longer than the 64-byte block are pre-hashed per the RFC.
@@ -22,8 +25,8 @@ class HmacKey {
   [[nodiscard]] Digest mac(std::span<const std::uint8_t> message) const;
 
  private:
-  Sha256 inner_;
-  Sha256 outer_;
+  std::array<std::uint32_t, 8> inner_;
+  std::array<std::uint32_t, 8> outer_;
 };
 
 /// HMAC-SHA256 over `message` with `key` (a one-shot HmacKey).

@@ -87,6 +87,9 @@ std::uint64_t Digest::prefix64() const noexcept {
 
 Sha256::Sha256() noexcept : state_(kInitialState) {}
 
+Sha256::Sha256(const std::array<std::uint32_t, 8>& midstate) noexcept
+    : state_(midstate), total_bytes_(64) {}
+
 namespace sha256_internal {
 
 void compress_portable(State& state, const std::uint8_t* blocks,
@@ -320,12 +323,18 @@ Digest Sha256::finish() {
   compress(buffer_.data(), 1);
   buffered_ = 0;
 
+  // Each state word is stored big-endian: one byte swap per word on a
+  // little-endian host. (GCC vectorizes the equivalent shift-per-byte
+  // loop into a long run of shuffles.)
+  static_assert(std::endian::native == std::endian::little ||
+                std::endian::native == std::endian::big);
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {
-    out.bytes[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out.bytes[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out.bytes[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out.bytes[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    std::uint32_t word = state_[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(out.bytes.data() + 4 * i, &word, sizeof word);
   }
   return out;
 }

@@ -17,6 +17,8 @@
 
 namespace findep::crypto {
 
+class HmacKey;
+
 /// A 256-bit digest. Ordered and hashable so it can key maps.
 struct Digest {
   std::array<std::uint8_t, 32> bytes{};
@@ -50,6 +52,12 @@ class Sha256 {
   [[nodiscard]] Digest finish();
 
  private:
+  friend class HmacKey;
+
+  /// Resumes a context whose first 64-byte block is already folded into
+  /// `midstate` (an HMAC pad block).
+  explicit Sha256(const std::array<std::uint32_t, 8>& midstate) noexcept;
+
   /// Folds `n` whole 64-byte blocks into the state, on SHA-NI when the
   /// CPU has it (sha256_compress.h).
   void compress(const std::uint8_t* blocks, std::size_t n) noexcept;

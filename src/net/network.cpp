@@ -15,11 +15,20 @@ SimNetwork::SimNetwork(sim::Simulator& simulator, NetworkOptions options)
                  options.drop_probability <= 1.0);
 }
 
+void SimNetwork::cover(NodeId node) {
+  if (node < handlers_.size()) return;
+  const std::size_t size = static_cast<std::size_t>(node) + 1;
+  handlers_.resize(size);
+  down_.resize(size, 0);
+  partition_group_.resize(size, 0);
+}
+
 void SimNetwork::attach(NodeId node, Handler handler) {
   FINDEP_REQUIRE(handler != nullptr);
-  const auto [it, inserted] = handlers_.insert_or_assign(node, std::move(handler));
-  (void)it;
-  if (inserted) broadcast_order_stale_ = true;
+  FINDEP_REQUIRE_MSG(!delivering_, "attach() during a delivery");
+  cover(node);
+  if (!handlers_[node]) ++attached_;
+  handlers_[node] = std::move(handler);
 }
 
 double SimNetwork::sample_latency(NodeId from, NodeId to) {
@@ -40,13 +49,12 @@ void SimNetwork::send(NodeId from, NodeId to, Envelope envelope,
   ++stats_.messages_sent;
   stats_.bytes_sent += bytes;
 
-  const auto handler_it = handlers_.find(to);
-  if (handler_it == handlers_.end()) {
+  if (to >= handlers_.size() || !handlers_[to]) {
     ++stats_.messages_dropped;
     return;
   }
 
-  if (!down_.empty() && (down_.contains(from) || down_.contains(to))) {
+  if (is_down(from) || down_[to] != 0) {
     // A crashed node neither sends nor receives (the delivery-time check
     // below covers messages already in flight when the target crashed).
     ++stats_.messages_dropped;
@@ -54,17 +62,9 @@ void SimNetwork::send(NodeId from, NodeId to, Envelope envelope,
   }
 
   if (from != to) {
-    if (!partition_group_.empty()) {  // all nodes in group 0 otherwise
-      const auto ga = partition_group_.find(from);
-      const auto gb = partition_group_.find(to);
-      const std::uint32_t group_a =
-          ga == partition_group_.end() ? 0 : ga->second;
-      const std::uint32_t group_b =
-          gb == partition_group_.end() ? 0 : gb->second;
-      if (group_a != group_b) {
-        ++stats_.messages_dropped;
-        return;
-      }
+    if (group_of(from) != partition_group_[to]) {
+      ++stats_.messages_dropped;
+      return;
     }
     if (filter_ && !filter_(from, to)) {
       ++stats_.messages_dropped;
@@ -84,60 +84,46 @@ void SimNetwork::send(NodeId from, NodeId to, Envelope envelope,
   }
 
   const double latency = from == to ? 0.0 : sample_latency(from, to);
-  // Capture by value: the handler table may change between schedule and
-  // delivery, so we look the handler up again at delivery time. The
+  // Capture by value; the handler is read at delivery time (the target
+  // may crash, or be re-attached, while the message is in flight). The
   // capture shares the envelope body, it does not copy it.
   Message msg{from, to, bytes, std::move(envelope), corrupted};
   sim_->schedule_after(latency, [this, msg = std::move(msg)]() mutable {
-    if (down_.contains(msg.to)) {
+    if (down_[msg.to] != 0) {
       ++stats_.messages_dropped;  // crashed while the message was in flight
       return;
     }
-    const auto it = handlers_.find(msg.to);
-    if (it == handlers_.end() || !it->second) {
-      ++stats_.messages_dropped;
-      return;
-    }
+    // The tables never shrink and a handler is never removed, so the
+    // target that send() found is still attached.
     ++stats_.messages_delivered;
-    it->second(msg);
+    delivering_ = true;
+    handlers_[msg.to](msg);
+    delivering_ = false;
   });
 }
 
 void SimNetwork::broadcast(NodeId from, const Envelope& envelope,
                            std::uint64_t bytes) {
-  // Deterministic order regardless of hash-map iteration, same order the
-  // per-call sort used to produce. The snapshot also keeps iteration
-  // safe if a re-entrant simulator step attaches nodes mid-broadcast
-  // (new nodes then join from the *next* broadcast on, as before). Each
-  // send() copies only the envelope handle; the body is shared by all
+  // Ascending NodeId order, deterministic by construction. Each send()
+  // copies only the envelope handle; the body is shared by all
   // recipients (one allocation for the whole broadcast).
-  if (broadcast_order_stale_) {
-    broadcast_order_.clear();
-    broadcast_order_.reserve(handlers_.size());
-    // findep-lint: allow(unordered-iteration) -- collect-only walk; the snapshot is sorted by NodeId two lines below
-    for (const auto& [node, handler] : handlers_) {
-      broadcast_order_.push_back(node);
-    }
-    std::sort(broadcast_order_.begin(), broadcast_order_.end());
-    broadcast_order_stale_ = false;
-  }
-  for (const NodeId to : broadcast_order_) {
-    if (to != from) send(from, to, envelope, bytes);
+  for (NodeId to = 0; to < handlers_.size(); ++to) {
+    if (to != from && handlers_[to]) send(from, to, envelope, bytes);
   }
 }
 
 void SimNetwork::set_partition_group(NodeId node, std::uint32_t group) {
+  cover(node);
   partition_group_[node] = group;
 }
 
-void SimNetwork::heal_partitions() { partition_group_.clear(); }
+void SimNetwork::heal_partitions() {
+  std::fill(partition_group_.begin(), partition_group_.end(), 0);
+}
 
 void SimNetwork::set_node_down(NodeId node, bool down) {
-  if (down) {
-    down_.insert(node);
-  } else {
-    down_.erase(node);
-  }
+  cover(node);
+  down_[node] = down ? 1 : 0;
 }
 
 }  // namespace findep::net

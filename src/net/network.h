@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/envelope.h"
@@ -73,12 +71,13 @@ class SimNetwork {
 
   SimNetwork(sim::Simulator& simulator, NetworkOptions options);
 
-  /// Registers (or replaces) the delivery handler of a node.
+  /// Registers (or replaces) the delivery handler of a node. Call it
+  /// while setting up, not from inside a delivery: growing the handler
+  /// table would move the handler that is running.
   void attach(NodeId node, Handler handler);
 
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return handlers_.size();
-  }
+  /// Attached nodes (a re-attached node counts once).
+  [[nodiscard]] std::size_t node_count() const noexcept { return attached_; }
 
   /// Sends `envelope` from -> to; delivery is scheduled unless dropped by
   /// loss, partition or the filter. Self-sends are delivered with zero
@@ -105,8 +104,8 @@ class SimNetwork {
   /// exactly the window a real crash loses. The node's handler stays
   /// attached, so a restart resumes delivery with no re-registration.
   void set_node_down(NodeId node, bool down);
-  [[nodiscard]] bool is_down(NodeId node) const {
-    return down_.contains(node);
+  [[nodiscard]] bool is_down(NodeId node) const noexcept {
+    return node < down_.size() && down_[node] != 0;
   }
 
   /// Installs an adversarial filter (nullptr clears).
@@ -127,18 +126,27 @@ class SimNetwork {
 
  private:
   [[nodiscard]] double sample_latency(NodeId from, NodeId to);
+  /// Grows the per-node tables to cover `node`.
+  void cover(NodeId node);
+  [[nodiscard]] std::uint32_t group_of(NodeId node) const noexcept {
+    return node < partition_group_.size() ? partition_group_[node] : 0;
+  }
 
   sim::Simulator* sim_;
   NetworkOptions options_;
   support::Rng rng_;
-  std::unordered_map<NodeId, Handler> handlers_;
-  /// Sorted broadcast destinations, rebuilt only when the node set
-  /// changes: a 10k-node broadcast must not re-sort 10k ids per call.
-  std::vector<NodeId> broadcast_order_;
-  bool broadcast_order_stale_ = true;
-  std::unordered_map<NodeId, std::uint32_t> partition_group_;
-  /// Nodes currently crashed (lookup-only; never iterated).
-  std::unordered_set<NodeId> down_;
+  // Per-node tables indexed by NodeId, all of one length. Every id in
+  // findep is a small dense integer (replicas 0..n-1 with the client at
+  // n, the attestation service next to its replicas, gossip nodes
+  // 0..N-1), so a vector slot replaces a hash lookup on every send and
+  // delivery. An id past the tables has no handler, is up and is in
+  // group 0.
+  std::vector<Handler> handlers_;  ///< empty until attach()
+  std::vector<std::uint8_t> down_;
+  std::vector<std::uint32_t> partition_group_;
+  std::size_t attached_ = 0;
+  /// A handler is running; attach() must not grow the table under it.
+  bool delivering_ = false;
   MessageFilter filter_;
   DelayPolicy delay_policy_;
   CorruptPolicy corrupt_;

@@ -46,6 +46,7 @@ void Cluster::init(std::vector<double> weights,
   registry_.enroll(*client_keys_);
   client_id_ = static_cast<net::NodeId>(n);
 
+  real_executed_.assign(n, 0);
   ReplicaOptions ropts = options_.replica;
   for (std::size_t i = 0; i < n; ++i) {
     ropts.behavior = behaviors_[i];
@@ -61,10 +62,10 @@ void Cluster::init(std::vector<double> weights,
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     }
+    replicas_.back()->set_execution_listener(
+        [this, i](const ExecutedEntry& e) { record_execution(i, e); });
     replicas_.back()->start();
   }
-  observed_.assign(n, 0);
-  real_executed_.assign(n, 0);
 }
 
 Pbft& Cluster::replica(std::size_t i) {
@@ -111,42 +112,32 @@ std::uint64_t Cluster::submit() {
   return rid;
 }
 
-void Cluster::observe_executions() {
-  // Record the earliest honest execution time per request; scans only
-  // entries appended since the previous observation.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const auto& log = replicas_[i]->executed();
-    for (std::size_t j = observed_[i]; j < log.size(); ++j) {
-      const ExecutedEntry& e = log[j];
-      if (e.request.id == 0) continue;
-      ++real_executed_[i];
-      if (behaviors_[i] != Behavior::kHonest) continue;
-      const std::size_t idx = static_cast<std::size_t>(e.request.id) - 1;
-      if (idx < traces_.size() && !traces_[idx].done()) {
-        traces_[idx].executed_at = sim_.now();
-      }
-    }
-    observed_[i] = log.size();
+void Cluster::record_execution(std::size_t replica, const ExecutedEntry& e) {
+  if (e.request.id == 0) return;  // a no-op filler, not a request
+  ++real_executed_[replica];
+  executed_grew_ = true;
+  if (behaviors_[replica] != Behavior::kHonest) return;
+  // The earliest honest execution time per request. The listener runs in
+  // the step that executes, so now() is that step's time.
+  const std::size_t idx = static_cast<std::size_t>(e.request.id) - 1;
+  if (idx < traces_.size() && !traces_[idx].done()) {
+    traces_[idx].executed_at = sim_.now();
   }
 }
 
 bool Cluster::run_until_executed(std::size_t count, double deadline) {
-  while (sim_.now() < deadline) {
-    if (min_honest_executed() >= count) return true;
-    if (!sim_.has_pending()) break;
+  bool reached = min_honest_executed() >= count;
+  while (!reached && sim_.now() < deadline && sim_.has_pending()) {
+    executed_grew_ = false;
     sim_.step();
-    observe_executions();
+    if (executed_grew_) reached = min_honest_executed() >= count;
   }
-  observe_executions();
-  return min_honest_executed() >= count;
+  return reached;
 }
 
 void Cluster::run_for(double duration) {
   const double deadline = sim_.now() + duration;
-  while (sim_.now() < deadline && sim_.has_pending()) {
-    sim_.step();
-    observe_executions();
-  }
+  while (sim_.now() < deadline && sim_.has_pending()) sim_.step();
 }
 
 bool Cluster::logs_consistent() const {

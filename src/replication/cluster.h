@@ -132,7 +132,9 @@ class Cluster {
 
  private:
   void init(std::vector<double> weights, std::vector<Behavior> behaviors);
-  void observe_executions();
+  /// The execution listener of replica `replica`: counts each real entry
+  /// its log gains and stamps a request's first honest execution.
+  void record_execution(std::size_t replica, const ExecutedEntry& e);
 
   sim::Simulator sim_;
   ClusterOptions options_;
@@ -142,10 +144,11 @@ class Cluster {
   std::vector<std::unique_ptr<OrderingProtocol>> replicas_;
   std::vector<Behavior> behaviors_;
   std::vector<RequestTrace> traces_;
-  /// Per-replica cursor into executed() already scanned (and the count of
-  /// real, non-noop entries seen so far), so observation is O(new).
-  std::vector<std::size_t> observed_;
+  /// Real (non-noop) entries in each replica's log, counted as they are
+  /// appended.
   std::vector<std::size_t> real_executed_;
+  /// Some log gained a real entry since run_until_executed last looked.
+  bool executed_grew_ = false;
   std::uint64_t next_request_id_ = 1;
   net::NodeId client_id_ = 0;
 };

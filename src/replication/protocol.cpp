@@ -35,8 +35,13 @@ void OrderingProtocol::execute_batch(SeqNum seq, const Batch& batch) {
       if (!executed_ids_.insert(r.id).second) continue;
       pending_requests_.erase(r.id);
     }
-    executed_.push_back(ExecutedEntry{seq, r});
+    append_executed(ExecutedEntry{seq, r});
   }
+}
+
+void OrderingProtocol::append_executed(const ExecutedEntry& entry) {
+  executed_.push_back(entry);
+  if (on_executed_) on_executed_(entry);
 }
 
 std::vector<const Request*> OrderingProtocol::pending_by_id() const {
@@ -163,7 +168,7 @@ bool OrderingProtocol::on_state_response(const StateResponse& resp,
       executed_ids_.insert(e.request.id);
       pending_requests_.erase(e.request.id);
     }
-    executed_.push_back(e);
+    append_executed(e);
   }
   last_executed_ = resp.checkpoint.seq;
   ++state_transfers_completed_;

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -103,6 +104,13 @@ class OrderingProtocol {
 
   /// Attaches the network handler. Call once before the simulation runs.
   void start() { harness_.start(); }
+  /// Receives each entry as it is appended to the log, by execute_batch
+  /// and by a state-transfer adoption alike, inside the simulator step
+  /// that appends it. The Cluster installs one per replica.
+  using ExecutionListener = std::function<void(const ExecutedEntry&)>;
+  void set_execution_listener(ExecutionListener listener) {
+    on_executed_ = std::move(listener);
+  }
   /// Client entry point: hands a request to this replica (a silent
   /// replica drops it).
   void submit(const Request& request) {
@@ -276,6 +284,10 @@ class OrderingProtocol {
   StateFetchMachine fetch_;
 
  private:
+  /// Appends `entry` to the log and hands it to the listener.
+  void append_executed(const ExecutedEntry& entry);
+
+  ExecutionListener on_executed_;
   std::uint64_t state_transfers_completed_ = 0;
   std::uint64_t state_transfers_rejected_ = 0;
   std::uint64_t state_transfer_bytes_ = 0;

@@ -1,6 +1,9 @@
-// Helpers shared by the PBFT cluster suites.
+// Helpers shared by the BFT cluster suites (PBFT and HotStuff).
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <set>
 
@@ -27,6 +30,35 @@ inline std::set<std::uint64_t> executed_ids(const OrderingProtocol& replica) {
     if (e.request.id != 0) ids.insert(e.request.id);
   }
   return ids;
+}
+
+/// Recounts the honest logs and checks them against what the Cluster
+/// recorded as the logs grew: the smallest count of real entries equals
+/// min_honest_executed(), and completed_requests() equals the submitted
+/// ids some honest replica executed. A log append that bypasses the
+/// execution listener shows up here.
+inline void expect_recorded_executions_match_logs(const Cluster& cluster) {
+  std::size_t min_count = SIZE_MAX;
+  bool any_honest = false;
+  std::set<std::uint64_t> executed_somewhere;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const OrderingProtocol& replica = cluster.node(i);
+    if (replica.behavior() != Behavior::kHonest) continue;
+    any_honest = true;
+    std::size_t count = 0;
+    for (const ExecutedEntry& e : replica.executed()) {
+      if (e.request.id == 0) continue;
+      ++count;
+      executed_somewhere.insert(e.request.id);
+    }
+    min_count = std::min(min_count, count);
+  }
+  EXPECT_EQ(cluster.min_honest_executed(), any_honest ? min_count : 0);
+  std::size_t completed = 0;
+  for (const RequestTrace& t : cluster.traces()) {
+    if (executed_somewhere.contains(t.request_id)) ++completed;
+  }
+  EXPECT_EQ(cluster.completed_requests(), completed);
 }
 
 }  // namespace findep::replication

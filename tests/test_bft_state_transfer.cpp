@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 
+#include "bft_test_util.h"
 #include "replication/cluster.h"
 #include "scenarios/bft_churn.h"
 #include "support/assert.h"
@@ -75,6 +76,8 @@ TEST(BftStateTransfer, LaggardRecoversAcrossMultiCheckpointOutage) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_LE(cluster.replica(i).view_changes_started(), 10u) << i;
   }
+  // The laggard's adopted suffix is counted like executed batches.
+  expect_recorded_executions_match_logs(cluster);
 }
 
 TEST(BftStateTransfer, DisabledStateTransferReproducesStranding) {

@@ -248,9 +248,33 @@ TEST(Hmac, LongKeyIsPreHashed) {
       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// HMAC spelled out from RFC 2104 with one-shot sha256() calls, no key
+// schedule: H((K ^ opad) || H((K ^ ipad) || m)).
+Digest rfc2104_hmac(const std::vector<std::uint8_t>& key,
+                    const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> k(64, 0);
+  if (key.size() > 64) {
+    const Digest hashed = sha256(key);
+    std::copy(hashed.bytes.begin(), hashed.bytes.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::vector<std::uint8_t> inner_input;
+  std::vector<std::uint8_t> outer_input;
+  for (const std::uint8_t b : k) {
+    inner_input.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+    outer_input.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  }
+  inner_input.insert(inner_input.end(), message.begin(), message.end());
+  const Digest inner = sha256(inner_input);
+  outer_input.insert(outer_input.end(), inner.bytes.begin(),
+                     inner.bytes.end());
+  return sha256(outer_input);
+}
+
 TEST(Hmac, KeyScheduleIsReusable) {
   // One HmacKey serves any number of messages, each equal to the one-shot
-  // HMAC: mac() resumes from copies of the pad states, never consuming
+  // HMAC: mac() resumes from the stored pad midstates, never consuming
   // them.
   const std::vector<std::uint8_t> key(20, 0x0b);
   const HmacKey schedule(key);
@@ -260,6 +284,27 @@ TEST(Hmac, KeyScheduleIsReusable) {
   }
   EXPECT_EQ(schedule.mac(bytes_of("Hi There")).to_hex(),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+
+  // Every key class (empty, short, one block, pre-hashed) against every
+  // padding case of the resumed inner hash: with the 64 pad bytes already
+  // counted, 56..63 and 120 message bytes spill finish() into a second
+  // padding block, which none of the RFC 4231 vectors (8..54 bytes) reach.
+  for (const std::size_t key_len : {0, 20, 64, 65, 131}) {
+    std::vector<std::uint8_t> k(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) {
+      k[i] = static_cast<std::uint8_t>(0x80 + i);
+    }
+    const HmacKey reusable(k);
+    for (const std::size_t msg_len :
+         {0, 31, 32, 33, 55, 56, 63, 64, 119, 120}) {
+      std::vector<std::uint8_t> m(msg_len);
+      for (std::size_t i = 0; i < msg_len; ++i) {
+        m[i] = static_cast<std::uint8_t>(3 * i + 1);
+      }
+      EXPECT_EQ(reusable.mac(m), rfc2104_hmac(k, m))
+          << "key " << key_len << " bytes, message " << msg_len << " bytes";
+    }
+  }
 }
 
 TEST(Hmac, DifferentKeysDiffer) {
@@ -325,6 +370,9 @@ TEST(Keys, SignatureBytesArePinned) {
             "40fae495c1d9e25b3f7125be129655a13ac0a3b5204c1aea0d0ab4892e39395b");
   EXPECT_EQ(keys.sign("findep").tag.to_hex(),
             "238e5540dfd177c82e35b6c386eed2b468531c4b96fcbc345f7abc4fdfb4228f");
+  // Every BFT signature is over a 32-byte digest; pin that length too.
+  EXPECT_EQ(keys.sign(sha256("findep")).tag.to_hex(),
+            "5276ec2ed5eb427e55e97c6311accdf9c66b0503fe8eb4f98d1386592c3437d7");
 }
 
 TEST(Keys, SignatureBindsToSigner) {

@@ -8,13 +8,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "bft_test_util.h"
 #include "replication/cluster.h"
 #include "support/assert.h"
 
 namespace findep::replication {
 namespace {
 
-ClusterOptions fast_options(std::uint64_t seed = 1) {
+ClusterOptions hotstuff_options(std::uint64_t seed = 1) {
   ClusterOptions opt;
   opt.network.min_latency = 0.005;
   opt.network.mean_extra_latency = 0.01;
@@ -37,7 +38,7 @@ std::uint64_t total_timeouts(Cluster& cluster,
 }
 
 TEST(HotStuff, HappyPathExecutesAndAgrees) {
-  Cluster cluster(4, fast_options());
+  Cluster cluster(4, hotstuff_options());
   for (int i = 0; i < 5; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(5, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -51,7 +52,7 @@ TEST(HotStuff, HappyPathExecutesAndAgrees) {
 class HotStuffSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HotStuffSizes, ExecutesAcrossClusterSizes) {
-  Cluster cluster(GetParam(), fast_options(GetParam()));
+  Cluster cluster(GetParam(), hotstuff_options(GetParam()));
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0)) << GetParam();
   EXPECT_TRUE(cluster.logs_consistent());
@@ -65,7 +66,7 @@ TEST(HotStuff, LeaderCrashMidChainTimesOutOntoNextLeader) {
   // leaders extend the highest QC across the dead replica's rounds: with
   // the two-chain rule a run of three consecutive live leaders commits,
   // and n = 4 with one crash always has one.
-  Cluster cluster(4, fast_options(7));
+  Cluster cluster(4, hotstuff_options(7));
   for (int i = 0; i < 4; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(4, 30.0));
   const SeqNum before = cluster.hotstuff(0).committed_height();
@@ -89,6 +90,7 @@ TEST(HotStuff, LeaderCrashMidChainTimesOutOntoNextLeader) {
   }
   EXPECT_TRUE(timed_out);
   EXPECT_GT(after, before);  // the chain kept extending past the crash
+  expect_recorded_executions_match_logs(cluster);
 }
 
 TEST(HotStuff, CertifiedBatchSurvivesRotationAcrossPartition) {
@@ -99,7 +101,7 @@ TEST(HotStuff, CertifiedBatchSurvivesRotationAcrossPartition) {
   // carry an outdated high-QC) draw a catch-up QC notice from the
   // quiescent majority — the batch the wedge was cut off from commits
   // for them too instead of forking or vanishing.
-  Cluster cluster(7, fast_options(11));
+  Cluster cluster(7, hotstuff_options(11));
   for (int i = 0; i < 3; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(3, 30.0));
 
@@ -124,7 +126,7 @@ TEST(HotStuff, EquivocatingLeaderRejectedByQcRules) {
   // forged request (ids carry the 2^63 marker bit) ever executes.
   std::vector<Behavior> behaviors(4, Behavior::kHonest);
   behaviors[1] = Behavior::kEquivocate;
-  Cluster cluster(4, fast_options(13), behaviors);
+  Cluster cluster(4, hotstuff_options(13), behaviors);
   for (int i = 0; i < 4; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(4, 90.0));
   EXPECT_TRUE(cluster.logs_consistent());
@@ -143,7 +145,7 @@ TEST(HotStuff, QcNoticeRepeatingOneVoteIsRejected) {
   // round 1000 built that way must leave the receiver's high-QC where it
   // was. The control, the same notice signed by three distinct voters,
   // is adopted.
-  const ClusterOptions opt = fast_options(19);
+  const ClusterOptions opt = hotstuff_options(19);
   Cluster cluster(4, opt);
   for (int i = 0; i < 3; ++i) cluster.submit();
   ASSERT_TRUE(cluster.run_until_executed(3, 30.0));
@@ -187,7 +189,7 @@ TEST(HotStuff, LinearMessagingBeatsPbftQuadraticAtN25) {
   const int kRequests = 8;
 
   auto run = [&](Protocol protocol) {
-    ClusterOptions opt = fast_options(17);
+    ClusterOptions opt = hotstuff_options(17);
     opt.protocol = protocol;
     Cluster cluster(kN, opt);
     for (int i = 0; i < kRequests; ++i) cluster.submit();

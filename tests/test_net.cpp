@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "net/gossip.h"
 #include "net/network.h"
@@ -133,6 +134,74 @@ TEST(Network, BroadcastReachesEveryoneButSender) {
   EXPECT_EQ(hits[1], 1);
   EXPECT_EQ(hits[2], 0);
   EXPECT_EQ(hits[3], 1);
+}
+
+TEST(Network, CrashedNodeNeitherSendsNorReceives) {
+  sim::Simulator sim;
+  SimNetwork net(sim, fast_network());
+  int received = 0;
+  net.attach(0, [&](const Message&) { ++received; });
+  net.attach(1, [&](const Message&) { ++received; });
+  EXPECT_FALSE(net.is_down(1));
+  EXPECT_FALSE(net.is_down(42));  // never seen
+
+  // Down: sends from and to the node are dropped at the source.
+  net.set_node_down(1, true);
+  EXPECT_TRUE(net.is_down(1));
+  net.send(1, 0, Probe{1, {}});
+  net.send(0, 1, Probe{2, {}});
+  EXPECT_FALSE(sim.has_pending());
+  EXPECT_EQ(net.stats().messages_dropped, 2u);
+
+  // A message in flight to a node that goes down is dropped at delivery.
+  net.set_node_down(1, false);
+  net.send(0, 1, Probe{3, {}});
+  EXPECT_TRUE(sim.has_pending());
+  net.set_node_down(1, true);
+  sim.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(net.stats().messages_dropped, 3u);
+
+  // Restarted: delivery resumes with the handler still attached.
+  net.set_node_down(1, false);
+  net.send(0, 1, Probe{4, {}});
+  sim.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(net.stats().messages_dropped, 3u);
+}
+
+TEST(Network, SparseIdsBroadcastAscendingAndReattachReplaces) {
+  sim::Simulator sim;
+  NetworkOptions opt;
+  opt.min_latency = 0.01;
+  opt.mean_extra_latency = 0.0;  // one delivery time: runs in send order
+  SimNetwork net(sim, opt);
+  std::vector<NodeId> order;
+  for (const NodeId n : {9u, 0u, 5u}) {
+    net.attach(n, [&order, n](const Message&) { order.push_back(n); });
+  }
+  EXPECT_EQ(net.node_count(), 3u);
+
+  net.broadcast(5, Probe{1, {}});
+  sim.run();
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 9}));
+
+  // Re-attaching replaces the handler and does not add a node.
+  net.attach(9, [&order](const Message&) { order.push_back(900); });
+  EXPECT_EQ(net.node_count(), 3u);
+  order.clear();
+  net.broadcast(5, Probe{2, {}});
+  sim.run();
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 900}));
+
+  // Ids past the table, and gaps inside it, have no handler.
+  const std::uint64_t dropped = net.stats().messages_dropped;
+  net.send(5, 1'000'000, Probe{3, {}});
+  net.send(5, 1, Probe{4, {}});
+  EXPECT_EQ(net.stats().messages_dropped, dropped + 2);
+  EXPECT_EQ(net.node_count(), 3u);
+  EXPECT_FALSE(net.is_down(1'000'000));
 }
 
 TEST(Network, BytesAccounting) {
