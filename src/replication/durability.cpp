@@ -23,27 +23,32 @@ bool CheckpointStore::on_vote(const bft::Checkpoint& cp, bft::ReplicaId from,
   const bft::SeqNum window_top =
       std::max(stable_, last_executed) + 2 * interval;
   if (cp.seq > window_top) return false;
-  auto& by_digest = votes_[cp.seq];
-  // One vote per sender per seq (first wins): bounds the per-seq digest
-  // fan-out an equivocating voter could otherwise create.
-  for (const auto& [digest, votes] : by_digest) {
-    if (votes.contains(from)) return false;
+  std::vector<DigestVotes>& by_digest = votes_[cp.seq];
+  DigestVotes* votes = nullptr;
+  for (DigestVotes& d : by_digest) {
+    // One vote per sender per seq (first wins): bounds the per-seq
+    // digest fan-out an equivocating voter could otherwise create.
+    if (d.voters.contains(from)) return false;
+    if (d.state_digest == cp.state_digest) votes = &d;
   }
-  auto& votes = by_digest[cp.state_digest];
-  votes[from] = bft::SignedCheckpoint{from, cp, signature};
-  double weight = 0.0;
-  for (const auto& [voter, vote] : votes) {
-    weight += harness_->weight_of(voter);
+  if (votes == nullptr) {
+    votes = &by_digest.emplace_back(
+        DigestVotes{cp.state_digest, VoteTally(harness_->n()), {}});
   }
-  if (!harness_->is_quorum(weight)) return false;
+  votes->voters.add(from);
+  votes->votes.push_back(bft::SignedCheckpoint{from, cp, signature});
+  if (!harness_->is_quorum(harness_->vote_weight(votes->voters))) {
+    return false;
+  }
 
   stable_ = cp.seq;
   digest_ = cp.state_digest;
-  proof_.clear();
-  proof_.reserve(votes.size());
-  for (const auto& [voter, vote] : votes) {
-    proof_.push_back(vote);
-  }
+  // The proof lists its votes in ascending sender order.
+  proof_ = std::move(votes->votes);
+  std::sort(proof_.begin(), proof_.end(),
+            [](const bft::SignedCheckpoint& a, const bft::SignedCheckpoint& b) {
+              return a.sender < b.sender;
+            });
   // Adopting a remote stable checkpoint retires any pending own
   // checkpoint at or below it: re-broadcasting a stale own checkpoint
   // for an already-stable seq would only feed dead vote rounds (two

@@ -76,6 +76,14 @@ class CheckpointStore {
   }
 
  private:
+  /// The votes at one seq for one state digest: who voted, and their
+  /// signed votes in arrival order (sorted by sender into the proof).
+  struct DigestVotes {
+    crypto::Digest state_digest;
+    VoteTally voters;
+    std::vector<bft::SignedCheckpoint> votes;
+  };
+
   void prune_votes();
 
   const NodeHarness* harness_;
@@ -83,12 +91,11 @@ class CheckpointStore {
   crypto::Digest digest_;
   std::vector<bft::SignedCheckpoint> proof_;
   bft::SeqNum last_sent_ = 0;
-  /// seq -> state digest -> voters (digest-keyed so a Byzantine replica
-  /// cannot contribute to a checkpoint it does not actually hold).
-  std::map<bft::SeqNum, std::map<crypto::Digest,
-                                 std::map<bft::ReplicaId,
-                                          bft::SignedCheckpoint>>>
-      votes_;
+  /// seq -> the votes for each state digest claimed there (digest-keyed
+  /// so a Byzantine replica cannot contribute to a checkpoint it does
+  /// not actually hold). One vote per sender per seq bounds each list
+  /// at n digests; honest voters name one.
+  std::map<bft::SeqNum, std::vector<DigestVotes>> votes_;
 };
 
 class StateFetchMachine {

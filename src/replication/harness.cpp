@@ -44,13 +44,6 @@ double NodeHarness::weight_of(bft::ReplicaId r) const {
   return weights_[r];
 }
 
-double NodeHarness::vote_weight(
-    const std::map<bft::ReplicaId, double>& votes) const {
-  double sum = 0.0;
-  for (const auto& [replica, weight] : votes) sum += weight;
-  return sum;
-}
-
 void NodeHarness::start() {
   FINDEP_REQUIRE_MSG(!started_, "start() called twice");
   started_ = true;

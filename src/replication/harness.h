@@ -12,7 +12,8 @@
 // modeled-crypto machinery for free.
 #pragma once
 
-#include <map>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,10 +22,54 @@
 #include "replication/options.h"
 #include "runtime/workers.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
 
 namespace findep::replication {
 
 class OrderingProtocol;
+
+/// The voters of one vote, as bits indexed by ReplicaId and sized once
+/// from the cluster size, so recording a vote allocates nothing. Every
+/// vote a replica counts as it arrives goes into one: PBFT prepare and
+/// commit votes, HotStuff QC and timeout votes, and checkpoint votes.
+class VoteTally {
+ public:
+  explicit VoteTally(std::size_t n) : n_(n), words_((n + 63) / 64, 0) {}
+
+  /// Records `r`'s vote. True when `r` had already voted; the tally is
+  /// then unchanged.
+  bool add(bft::ReplicaId r) {
+    FINDEP_REQUIRE(r < n_);
+    std::uint64_t& word = words_[r / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    const bool repeat = (word & bit) != 0;
+    word |= bit;
+    return repeat;
+  }
+  [[nodiscard]] bool contains(bft::ReplicaId r) const noexcept {
+    return r < n_ && (words_[r / 64] >> (r % 64) & 1) != 0;
+  }
+
+  /// The voters' `weights` summed in ascending replica id, from 0.0.
+  /// Never in arrival order: floating-point addition does not
+  /// associate, so the order can flip a quorum. With weights {0.1, 0.1,
+  /// 0.3, 0.4}, voters {0, 1, 3} sum to 0.6000000000000001 in id order,
+  /// more than 2/3 of 0.9, but to exactly 0.6 added as 0, 3, 1.
+  [[nodiscard]] double weight(const std::vector<double>& weights) const {
+    FINDEP_REQUIRE(weights.size() == n_);
+    double sum = 0.0;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        sum += weights[w * 64 + std::countr_zero(bits)];
+      }
+    }
+    return sum;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::uint64_t> words_;
+};
 
 class NodeHarness {
  public:
@@ -58,8 +103,10 @@ class NodeHarness {
   /// Cluster size (weights and directory share it).
   [[nodiscard]] std::size_t n() const noexcept { return weights_.size(); }
   [[nodiscard]] double weight_of(bft::ReplicaId r) const;
-  [[nodiscard]] double vote_weight(
-      const std::map<bft::ReplicaId, double>& votes) const;
+  /// The tally's voting power, summed in ascending replica id.
+  [[nodiscard]] double vote_weight(const VoteTally& tally) const {
+    return tally.weight(weights_);
+  }
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
   [[nodiscard]] bool is_quorum(double weight) const noexcept {
     return weight > 2.0 * total_weight_ / 3.0;

@@ -280,19 +280,20 @@ void HotStuff::on_vote(const HsVote& v, ReplicaId from,
   if (leader_of(v.round + 1) != id()) return;  // not ours to collect
   if (v.round + 1 < round_) return;            // stale round
   if (high_qc_.round >= v.round) return;       // QC already formed
-  auto& set = votes_[v.round][v.block_digest];
+  VoteSet& set =
+      votes_[v.round].try_emplace(v.block_digest, harness_.n()).first->second;
   set.height = v.height;
-  if (set.votes.contains(from)) return;  // one vote per voter (first wins)
-  set.votes[from] = HsSignedVote{from, signature};
-  double weight = 0.0;
-  for (const auto& [voter, sv] : set.votes) weight += weight_of(voter);
-  if (!is_quorum(weight)) return;
+  if (set.voters.add(from)) return;  // one vote per voter (first wins)
+  set.votes.push_back(HsSignedVote{from, signature});
+  if (!is_quorum(vote_weight(set.voters))) return;
 
-  // Quorum: assemble the QC (voter-ordered — the map iterates replica
-  // ids ascending, so every replica would build the identical proof).
-  QuorumCert qc{v.round, v.height, v.block_digest, {}};
-  qc.votes.reserve(set.votes.size());
-  for (const auto& [voter, sv] : set.votes) qc.votes.push_back(sv);
+  // Quorum: assemble the QC in ascending voter order, so every replica
+  // would build the identical proof.
+  QuorumCert qc{v.round, v.height, v.block_digest, std::move(set.votes)};
+  std::sort(qc.votes.begin(), qc.votes.end(),
+            [](const HsSignedVote& a, const HsSignedVote& b) {
+              return a.voter < b.voter;
+            });
   votes_.erase(votes_.begin(), votes_.upper_bound(v.round));
   FINDEP_BFT_TRACE("t=%.3f [%u] hs qc round=%llu h=%llu\n", sim().now(),
                    id(), (unsigned long long)qc.round,
@@ -508,10 +509,10 @@ void HotStuff::on_timeout(const HsTimeout& t, ReplicaId from) {
     ensure_pacemaker();
     return;
   }
-  auto& voters = timeout_votes_[t.round];
-  voters[from] = weight_of(from);
-  double weight = 0.0;
-  for (const auto& [voter, w] : voters) weight += w;
+  VoteTally& voters =
+      timeout_votes_.try_emplace(t.round, harness_.n()).first->second;
+  voters.add(from);
+  const double weight = vote_weight(voters);
   // Amplification (the Bracha-echo of pacemakers): more than a third of
   // the power expired t.round, so at least one *honest* replica is stuck
   // there — join its timeout even though our own pacemaker is idle. This

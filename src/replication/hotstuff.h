@@ -117,11 +117,14 @@ class HotStuff final : public OrderingProtocol {
       const Payload& payload) const override;
 
  private:
-  /// Vote accumulator for one (round, block digest) pair. The signed
-  /// votes become the QC's proof when quorum weight is reached.
+  /// Vote accumulator for one (round, block digest) pair: who voted,
+  /// and their signed votes in arrival order, which become the QC's
+  /// proof (sorted by voter) when quorum weight is reached.
   struct VoteSet {
+    explicit VoteSet(std::size_t n) : voters(n) {}
     SeqNum height = 0;
-    std::map<ReplicaId, HsSignedVote> votes;
+    VoteTally voters;
+    std::vector<HsSignedVote> votes;
   };
 
   // --- dispatch ---------------------------------------------------------
@@ -208,11 +211,11 @@ class HotStuff final : public OrderingProtocol {
 
   /// round -> block digest -> vote accumulator (leader side).
   std::map<Round, std::map<crypto::Digest, VoteSet>> votes_;
-  /// round -> timeout voters and weights. Every replica accumulates
-  /// these (timeouts are broadcast): leaders watch for the > 2/3 quorum
-  /// that licenses proposing, everyone watches for the > 1/3 weight that
-  /// triggers timeout amplification.
-  std::map<Round, std::map<ReplicaId, double>> timeout_votes_;
+  /// round -> timeout voters. Every replica accumulates these (timeouts
+  /// are broadcast): leaders watch for the > 2/3 quorum that licenses
+  /// proposing, everyone watches for the > 1/3 weight that triggers
+  /// timeout amplification.
+  std::map<Round, VoteTally> timeout_votes_;
   /// Highest round this replica has broadcast its own HsTimeout for
   /// (pacemaker expiry or amplification join) — one announcement per
   /// round.

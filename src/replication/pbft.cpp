@@ -234,12 +234,11 @@ void Pbft::accept_preprepare(const PrePrepare& pp) {
   slot.batch = pp.batch;
   slot.batch_digest = digest;
   // The primary's pre-prepare doubles as its prepare vote.
-  slot.prepare_votes[digest][primary_of(pp.view)] =
-      weight_of(primary_of(pp.view));
+  add_vote(slot.prepare_votes, digest, primary_of(pp.view));
 
   if (!slot.sent_prepare && id() != primary_of(pp.view)) {
     slot.sent_prepare = true;
-    slot.prepare_votes[digest][id()] = weight_of(id());
+    add_vote(slot.prepare_votes, digest, id());
     broadcast(Prepare{pp.view, pp.seq, digest});
   }
   // Track the batch's requests for liveness even if they reached us only
@@ -263,7 +262,7 @@ void Pbft::on_prepare(const Prepare& p, ReplicaId from) {
   }
   if (p.seq <= last_executed_) return;
   Slot& slot = slots_[p.seq];
-  slot.prepare_votes[p.request_digest][from] = weight_of(from);
+  add_vote(slot.prepare_votes, p.request_digest, from);
   maybe_prepared(p.seq);
 }
 
@@ -272,15 +271,15 @@ void Pbft::maybe_prepared(SeqNum seq) {
   if (it == slots_.end()) return;
   Slot& slot = it->second;
   if (!slot.have_preprepare || slot.prepared) return;
-  const auto votes = slot.prepare_votes.find(slot.batch_digest);
-  if (votes == slot.prepare_votes.end()) return;
-  if (!is_quorum(vote_weight(votes->second))) return;
+  if (!is_quorum(digest_weight(slot.prepare_votes, slot.batch_digest))) {
+    return;
+  }
 
   slot.prepared = true;
   slot.prepared_view = view_;
   if (!slot.sent_commit) {
     slot.sent_commit = true;
-    slot.commit_votes[slot.batch_digest][id()] = weight_of(id());
+    add_vote(slot.commit_votes, slot.batch_digest, id());
     broadcast(Commit{view_, seq, slot.batch_digest});
   }
   maybe_committed(seq);
@@ -293,7 +292,7 @@ void Pbft::on_commit(const Commit& c, ReplicaId from) {
   }
   if (c.seq <= last_executed_) return;
   Slot& slot = slots_[c.seq];
-  slot.commit_votes[c.request_digest][from] = weight_of(from);
+  add_vote(slot.commit_votes, c.request_digest, from);
   maybe_committed(c.seq);
 }
 
@@ -320,15 +319,34 @@ void Pbft::maybe_committed(SeqNum seq) {
   if (it == slots_.end()) return;
   Slot& slot = it->second;
   if (!slot.prepared || slot.committed) return;
-  const auto votes = slot.commit_votes.find(slot.batch_digest);
-  if (votes == slot.commit_votes.end()) return;
-  if (!is_quorum(vote_weight(votes->second))) return;
+  if (!is_quorum(digest_weight(slot.commit_votes, slot.batch_digest))) {
+    return;
+  }
   slot.committed = true;
   FINDEP_BFT_TRACE("t=%.3f [%u] committed seq=%llu view=%llu le=%llu\n",
                    sim().now(), id(), (unsigned long long)seq,
                    (unsigned long long)view_,
                    (unsigned long long)last_executed_);
   execute_ready();
+}
+
+void Pbft::add_vote(std::vector<DigestTally>& votes,
+                    const crypto::Digest& digest, ReplicaId voter) const {
+  for (DigestTally& tally : votes) {
+    if (tally.first == digest) {
+      tally.second.add(voter);
+      return;
+    }
+  }
+  votes.emplace_back(digest, VoteTally(harness_.n())).second.add(voter);
+}
+
+double Pbft::digest_weight(const std::vector<DigestTally>& votes,
+                           const crypto::Digest& digest) const {
+  for (const DigestTally& tally : votes) {
+    if (tally.first == digest) return vote_weight(tally.second);
+  }
+  return 0.0;
 }
 
 void Pbft::execute_ready() {

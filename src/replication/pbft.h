@@ -96,16 +96,20 @@ class Pbft final : public OrderingProtocol {
       const Payload& payload) const override;
 
  private:
+  /// One digest's votes in one phase of a slot.
+  using DigestTally = std::pair<crypto::Digest, VoteTally>;
+
   /// Consensus state of one sequence number. One slot agrees on one
   /// *batch*; execution unrolls the batch into per-request log entries.
   struct Slot {
     bool have_preprepare = false;
     Batch batch;
     crypto::Digest batch_digest;
-    /// Votes keyed by digest then sender (handles out-of-order arrival
-    /// and equivocation).
-    std::map<crypto::Digest, std::map<ReplicaId, double>> prepare_votes;
-    std::map<crypto::Digest, std::map<ReplicaId, double>> commit_votes;
+    /// Votes per digest (handles out-of-order arrival and equivocation).
+    /// A slot hears of one digest, or two under equivocation or
+    /// collusion, so the list is searched linearly.
+    std::vector<DigestTally> prepare_votes;
+    std::vector<DigestTally> commit_votes;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool prepared = false;
@@ -156,10 +160,12 @@ class Pbft final : public OrderingProtocol {
   void on_state_adopted(const StateResponse& resp);
 
   // --- helpers ----------------------------------------------------------
-  [[nodiscard]] double vote_weight(
-      const std::map<ReplicaId, double>& votes) const {
-    return harness_.vote_weight(votes);
-  }
+  /// Records `voter`'s vote for `digest` in one phase's tallies.
+  void add_vote(std::vector<DigestTally>& votes, const crypto::Digest& digest,
+                ReplicaId voter) const;
+  /// The weight behind `digest` in one phase's tallies (0 if unheard of).
+  [[nodiscard]] double digest_weight(const std::vector<DigestTally>& votes,
+                                     const crypto::Digest& digest) const;
   /// Registers a liveness deadline for a request id that just became
   /// pending (no-op if one is already tracked — retransmissions must not
   /// push a starved request's deadline back).

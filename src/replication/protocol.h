@@ -262,6 +262,9 @@ class OrderingProtocol {
   [[nodiscard]] double weight_of(ReplicaId r) const {
     return harness_.weight_of(r);
   }
+  [[nodiscard]] double vote_weight(const VoteTally& tally) const {
+    return harness_.vote_weight(tally);
+  }
   [[nodiscard]] bool is_quorum(double weight) const noexcept {
     return harness_.is_quorum(weight);
   }

@@ -4,6 +4,7 @@
 
 #include "bft_test_util.h"
 #include "support/assert.h"
+#include "support/rng.h"
 
 namespace findep::replication {
 namespace {
@@ -124,6 +125,55 @@ TEST(Bft, WeightedQuorumFollowsPowerNotCount) {
   for (int i = 0; i < 3; ++i) light.submit();
   EXPECT_TRUE(light.run_until_executed(3, 30.0));
   EXPECT_TRUE(light.logs_consistent());
+
+  // Fractional weights where the summation order decides the quorum:
+  // the live voters {0, 1, 3} hold 0.6000000000000001 summed in replica
+  // order, more than 2/3 of 0.9, but exactly 0.6 summed as 0, 3, 1.
+  // Every vote tally sums in replica order, so each seed commits.
+  const std::vector<double> fractional = {0.1, 0.1, 0.3, 0.4};
+  std::vector<Behavior> third_silent(4, Behavior::kHonest);
+  third_silent[2] = Behavior::kSilent;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Cluster cluster(fractional, fast_options(seed), third_silent);
+    for (int i = 0; i < 5; ++i) cluster.submit();
+    EXPECT_TRUE(cluster.run_until_executed(5, 60.0)) << "seed " << seed;
+    EXPECT_TRUE(cluster.logs_consistent()) << "seed " << seed;
+  }
+}
+
+TEST(Bft, VoteTallySumsInReplicaOrder) {
+  // 130 replicas: the voters span three 64-bit words.
+  constexpr std::size_t kN = 130;
+  support::Rng rng(23);
+  std::vector<double> weights(kN);
+  for (double& w : weights) w = rng.uniform(0.01, 1.0);
+  std::vector<ReplicaId> arrival;
+  for (ReplicaId r = 0; r < kN; ++r) {
+    if (r % 7 != 0) arrival.push_back(r);  // multiples of 7 never vote
+  }
+  rng.shuffle(arrival);
+
+  VoteTally tally(kN);
+  double arrival_sum = 0.0;
+  for (const ReplicaId r : arrival) {
+    EXPECT_FALSE(tally.add(r)) << r;
+    arrival_sum += weights[r];
+  }
+  double id_sum = 0.0;
+  for (ReplicaId r = 0; r < kN; ++r) {
+    EXPECT_EQ(tally.contains(r), r % 7 != 0) << r;
+    if (r % 7 != 0) id_sum += weights[r];
+  }
+  // The two orders round differently here, so the check below can tell
+  // them apart.
+  ASSERT_NE(arrival_sum, id_sum);
+  EXPECT_EQ(tally.weight(weights), id_sum);
+
+  // A repeated vote is reported and changes nothing.
+  EXPECT_TRUE(tally.add(arrival.front()));
+  EXPECT_TRUE(tally.add(129));
+  EXPECT_EQ(tally.weight(weights), id_sum);
+  EXPECT_FALSE(tally.contains(kN));
 }
 
 TEST(Bft, CheckpointsPruneAndStabilize) {

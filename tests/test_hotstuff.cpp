@@ -180,6 +180,44 @@ TEST(HotStuff, QcNoticeRepeatingOneVoteIsRejected) {
   EXPECT_EQ(cluster.hotstuff(3).high_qc().round, 1000u);
 }
 
+TEST(HotStuff, WeightedQuorumFollowsReplicaOrderSums) {
+  // Bft.WeightedQuorumFollowsPowerNotCount's fractional cluster on this
+  // lane: the live voters {0, 1, 3} of weights {0.1, 0.1, 0.3, 0.4} form
+  // a quorum summed in replica order (0.6000000000000001 > 0.6) and not
+  // summed as 0, 3, 1 (exactly 0.6), so QC and timeout tallies must sum
+  // in replica order for the cluster to commit.
+  const std::vector<double> weights = {0.1, 0.1, 0.3, 0.4};
+  std::vector<Behavior> behaviors(4, Behavior::kHonest);
+  behaviors[2] = Behavior::kSilent;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ClusterOptions opt = fast_options(seed);
+    opt.protocol = Protocol::kHotStuff;
+    Cluster cluster(weights, opt, behaviors);
+    for (int i = 0; i < 5; ++i) cluster.submit();
+    EXPECT_TRUE(cluster.run_until_executed(5, 60.0)) << "seed " << seed;
+    EXPECT_TRUE(cluster.logs_consistent()) << "seed " << seed;
+  }
+}
+
+TEST(HotStuff, QcListsVotesInAscendingVoterOrder) {
+  // Votes reach the collecting leader in arrival order; the QC it builds
+  // lists them by voter, so every replica would build the same proof.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Cluster cluster(7, hotstuff_options(seed));
+    for (int i = 0; i < 6; ++i) cluster.submit();
+    ASSERT_TRUE(cluster.run_until_executed(6, 60.0)) << "seed " << seed;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      const std::vector<HsSignedVote>& votes =
+          cluster.hotstuff(i).high_qc().votes;
+      EXPECT_FALSE(votes.empty()) << "seed " << seed << " replica " << i;
+      for (std::size_t k = 1; k < votes.size(); ++k) {
+        EXPECT_LT(votes[k - 1].voter, votes[k].voter)
+            << "seed " << seed << " replica " << i;
+      }
+    }
+  }
+}
+
 TEST(HotStuff, LinearMessagingBeatsPbftQuadraticAtN25) {
   // The protocol-axis acceptance claim: per committed request, HotStuff's
   // vote-to-next-leader pattern costs O(n) messages where PBFT's
