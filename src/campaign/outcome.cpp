@@ -24,24 +24,24 @@ std::size_t unresolved_stragglers(const replication::Cluster& cluster,
 
 Outcome classify_outcome(const replication::Cluster& cluster,
                          const FaultPlan& plan, std::size_t submitted) {
+  using replication::Telemetry;
   Outcome out;
   out.submitted = submitted;
   out.committed = cluster.completed_requests();
   out.safety_violated = !cluster.logs_consistent();
   out.liveness_stalled = out.committed < out.submitted;
-  out.state_transfers = cluster.state_transfers_completed();
+  out.state_transfers = cluster.total(&Telemetry::state_transfers);
 
   std::vector<bool> is_victim(cluster.size(), false);
   for (const std::size_t r : plan.victims) is_victim[r] = true;
 
-  out.max_view_changes = cluster.max_progress_disruptions();
+  out.max_view_changes = cluster.most(&Telemetry::disruptions);
+  out.corrupted_rejected = cluster.total(&Telemetry::corrupted_rejected);
   for (std::size_t r = 0; r < cluster.size(); ++r) {
-    // Protocol-neutral detection evidence: PBFT reports view changes
-    // started (and a nonzero installed view), HotStuff pacemaker
-    // timeouts.
-    const replication::OrderingProtocol& replica = cluster.node(r);
-    out.corrupted_rejected += replica.corrupted_rejected();
-    if (!is_victim[r] && replica.observed_disruption()) {
+    // Protocol-neutral detection evidence: PBFT marks a view change
+    // started or a new view installed, HotStuff a round expiry, a
+    // received timeout or a proposal past a round gap.
+    if (!is_victim[r] && cluster.node(r).telemetry().observed_disruption) {
       out.detected = true;
     }
   }

@@ -37,8 +37,8 @@ struct Outcome {
   /// Seconds from fault injection to the last request commit when the
   /// cell recovered; -1 otherwise.
   double recovery_time_s = -1.0;
-  /// Cluster::max_progress_disruptions() (victims included — this is a
-  /// cost metric, not a detection verdict).
+  /// Cluster::most(&Telemetry::disruptions) (victims included — this is
+  /// a cost metric, not a detection verdict).
   std::uint64_t max_view_changes = 0;
   std::uint64_t corrupted_rejected = 0;
   std::uint64_t state_transfers = 0;

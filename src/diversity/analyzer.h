@@ -97,11 +97,12 @@ class DiversityAnalyzer {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
-  /// Process-wide memoization counters (surfaced as suite counters in
-  /// table output; totals depend on worker interleaving, so they are
+  /// Process-wide memoization counters (bench/perf reads them around
+  /// each pass; totals depend on worker interleaving, so they are
   /// intentionally NOT per-run metrics).
   [[nodiscard]] static CacheStats cache_stats() noexcept;
-  /// Drops every memoized report and zeroes the counters (tests).
+  /// Drops every memoized report and zeroes the counters (tests and
+  /// bench/perf).
   static void reset_cache() noexcept;
 };
 

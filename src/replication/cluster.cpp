@@ -207,42 +207,18 @@ std::size_t Cluster::stranded_replicas() const {
   return count;
 }
 
-std::uint64_t Cluster::max_progress_disruptions() const {
-  std::uint64_t most = 0;
-  for (const auto& replica : replicas_) {
-    most = std::max(most, replica->progress_disruptions());
-  }
-  return most;
-}
-
-std::uint64_t Cluster::state_transfers_completed() const {
+std::uint64_t Cluster::total(std::uint64_t Telemetry::*field) const {
   std::uint64_t sum = 0;
-  for (const auto& replica : replicas_) {
-    sum += replica->state_transfers_completed();
-  }
+  for (const auto& replica : replicas_) sum += replica->telemetry().*field;
   return sum;
 }
 
-std::uint64_t Cluster::state_transfer_bytes() const {
-  std::uint64_t sum = 0;
+std::uint64_t Cluster::most(std::uint64_t Telemetry::*field) const {
+  std::uint64_t max = 0;
   for (const auto& replica : replicas_) {
-    sum += replica->state_transfer_bytes();
+    max = std::max(max, replica->telemetry().*field);
   }
-  return sum;
-}
-
-std::uint64_t Cluster::verify_tasks() const {
-  std::uint64_t sum = 0;
-  for (const auto& replica : replicas_) sum += replica->verify_tasks();
-  return sum;
-}
-
-std::uint64_t Cluster::verify_dropped_stale() const {
-  std::uint64_t sum = 0;
-  for (const auto& replica : replicas_) {
-    sum += replica->verify_dropped_stale();
-  }
-  return sum;
+  return max;
 }
 
 double Cluster::mean_latency() const {

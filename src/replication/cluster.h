@@ -112,23 +112,11 @@ class Cluster {
   /// the laggards state transfer exists to rescue (0 once converged).
   [[nodiscard]] std::size_t stranded_replicas() const;
 
-  /// The most ordering-progress disruptions any replica recorded (PBFT
-  /// view changes started, HotStuff pacemaker timeouts), victims
-  /// included: the `max_view_changes` metric.
-  [[nodiscard]] std::uint64_t max_progress_disruptions() const;
-
-  /// Completed state transfers summed over all replicas.
-  [[nodiscard]] std::uint64_t state_transfers_completed() const;
-
-  /// StateResponse wire bytes received, summed over all replicas.
-  [[nodiscard]] std::uint64_t state_transfer_bytes() const;
-
-  /// Verification tasks submitted to replica worker pools, summed over
-  /// all replicas (0 under crypto=free).
-  [[nodiscard]] std::uint64_t verify_tasks() const;
-
-  /// Pool tasks shed as stale, summed over all replicas.
-  [[nodiscard]] std::uint64_t verify_dropped_stale() const;
+  /// One Telemetry counter summed over every replica, and its maximum
+  /// over every replica; victims and Byzantine replicas included. E.g.
+  /// the `max_view_changes` metric is most(&Telemetry::disruptions).
+  [[nodiscard]] std::uint64_t total(std::uint64_t Telemetry::*field) const;
+  [[nodiscard]] std::uint64_t most(std::uint64_t Telemetry::*field) const;
 
  private:
   void init(std::vector<double> weights, std::vector<Behavior> behaviors);

@@ -149,7 +149,6 @@ void StateFetchMachine::tick() {
   const bft::ReplicaId peer =
       candidates[st_rng_.below(candidates.size())];
   last_fetch_peer_ = peer;
-  ++requests_sent_;
   hooks_.send_request(peer);
   timer_.arm(harness_->options().state_transfer_timeout, [this] { tick(); });
 }

@@ -103,7 +103,7 @@ class StateFetchMachine {
   struct Hooks {
     /// The protocol's execution horizon (its last executed seq).
     std::function<bft::SeqNum()> horizon;
-    /// Sends StateRequest{horizon} to the chosen peer.
+    /// Sends StateRequest{horizon} to the chosen peer and counts it.
     std::function<void(bft::ReplicaId)> send_request;
   };
 
@@ -134,11 +134,6 @@ class StateFetchMachine {
   /// A response was verified and adopted: stand down.
   void on_adopted();
 
-  /// StateRequest messages sent (first attempts and retries).
-  [[nodiscard]] std::uint64_t requests_sent() const noexcept {
-    return requests_sent_;
-  }
-
  private:
   /// One fetch attempt: re-check the target, pick a random up-to-date
   /// peer (avoiding the previous one when possible), send StateRequest,
@@ -155,7 +150,6 @@ class StateFetchMachine {
   sim::Timer timer_;
   std::optional<bft::ReplicaId> last_fetch_peer_;
   support::Rng st_rng_;
-  std::uint64_t requests_sent_ = 0;
 };
 
 /// Verifies a checkpoint's signed vote quorum: votes matching the

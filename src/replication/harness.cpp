@@ -44,6 +44,15 @@ double NodeHarness::weight_of(bft::ReplicaId r) const {
   return weights_[r];
 }
 
+Telemetry NodeHarness::telemetry() const {
+  Telemetry snapshot = telemetry_;
+  if (verify_pool_ != nullptr) {
+    snapshot.verify_tasks = verify_pool_->stats().submitted;
+    snapshot.verify_dropped_stale = verify_pool_->stats().dropped_stale;
+  }
+  return snapshot;
+}
+
 void NodeHarness::start() {
   FINDEP_REQUIRE_MSG(!started_, "start() called twice");
   started_ = true;
@@ -105,7 +114,7 @@ void NodeHarness::on_message(const net::Message& raw) {
     // In-flight bit flip: the signature check a real deployment runs over
     // the wire bytes fails, so the message dies before any dispatch. The
     // rejection is counted — observable detection of the fault.
-    ++corrupted_rejected_;
+    ++telemetry_.corrupted_rejected;
     return;
   }
   if (options_.behavior == Behavior::kSilent) return;

@@ -71,6 +71,41 @@ class VoteTally {
   std::vector<std::uint64_t> words_;
 };
 
+/// One replica's counters: what scenario metrics and the campaign
+/// outcome classifier read. NodeHarness owns the block, and the
+/// replica's layers (harness, OrderingProtocol base, lane) increment it
+/// through NodeHarness::counters(); readers take a snapshot through
+/// OrderingProtocol::telemetry().
+struct Telemetry {
+  /// Ordering-progress disruptions this replica started: PBFT view
+  /// changes, HotStuff pacemaker timeouts.
+  std::uint64_t disruptions = 0;
+  /// This replica witnessed a leader-regime disruption, even one it did
+  /// not start (it installed a view, or heard a timeout or a proposal
+  /// past a round gap). Detection evidence for the campaign classifier.
+  bool observed_disruption = false;
+  /// Batch cuts the high-watermark bound deferred (PBFT primary only;
+  /// every deferral counts, repeats for the same batch included).
+  std::uint64_t proposals_deferred = 0;
+  /// Messages rejected because they arrived corrupted (the simulated
+  /// signature-verification failure over flipped wire bits): direct
+  /// evidence that the fault was detected.
+  std::uint64_t corrupted_rejected = 0;
+  /// Verification tasks submitted to the worker pool, and those it shed
+  /// as stale at dequeue. Both are read from the pool's own stats in
+  /// the snapshot (0 under crypto=free, which builds no pool).
+  std::uint64_t verify_tasks = 0;
+  std::uint64_t verify_dropped_stale = 0;
+  /// State transfers verified and adopted, and responses rejected for a
+  /// bad proof, bad entries or a state digest mismatch.
+  std::uint64_t state_transfers = 0;
+  std::uint64_t state_transfers_rejected = 0;
+  /// StateRequest messages sent (first attempts and retries).
+  std::uint64_t state_requests_sent = 0;
+  /// Wire bytes of every StateResponse received, adopted or rejected.
+  std::uint64_t state_transfer_bytes = 0;
+};
+
 class NodeHarness {
  public:
   /// `weights[i]` is replica i's voting power; `directory[i]` its public
@@ -132,23 +167,13 @@ class NodeHarness {
     return network_->simulator();
   }
 
-  /// Messages rejected because they arrived corrupted (the simulated
-  /// equivalent of a signature-verification failure over flipped wire
-  /// bits). A nonzero count is direct evidence the fault was *detected*.
-  [[nodiscard]] std::uint64_t corrupted_rejected() const noexcept {
-    return corrupted_rejected_;
-  }
-  /// Verification tasks submitted to the worker pool (0 under
-  /// crypto=free, which never builds a pool).
-  [[nodiscard]] std::uint64_t verify_tasks() const noexcept {
-    return verify_pool_ != nullptr ? verify_pool_->stats().submitted : 0;
-  }
-  /// Pool tasks shed by the stale check (dead-view traffic dropped at
-  /// dequeue without consuming worker time).
-  [[nodiscard]] std::uint64_t verify_dropped_stale() const noexcept {
-    return verify_pool_ != nullptr ? verify_pool_->stats().dropped_stale
-                                   : 0;
-  }
+  /// The replica's counters, for the layers that increment them.
+  [[nodiscard]] Telemetry& counters() noexcept { return telemetry_; }
+  /// A copy of the counters with the verify counts filled in from the
+  /// pool, which counts them itself: a stale drop completes in lane
+  /// order, so a count taken at completion would miss drops still queued
+  /// behind unfinished work when the run stops.
+  [[nodiscard]] Telemetry telemetry() const;
 
  private:
   void on_message(const net::Message& raw);
@@ -168,7 +193,7 @@ class NodeHarness {
   net::SimNetwork* network_;
   ReplicaOptions options_;
 
-  std::uint64_t corrupted_rejected_ = 0;
+  Telemetry telemetry_;
   bool started_ = false;
 
   /// Modeled verification cores; null under crypto=free (the historical

@@ -86,7 +86,7 @@ void HotStuff::on_request(const Request& request, net::NodeId from) {
   if (!admit(request)) return;
   const bool fresh = !pending_requests_.contains(request.id);
   pending_requests_[request.id] = request;
-  if (fresh && (from >= harness_.n() || from == id())) {
+  if (fresh && from >= harness_.n()) {
     // Client origin: relay to the current round's leader and the next —
     // leadership rotates every round, so either may cut the batch this
     // request lands in. Relays ship the client's own signed message (no
@@ -250,7 +250,7 @@ void HotStuff::on_proposal(const HsProposal& p, ReplicaId from) {
   if (b.round > b.justify.round + 1) {
     // The leader proposed past a round gap: evidence of a timeout quorum
     // somewhere, even if we never fired one ourselves.
-    observed_disruption_ = true;
+    harness_.counters().observed_disruption = true;
   }
   const crypto::Digest digest = b.digest();
   store_block(b, digest);
@@ -459,8 +459,9 @@ void HotStuff::ensure_pacemaker() {
 }
 
 void HotStuff::round_expired() {
-  ++timeouts_fired_;
-  observed_disruption_ = true;
+  Telemetry& counters = harness_.counters();
+  ++counters.disruptions;
+  counters.observed_disruption = true;
   backoff_ = std::min(backoff_ * options().pacemaker_backoff,
                       options().pacemaker_max_backoff);
   ++round_;
@@ -489,7 +490,7 @@ void HotStuff::round_expired() {
 }
 
 void HotStuff::on_timeout(const HsTimeout& t, ReplicaId from) {
-  observed_disruption_ = true;
+  harness_.counters().observed_disruption = true;
   if (t.round == 0) return;
   if (!verify_qc(t.high_qc)) return;
   update_high_qc(t.high_qc);

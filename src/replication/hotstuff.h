@@ -87,22 +87,6 @@ class HotStuff final : public OrderingProtocol {
   [[nodiscard]] SeqNum committed_height() const noexcept {
     return committed_height_;
   }
-  /// Pacemaker timeouts this replica fired (its own round expiries, not
-  /// timeouts merely received from peers).
-  [[nodiscard]] std::uint64_t timeouts_fired() const noexcept {
-    return timeouts_fired_;
-  }
-
-  /// HotStuff's ordering-progress disruptions are its pacemaker
-  /// timeouts.
-  [[nodiscard]] std::uint64_t progress_disruptions()
-      const noexcept override {
-    return timeouts_fired_;
-  }
-  [[nodiscard]] bool observed_disruption() const noexcept override {
-    return observed_disruption_;
-  }
-
   [[nodiscard]] ReplicaId leader_of(Round r) const noexcept {
     return static_cast<ReplicaId>(r % harness_.n());
   }
@@ -221,8 +205,6 @@ class HotStuff final : public OrderingProtocol {
   /// round.
   Round timeout_sent_round_ = 0;
 
-  std::uint64_t timeouts_fired_ = 0;
-  bool observed_disruption_ = false;
   /// Current pacemaker backoff multiplier (1 after QC progress, grows by
   /// pacemaker_backoff per expiry up to pacemaker_max_backoff).
   double backoff_ = 1.0;

@@ -117,8 +117,8 @@ void Pbft::on_request(const Request& request, net::NodeId from) {
   if (in_view_change_) return;
   if (is_primary()) {
     enqueue_for_proposal(request);
-  } else if (from >= harness_.n() || from == id()) {
-    // Came from a client (or local submit): relay to the primary.
+  } else if (from >= harness_.n()) {
+    // Came from a client: relay to the primary.
     send_to(primary_of(view_), request);
   }
 }
@@ -155,7 +155,7 @@ void Pbft::cut_batch() {
     // consensus state instead of letting a fast primary outrun a slow
     // checkpoint quorum without limit.
     cut_deferred_ = true;
-    ++proposals_deferred_;
+    ++harness_.counters().proposals_deferred;
     return;
   }
   cut_deferred_ = false;
@@ -442,7 +442,9 @@ void Pbft::start_view_change(View target) {
   if (in_view_change_ && target <= pending_view_) return;
   in_view_change_ = true;
   pending_view_ = target;
-  ++view_changes_started_;
+  Telemetry& counters = harness_.counters();
+  ++counters.disruptions;
+  counters.observed_disruption = true;
   FINDEP_BFT_TRACE("t=%.3f [%u] start_vc target=%llu le=%llu pending=%zu\n",
                    sim().now(), id(), (unsigned long long)target,
                    (unsigned long long)last_executed_,
@@ -582,6 +584,7 @@ void Pbft::on_newview(const NewView& nv, ReplicaId from) {
 
 void Pbft::install_new_view(const NewView& nv) {
   view_ = nv.view;
+  harness_.counters().observed_disruption = true;
   in_view_change_ = false;
   pending_view_ = nv.view;
   last_new_view_ = std::make_shared<const NewView>(nv);

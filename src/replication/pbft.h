@@ -65,22 +65,6 @@ class Pbft final : public OrderingProtocol {
        net::SimNetwork& network, ReplicaOptions options);
 
   [[nodiscard]] View view() const noexcept { return view_; }
-  [[nodiscard]] std::uint64_t view_changes_started() const noexcept {
-    return view_changes_started_;
-  }
-  /// PBFT's ordering-progress disruptions are its view changes.
-  [[nodiscard]] std::uint64_t progress_disruptions()
-      const noexcept override {
-    return view_changes_started_;
-  }
-  [[nodiscard]] bool observed_disruption() const noexcept override {
-    return view_changes_started_ > 0 || view_ > 0;
-  }
-  /// Batch cuts deferred by the high-watermark bound (primary only;
-  /// each deferral event counts, including repeats for the same batch).
-  [[nodiscard]] std::uint64_t proposals_deferred() const noexcept {
-    return proposals_deferred_;
-  }
 
   [[nodiscard]] ReplicaId primary_of(View v) const noexcept {
     return static_cast<ReplicaId>(v % harness_.n());
@@ -193,11 +177,9 @@ class Pbft final : public OrderingProtocol {
   /// A batch cut is waiting for the stable checkpoint to advance
   /// (high-watermark back-pressure).
   bool cut_deferred_ = false;
-  std::uint64_t proposals_deferred_ = 0;
 
   std::map<View, std::vector<SignedViewChange>> viewchange_votes_;
   View newview_assembled_for_ = 0;
-  std::uint64_t view_changes_started_ = 0;
   /// The NEW-VIEW we last installed, relayed inside state responses so a
   /// requester that missed the view change can re-verify and adopt it.
   std::shared_ptr<const NewView> last_new_view_;

@@ -18,6 +18,7 @@ OrderingProtocol::OrderingProtocol(ReplicaId id, std::vector<double> weights,
              StateFetchMachine::Hooks{
                  [this] { return last_executed_; },
                  [this](ReplicaId peer) {
+                   ++harness_.counters().state_requests_sent;
                    send_to(peer, StateRequest{last_executed_});
                  }}) {}
 
@@ -126,12 +127,12 @@ void OrderingProtocol::on_state_request(
 bool OrderingProtocol::on_state_response(const StateResponse& resp,
                                          ReplicaId from,
                                          std::uint64_t raw_bytes) {
-  state_transfer_bytes_ += raw_bytes;
+  harness_.counters().state_transfer_bytes += raw_bytes;
   if (!options().enable_state_transfer) return false;
   if (resp.checkpoint.seq <= last_executed_) return false;  // stale/no-op
 
   const auto reject = [&] {
-    ++state_transfers_rejected_;
+    ++harness_.counters().state_transfers_rejected;
     fetch_.on_rejected(from);
     return false;
   };
@@ -171,7 +172,7 @@ bool OrderingProtocol::on_state_response(const StateResponse& resp,
     append_executed(e);
   }
   last_executed_ = resp.checkpoint.seq;
-  ++state_transfers_completed_;
+  ++harness_.counters().state_transfers;
   ckpt_.maybe_adopt(resp.checkpoint, resp.proof);
   fetch_.on_adopted();
   return true;

@@ -3,17 +3,17 @@
 // replica does that is not ordering.
 //
 // A protocol implements exactly three inbound hooks — on_request (client
-// ingress, reached through the base's submit() and the lane's own
-// dispatch), dispatch_payload (an authenticated envelope) and
-// verify_stale_check (may this payload be shed from the verify queue?)
-// — and drives everything else through the harness' broadcast()/send_to()
-// and sim::Timer. What a payload costs to verify is the payload's own
-// property (bft::proof_signatures), not the protocol's.
+// ingress, reached through the lane's own dispatch), dispatch_payload
+// (an authenticated envelope) and verify_stale_check (may this payload
+// be shed from the verify queue?) — and drives everything else through
+// the harness' broadcast()/send_to() and sim::Timer. What a payload
+// costs to verify is the payload's own property (bft::proof_signatures),
+// not the protocol's.
 //
 // The rest of a replica is the same for every protocol and is
 // implemented once, here (protocol.cpp): the replicated log with its
-// executed-id set and pending requests, client submit and ingress
-// admission, the batch-execution unroll with cross-batch dedup, the
+// executed-id set and pending requests, ingress admission, the
+// batch-execution unroll with cross-batch dedup, the
 // request-id-ordered pending walk, the equivocator's forged batch and
 // even/odd split, checkpoint emission, and the Checkpoint /
 // StateRequest / StateResponse handlers over the durability layer
@@ -25,8 +25,8 @@
 //
 // The observable surface below is what the cluster harness
 // (replication::Cluster, cluster.h), scenario metrics and campaign
-// outcome classifier read; only the two disruption getters differ per
-// protocol.
+// outcome classifier read. Every counter is in one Telemetry block
+// (harness.h), the same for every protocol.
 //
 // To add a third protocol (e.g. an attestation-backed MinBFT using
 // src/attest/ trusted counters): derive from OrderingProtocol, write the
@@ -111,12 +111,6 @@ class OrderingProtocol {
   void set_execution_listener(ExecutionListener listener) {
     on_executed_ = std::move(listener);
   }
-  /// Client entry point: hands a request to this replica (a silent
-  /// replica drops it).
-  void submit(const Request& request) {
-    if (behavior() == Behavior::kSilent) return;
-    on_request(request, id());
-  }
 
   // --- harness → protocol ----------------------------------------------
   /// The post-authentication half of message receipt: routes the payload
@@ -134,14 +128,8 @@ class OrderingProtocol {
   }
 
   // --- observables -------------------------------------------------------
-  /// Ordering-progress disruptions the protocol recorded: PBFT view
-  /// changes started, HotStuff pacemaker timeouts fired. The campaign
-  /// outcome classifier counts these as detection evidence.
-  [[nodiscard]] virtual std::uint64_t progress_disruptions() const = 0;
-  /// True if this replica ever witnessed a leader-regime disruption
-  /// (even one it did not initiate — e.g. it installed a view or round
-  /// advanced past a timeout started elsewhere).
-  [[nodiscard]] virtual bool observed_disruption() const = 0;
+  /// A snapshot of this replica's counters.
+  [[nodiscard]] Telemetry telemetry() const { return harness_.telemetry(); }
 
   [[nodiscard]] const std::vector<ExecutedEntry>& executed() const noexcept {
     return executed_;
@@ -158,36 +146,10 @@ class OrderingProtocol {
       const noexcept {
     return ckpt_.digest();
   }
-  /// Completed (verified + adopted) state transfers.
-  [[nodiscard]] std::uint64_t state_transfers_completed() const noexcept {
-    return state_transfers_completed_;
-  }
-  /// State responses rejected for a bad proof, bad entries or a state
-  /// digest mismatch (each followed by a retry at another peer).
-  [[nodiscard]] std::uint64_t state_transfers_rejected() const noexcept {
-    return state_transfers_rejected_;
-  }
-  /// StateRequest messages sent (first attempts and retries).
-  [[nodiscard]] std::uint64_t state_transfer_requests() const noexcept {
-    return fetch_.requests_sent();
-  }
-  /// Wire bytes of every StateResponse received (adopted or rejected).
-  [[nodiscard]] std::uint64_t state_transfer_bytes() const noexcept {
-    return state_transfer_bytes_;
-  }
 
   [[nodiscard]] ReplicaId id() const noexcept { return harness_.id(); }
   [[nodiscard]] Behavior behavior() const noexcept {
     return harness_.options().behavior;
-  }
-  [[nodiscard]] std::uint64_t corrupted_rejected() const noexcept {
-    return harness_.corrupted_rejected();
-  }
-  [[nodiscard]] std::uint64_t verify_tasks() const noexcept {
-    return harness_.verify_tasks();
-  }
-  [[nodiscard]] std::uint64_t verify_dropped_stale() const noexcept {
-    return harness_.verify_dropped_stale();
   }
 
  protected:
@@ -198,8 +160,7 @@ class OrderingProtocol {
                    Protocol kind);
 
   /// Client ingress: admits `request` and drives it towards a proposal.
-  /// `from` is the client, a relaying replica, or this replica's own id
-  /// for a local submit().
+  /// `from` is the client or a relaying replica.
   virtual void on_request(const Request& request, net::NodeId from) = 0;
 
   // --- the replicated log ------------------------------------------------
@@ -291,9 +252,6 @@ class OrderingProtocol {
   void append_executed(const ExecutedEntry& entry);
 
   ExecutionListener on_executed_;
-  std::uint64_t state_transfers_completed_ = 0;
-  std::uint64_t state_transfers_rejected_ = 0;
-  std::uint64_t state_transfer_bytes_ = 0;
 };
 
 }  // namespace findep::replication

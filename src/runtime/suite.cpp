@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "runtime/counters.h"
 #include "support/assert.h"
 #include "support/table.h"
 
@@ -239,17 +238,6 @@ int ScenarioSuite::run(const SuiteOptions& options, std::ostream& out,
     *dest << "sweep: " << options.sweep.num_seeds << " seed(s) from --seed "
           << options.sweep.base_seed << '\n';
     sink.print_tables(*dest);
-    // Informational process counters (e.g. analyzer memo hits). Table
-    // mode only: their totals depend on worker interleaving, so they
-    // stay out of the deterministic CSV/JSON record.
-    const auto counters = sample_process_counters();
-    if (!counters.empty()) {
-      *dest << "\ncounters:";
-      for (const auto& [name, value] : counters) {
-        *dest << ' ' << name << '=' << value;
-      }
-      *dest << '\n';
-    }
   }
   if (!close_output(options.out_file, file, dest, err)) return 2;
   if (dest == &file) {

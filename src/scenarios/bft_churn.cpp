@@ -99,6 +99,7 @@ runtime::MetricRecord BftChurnScenario::run(
     if (!cluster.simulator().has_pending()) break;
   }
 
+  using replication::Telemetry;
   runtime::MetricRecord metrics;
   metrics.set("committed_requests",
               static_cast<double>(cluster.completed_requests()));
@@ -107,11 +108,12 @@ runtime::MetricRecord BftChurnScenario::run(
   metrics.set("recovery_time_s",
               recovered_at < 0.0 ? -1.0 : recovered_at - heal_at);
   metrics.set("state_transfers",
-              static_cast<double>(cluster.state_transfers_completed()));
+              static_cast<double>(cluster.total(&Telemetry::state_transfers)));
   metrics.set("state_transfer_bytes",
-              static_cast<double>(cluster.state_transfer_bytes()));
+              static_cast<double>(
+                  cluster.total(&Telemetry::state_transfer_bytes)));
   metrics.set("max_view_changes",
-              static_cast<double>(cluster.max_progress_disruptions()));
+              static_cast<double>(cluster.most(&Telemetry::disruptions)));
   return metrics;
 }
 

@@ -57,6 +57,7 @@ runtime::MetricRecord BftScalingScenario::run(
   const std::size_t committed = cluster.completed_requests();
   const double span = cluster.last_completion_time();
 
+  using replication::Telemetry;
   runtime::MetricRecord metrics;
   metrics.set("completed", completed ? 1.0 : 0.0);
   metrics.set("latency_ms",
@@ -81,7 +82,7 @@ runtime::MetricRecord BftScalingScenario::run(
   // PBFT view changes started, HotStuff pacemaker timeouts; the name is
   // kept for catalog stability.
   metrics.set("max_view_changes",
-              static_cast<double>(cluster.max_progress_disruptions()));
+              static_cast<double>(cluster.most(&Telemetry::disruptions)));
   if (params_.protocol.has_value()) {
     // Commit-latency distribution (simulated clock, nearest-rank). Only
     // emitted for protocol-comparison cells so legacy records stay
@@ -102,9 +103,10 @@ runtime::MetricRecord BftScalingScenario::run(
     // of the worker-count sweep.
     metrics.set("committed_requests", static_cast<double>(committed));
     metrics.set("verify_tasks",
-                static_cast<double>(cluster.verify_tasks()));
+                static_cast<double>(cluster.total(&Telemetry::verify_tasks)));
     metrics.set("verify_dropped_stale",
-                static_cast<double>(cluster.verify_dropped_stale()));
+                static_cast<double>(
+                    cluster.total(&Telemetry::verify_dropped_stale)));
   }
   return metrics;
 }

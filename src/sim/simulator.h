@@ -49,7 +49,7 @@ using EventId = std::uint64_t;
 
 /// Total events executed by every Simulator this process has destroyed
 /// (each simulator flushes its executed count once, at destruction).
-/// Feeds the `sim_events_*` process counters in the suite footer.
+/// bench/perf reads it around each pass as `sim.events`.
 [[nodiscard]] std::uint64_t process_events_executed() noexcept;
 
 /// Event-driven simulator with a monotone clock.

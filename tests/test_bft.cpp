@@ -16,6 +16,11 @@ TEST(Bft, HappyPathExecutesAndAgrees) {
   EXPECT_TRUE(cluster.logs_consistent());
   EXPECT_EQ(cluster.replica(0).view(), 0u);  // no view change needed
   EXPECT_GT(cluster.mean_latency(), 0.0);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const Telemetry t = cluster.replica(i).telemetry();
+    EXPECT_EQ(t.disruptions, 0u) << i;
+    EXPECT_FALSE(t.observed_disruption) << i;
+  }
 }
 
 TEST(Bft, RejectsTooSmallCluster) {
@@ -51,10 +56,12 @@ TEST(Bft, SilentPrimaryTriggersViewChangeAndRecovers) {
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
-  // Some honest replica moved past view 0.
+  // Some honest replica moved past view 0, and every honest one saw the
+  // view change: the campaign's detection evidence.
   bool advanced = false;
   for (std::size_t i = 1; i < 4; ++i) {
     advanced |= cluster.replica(i).view() > 0;
+    EXPECT_TRUE(cluster.replica(i).telemetry().observed_disruption) << i;
   }
   EXPECT_TRUE(advanced);
 }

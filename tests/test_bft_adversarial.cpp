@@ -185,7 +185,7 @@ TEST(BftAdversarial, HeavySilentMajorityStallsForever) {
   // View changes happened (liveness attempts) but could not assemble.
   bool attempted = false;
   for (std::size_t i = 1; i < 4; ++i) {
-    attempted |= cluster.replica(i).view_changes_started() > 0;
+    attempted |= cluster.replica(i).telemetry().disruptions > 0;
   }
   EXPECT_TRUE(attempted);
 }
@@ -419,9 +419,9 @@ TEST(BftAdversarial, CorruptedLinksAreRejectedAndCounted) {
   cluster.run_for(60.0);
   EXPECT_GE(replicas_at(cluster, 3), 3u);
   EXPECT_TRUE(cluster.logs_consistent());
-  EXPECT_GT(cluster.replica(2).corrupted_rejected(), 0u);
+  EXPECT_GT(cluster.replica(2).telemetry().corrupted_rejected, 0u);
   EXPECT_EQ(cluster.network().stats().messages_corrupted,
-            cluster.replica(2).corrupted_rejected());
+            cluster.replica(2).telemetry().corrupted_rejected);
 }
 
 TEST(BftAdversarial, CrashedNodeDropsTrafficUntilRestart) {

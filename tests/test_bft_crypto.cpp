@@ -48,7 +48,7 @@ RunResult run_cluster(crypto::CostModel model, std::size_t workers,
   EXPECT_TRUE(cluster.logs_consistent());
   return RunResult{cluster.replica(1).executed(),
                    cluster.last_completion_time(),
-                   cluster.verify_tasks()};
+                   cluster.total(&Telemetry::verify_tasks)};
 }
 
 /// Cross-configuration comparisons work at agreement level: charging CPU
@@ -108,6 +108,28 @@ TEST(BftCrypto, ModeledRunsAreDeterministic) {
   EXPECT_EQ(a.log, b.log);
   EXPECT_EQ(a.span, b.span);
   EXPECT_EQ(a.verify_tasks, b.verify_tasks);
+}
+
+TEST(BftCrypto, StaleDropsReachTheClusterTotals) {
+  // One modeled core per replica and a burst of 2048 requests keep a
+  // verify backlog queued; the primary's crash at 0.5 s then installs
+  // view 1 while old-view traffic still waits, and the stale check sheds
+  // it at dequeue. The drops must travel pool -> replica telemetry ->
+  // Cluster::total.
+  ClusterOptions opt = crypto_options(1, crypto::CostModel::modeled(), 1);
+  opt.replica.request_timeout = 0.8;
+  opt.replica.view_change_timeout = 1.2;
+  Cluster cluster(4, opt);
+  for (int i = 0; i < 2048; ++i) cluster.submit();
+  cluster.simulator().schedule_at(
+      0.5, [&cluster] { cluster.network().set_node_down(0, true); });
+  cluster.run_for(120.0);
+  EXPECT_EQ(cluster.completed_requests(), 2048u);
+  EXPECT_TRUE(cluster.logs_consistent());
+  const std::uint64_t dropped =
+      cluster.total(&Telemetry::verify_dropped_stale);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LE(dropped, cluster.total(&Telemetry::verify_tasks));
 }
 
 TEST(BftCrypto, ProofSignaturesCountTheVotesACarrierEmbeds) {

@@ -69,12 +69,12 @@ TEST(BftStateTransfer, LaggardRecoversAcrossMultiCheckpointOutage) {
   cluster.run_for(14.0);
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   EXPECT_TRUE(cluster.logs_consistent());
-  EXPECT_GE(cluster.replica(3).state_transfers_completed(), 1u);
-  EXPECT_GT(cluster.replica(3).state_transfer_bytes(), 0u);
+  EXPECT_GE(cluster.replica(3).telemetry().state_transfers, 1u);
+  EXPECT_GT(cluster.replica(3).telemetry().state_transfer_bytes, 0u);
   // Bounded view changes: the laggard may time out a few times while
   // catching up, but there is no open-ended thrash.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LE(cluster.replica(i).view_changes_started(), 10u) << i;
+    EXPECT_LE(cluster.replica(i).telemetry().disruptions, 10u) << i;
   }
   // The laggard's adopted suffix is counted like executed batches.
   expect_recorded_executions_match_logs(cluster);
@@ -93,8 +93,8 @@ TEST(BftStateTransfer, DisabledStateTransferReproducesStranding) {
   EXPECT_EQ(cluster.stranded_replicas(), 1u);
   EXPECT_LT(cluster.replica(3).last_executed(),
             cluster.replica(0).last_executed());
-  EXPECT_EQ(cluster.replica(3).state_transfers_completed(), 0u);
-  EXPECT_GT(cluster.replica(3).view_changes_started(), 5u);
+  EXPECT_EQ(cluster.replica(3).telemetry().state_transfers, 0u);
+  EXPECT_GT(cluster.replica(3).telemetry().disruptions, 5u);
   EXPECT_TRUE(cluster.logs_consistent());  // stranded, never inconsistent
 }
 
@@ -114,7 +114,7 @@ TEST(BftStateTransfer, TwoLaggardsTwoCheckpointsBehindBothRecover) {
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   EXPECT_TRUE(cluster.logs_consistent());
   for (const std::size_t laggard : {5u, 6u}) {
-    EXPECT_GE(cluster.replica(laggard).state_transfers_completed(), 1u)
+    EXPECT_GE(cluster.replica(laggard).telemetry().state_transfers, 1u)
         << laggard;
   }
   // The next checkpoint quorum after the heal formed (no stall from
@@ -150,7 +150,7 @@ TEST(BftStateTransfer, ViewChangeRacesInFlightTransfer) {
   EXPECT_TRUE(advanced);
   EXPECT_GT(cluster.replica(6).view(), 0u);  // the laggard followed
   EXPECT_EQ(cluster.replica(6).last_executed(), horizon);
-  EXPECT_GE(cluster.replica(6).state_transfers_completed(), 1u);
+  EXPECT_GE(cluster.replica(6).telemetry().state_transfers, 1u);
   EXPECT_TRUE(cluster.logs_consistent());
 }
 
@@ -241,7 +241,7 @@ TEST_P(BftStateTransferPoison, MaliciousResponderIsRejected) {
   });
   cluster.run_for(13.5);
 
-  EXPECT_GE(cluster.node(3).state_transfers_rejected(), 1u);
+  EXPECT_GE(cluster.node(3).telemetry().state_transfers_rejected, 1u);
   // ...and the honest path still won: fully converged, logs clean, no
   // poisoned request ever executed.
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
@@ -288,8 +288,8 @@ TEST(BftStateTransfer, SingleFarFutureClaimDoesNotTriggerFetch) {
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   EXPECT_TRUE(cluster.logs_consistent());
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cluster.replica(i).state_transfer_requests(), 0u) << i;
-    EXPECT_EQ(cluster.replica(i).state_transfers_completed(), 0u) << i;
+    EXPECT_EQ(cluster.replica(i).telemetry().state_requests_sent, 0u) << i;
+    EXPECT_EQ(cluster.replica(i).telemetry().state_transfers, 0u) << i;
   }
 }
 
@@ -306,7 +306,7 @@ TEST(BftStateTransfer, SustainedLoadCausesNoSpuriousViewChanges) {
   EXPECT_EQ(cluster.completed_requests(), 72u);
   EXPECT_EQ(cluster.stranded_replicas(), 0u);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(cluster.replica(i).view_changes_started(), 0u) << i;
+    EXPECT_EQ(cluster.replica(i).telemetry().disruptions, 0u) << i;
     EXPECT_EQ(cluster.replica(i).view(), 0u) << i;
   }
 }

@@ -30,12 +30,12 @@ TEST(BftWatermark, BurstBeyondWindowDefersThenCommitsEverything) {
   EXPECT_EQ(executed_ids(cluster.replica(2)), want);
 
   // The window bit (the whole point of the tight configuration)...
-  EXPECT_GT(cluster.replica(0).proposals_deferred(), 0u);
+  EXPECT_GT(cluster.replica(0).telemetry().proposals_deferred, 0u);
   // ...but back-pressure is not a fault: nobody escalated to a view
   // change while the primary was waiting out its checkpoint quorum.
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_EQ(cluster.replica(r).view(), 0u);
-    EXPECT_EQ(cluster.replica(r).view_changes_started(), 0u);
+    EXPECT_EQ(cluster.replica(r).telemetry().disruptions, 0u);
   }
 }
 
@@ -49,7 +49,7 @@ TEST(BftWatermark, DefaultWindowNeverBitesInHealthyRun) {
   EXPECT_TRUE(cluster.run_until_executed(24, 60.0));
   EXPECT_TRUE(cluster.logs_consistent());
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(cluster.replica(r).proposals_deferred(), 0u);
+    EXPECT_EQ(cluster.replica(r).telemetry().proposals_deferred, 0u);
   }
 }
 

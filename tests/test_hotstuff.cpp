@@ -32,7 +32,7 @@ std::uint64_t total_timeouts(Cluster& cluster,
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (i < behaviors.size() && behaviors[i] != Behavior::kHonest) continue;
-    total += cluster.hotstuff(i).timeouts_fired();
+    total += cluster.hotstuff(i).telemetry().disruptions;
   }
   return total;
 }
@@ -43,9 +43,12 @@ TEST(HotStuff, HappyPathExecutesAndAgrees) {
   EXPECT_TRUE(cluster.run_until_executed(5, 30.0));
   EXPECT_TRUE(cluster.logs_consistent());
   EXPECT_GT(cluster.mean_latency(), 0.0);
-  // A clean run needs no pacemaker intervention.
+  // A clean run needs no pacemaker intervention, and no replica sees a
+  // timeout or a round gap.
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    EXPECT_EQ(cluster.hotstuff(i).timeouts_fired(), 0u) << i;
+    const Telemetry t = cluster.hotstuff(i).telemetry();
+    EXPECT_EQ(t.disruptions, 0u) << i;
+    EXPECT_FALSE(t.observed_disruption) << i;
   }
 }
 
@@ -85,7 +88,10 @@ TEST(HotStuff, LeaderCrashMidChainTimesOutOntoNextLeader) {
   SeqNum after = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (i == 2) continue;
-    timed_out |= cluster.hotstuff(i).timeouts_fired() > 0;
+    timed_out |= cluster.hotstuff(i).telemetry().disruptions > 0;
+    // Every live replica either expired a round of the dead slot or
+    // heard another's timeout.
+    EXPECT_TRUE(cluster.hotstuff(i).telemetry().observed_disruption) << i;
     after = std::max(after, cluster.hotstuff(i).committed_height());
   }
   EXPECT_TRUE(timed_out);

@@ -74,11 +74,10 @@ struct RuleInfo {
 
 struct Options {
   /// Files in which the wall-clock rule is off entirely (path suffix
-  /// match). The default covers the two measured-timing scenarios; every
-  /// other file must route time through the simulator.
+  /// match). The default covers the measured-timing family; every other
+  /// file must route time through the simulator.
   std::vector<std::string> wall_clock_allowlist = {
       "src/scenarios/micro.cpp",
-      "src/scenarios/process_counters.cpp",
   };
 
   /// Files whose struct/class scalar members must carry default
