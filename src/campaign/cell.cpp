@@ -1,37 +1,61 @@
-#include "campaign/cell.h"
-
+// The campaign scenario family: one cell = one (target, fault, rate, n)
+// grid point, run per seed like any other scenario.
+//
+// Registering campaign cells as a `runtime::ScenarioFamily` is the whole
+// distribution story: every cell is a `runtime::TaskSpec`, so campaigns
+// shard across workers through the existing `--emit-tasks` / `--worker` /
+// `--merge` pipeline and merged output is byte-identical to an in-process
+// run — nothing campaign-specific was added to the task layer.
+//
+// A cell derives three rng streams from its run seed (fleet draw, fault
+// draw, per-message corruption draws), builds the target fleet, resolves
+// the fault plan, runs a PBFT cluster under open-loop load with the fault
+// scheduled at t = inject_at, and emits the outcome classification plus
+// the fleet's diversity quantities so the reporter can attribute rates to
+// the faulted component kind.
 #include <memory>
-#include <utility>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
+#include "campaign/spec.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
 #include "diversity/analyzer.h"
 #include "replication/cluster.h"
+#include "runtime/param.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/rng.h"
 
 namespace findep::campaign {
+namespace {
 
-CampaignCellScenario::CampaignCellScenario(Params params)
-    : params_(std::move(params)) {
-  FINDEP_REQUIRE(params_.n >= 4);
-  FINDEP_REQUIRE(params_.rate > 0.0 && params_.rate <= 1.0);
-  FINDEP_REQUIRE(params_.requests >= 1);
-  FINDEP_REQUIRE(params_.period_s > 0.0);
-  FINDEP_REQUIRE(params_.deadline > 0.0);
-  // Fail at construction, not mid-sweep: an unknown name in an overridden
-  // axis should abort before any cell runs.
-  (void)parse_fault_kind(params_.fault);
-  (void)require_target_family(params_.target);
-  if (params_.label.empty()) params_.label = grid_label(params_);
-}
+struct Params {
+  /// Target-family name (see campaign/target.h).
+  std::string target = "diverse";
+  /// Fault-kind name (see campaign/fault.h).
+  std::string fault = "crash";
+  /// Exploitability in (0, 1]: per-exposed-replica success probability
+  /// (per-message flip probability for the corruption kind).
+  double rate = 1.0;
+  std::size_t n = 7;
+  /// Open-loop load: one request every `period_s`, `requests` total.
+  std::size_t requests = 21;
+  double period_s = 0.5;
+  double deadline = 45.0;
+  /// Ordering protocol under fault (the optional `protocol` axis);
+  /// when set, the label ends in " proto=<name>" (always last). Unset
+  /// means a legacy grid without the axis: the cell runs PBFT and keeps
+  /// its historical label.
+  std::optional<replication::Protocol> protocol;
+};
 
 // Axis-explicit (the same "axis=value" form ParamSet::label() renders):
 // the campaign reporter parses target/fault back out of instance names.
-std::string CampaignCellScenario::grid_label(const Params& p) {
+std::string grid_label(const Params& p) {
   std::string label = "target=" + p.target + " fault=" + p.fault +
                       " rate=" + runtime::ParamValue(p.rate).to_string() +
                       " n=" + std::to_string(p.n);
@@ -41,12 +65,8 @@ std::string CampaignCellScenario::grid_label(const Params& p) {
   return label;
 }
 
-std::string CampaignCellScenario::name() const {
-  return "campaign/" + params_.label;
-}
-
-runtime::MetricRecord CampaignCellScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_cell(const Params& params,
+                               const runtime::RunContext& ctx) {
   // Three independent streams off the cell seed: the fleet draw, the
   // fault draw, and the per-message corruption draws. Forked so a target
   // family consuming a different amount of randomness cannot perturb the
@@ -57,11 +77,11 @@ runtime::MetricRecord CampaignCellScenario::run(
   auto link_rng = std::make_shared<support::Rng>(root.fork(3));
 
   const std::vector<diversity::ReplicaRecord> fleet =
-      build_target_fleet(params_.target, params_.n, fleet_rng);
+      build_target_fleet(params.target, params.n, fleet_rng);
   const config::ComponentCatalog catalog = config::standard_catalog();
-  const FaultKind kind = parse_fault_kind(params_.fault);
+  const FaultKind kind = parse_fault_kind(params.fault);
   const FaultPlan plan =
-      plan_fault(kind, params_.rate, fleet, catalog, fault_rng);
+      plan_fault(kind, params.rate, fleet, catalog, fault_rng);
   const diversity::DiversityReport diversity =
       diversity::DiversityAnalyzer::analyze(fleet);
 
@@ -75,14 +95,14 @@ runtime::MetricRecord CampaignCellScenario::run(
   // Small checkpoint distance so a healed outage spans several intervals
   // and state transfer (not just live traffic) does the catching up.
   options.replica.checkpoint_interval = 4;
-  options.protocol = params_.protocol.value_or(replication::Protocol::kPbft);
-  replication::Cluster cluster(params_.n, options,
-                               planned_behaviors(plan, params_.n));
+  options.protocol = params.protocol.value_or(replication::Protocol::kPbft);
+  replication::Cluster cluster(params.n, options,
+                               planned_behaviors(plan, params.n));
   schedule_fault(plan, cluster, link_rng);
 
-  for (std::size_t i = 0; i < params_.requests; ++i) {
+  for (std::size_t i = 0; i < params.requests; ++i) {
     cluster.simulator().schedule_at(
-        static_cast<double>(i) * params_.period_s,
+        static_cast<double>(i) * params.period_s,
         [&cluster] { (void)cluster.submit(); });
   }
 
@@ -91,17 +111,17 @@ runtime::MetricRecord CampaignCellScenario::run(
   // injected); the slice width quantizes times but keeps them
   // deterministic.
   constexpr double kSlice = 0.25;
-  while (cluster.simulator().now() < params_.deadline) {
+  while (cluster.simulator().now() < params.deadline) {
     cluster.run_for(kSlice);
     if (cluster.simulator().now() > plan.settle_at() &&
-        cluster.completed_requests() == params_.requests &&
+        cluster.completed_requests() == params.requests &&
         unresolved_stragglers(cluster, plan) == 0) {
       break;
     }
     if (!cluster.simulator().has_pending()) break;
   }
 
-  const Outcome outcome = classify_outcome(cluster, plan, params_.requests);
+  const Outcome outcome = classify_outcome(cluster, plan, params.requests);
 
   runtime::MetricRecord metrics;
   metrics.set("faults_injected", static_cast<double>(plan.victims.size()));
@@ -126,25 +146,6 @@ runtime::MetricRecord CampaignCellScenario::run(
   return metrics;
 }
 
-runtime::ParamGrid CampaignCellScenario::default_grid() {
-  runtime::ParamGrid grid;
-  std::vector<runtime::ParamValue> targets;
-  for (const TargetFamily& family : target_families()) {
-    targets.emplace_back(family.name);
-  }
-  grid.add_axis("target", std::move(targets));
-  std::vector<runtime::ParamValue> faults;
-  for (const auto& [fault_name, fault_kind] : fault_kinds()) {
-    faults.emplace_back(fault_name);
-  }
-  grid.add_axis("fault", std::move(faults));
-  grid.add_axis("rate", {1.0, 0.5});
-  grid.add_axis("n", {7});
-  return grid;
-}
-
-namespace {
-
 const runtime::ScenarioRegistration kCampaign{{
     .name = "campaign",
     .description = "fault-injection campaign cells: target fleet × "
@@ -152,7 +153,7 @@ const runtime::ScenarioRegistration kCampaign{{
                    "classified as detected/recovered/safety/liveness",
     .grids =
         {
-            CampaignCellScenario::default_grid(),
+            default_grid(),
             // A compact HotStuff block over the same fault engine: the
             // faults live entirely in the network and behaviour layers,
             // so the campaign machinery is protocol-neutral — only the
@@ -166,8 +167,8 @@ const runtime::ScenarioRegistration kCampaign{{
                                {"protocol", {"hotstuff"}}},
         },
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<CampaignCellScenario>(CampaignCellScenario::Params{
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const Params params{
           .target = p.get_string("target"),
           .fault = p.get_string("fault"),
           .rate = p.get_double("rate"),
@@ -175,10 +176,22 @@ const runtime::ScenarioRegistration kCampaign{{
           .protocol = p.has("protocol")
                           ? std::optional(replication::parse_protocol(
                                 p.get_string("protocol")))
-                          : std::nullopt});
+                          : std::nullopt};
+      FINDEP_REQUIRE(params.n >= 4);
+      FINDEP_REQUIRE(params.rate > 0.0 && params.rate <= 1.0);
+      FINDEP_REQUIRE(params.requests >= 1);
+      FINDEP_REQUIRE(params.period_s > 0.0);
+      FINDEP_REQUIRE(params.deadline > 0.0);
+      // Fail here, not mid-sweep: an unknown name in an overridden axis
+      // should abort before any cell runs.
+      (void)parse_fault_kind(params.fault);
+      (void)require_target_family(params.target);
+      return {"campaign/" + grid_label(params),
+              [params](const runtime::RunContext& ctx) {
+                return run_cell(params, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::campaign

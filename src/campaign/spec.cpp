@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "campaign/cell.h"
 #include "campaign/fault.h"
 #include "campaign/target.h"
 #include "support/assert.h"
@@ -174,8 +173,25 @@ std::vector<std::string> spec_arguments(const CampaignSpec& spec) {
   return args;
 }
 
+runtime::ParamGrid default_grid() {
+  runtime::ParamGrid grid;
+  std::vector<runtime::ParamValue> targets;
+  for (const TargetFamily& family : target_families()) {
+    targets.emplace_back(family.name);
+  }
+  grid.add_axis("target", std::move(targets));
+  std::vector<runtime::ParamValue> faults;
+  for (const auto& [fault_name, fault_kind] : fault_kinds()) {
+    faults.emplace_back(fault_name);
+  }
+  grid.add_axis("fault", std::move(faults));
+  grid.add_axis("rate", {1.0, 0.5});
+  grid.add_axis("n", {7});
+  return grid;
+}
+
 runtime::ParamGrid campaign_grid(const CampaignSpec& spec) {
-  runtime::ParamGrid grid = CampaignCellScenario::default_grid();
+  runtime::ParamGrid grid = default_grid();
   for (const auto& [axis, values] : spec.overrides) {
     const bool known = grid.override_axis(axis, values);
     FINDEP_ASSERT(known);  // parse validated the axis names

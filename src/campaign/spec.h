@@ -52,6 +52,10 @@ struct CampaignSpec {
 /// cannot be read; parse errors as parse_campaign_spec.
 [[nodiscard]] CampaignSpec load_campaign_spec(const std::string& path);
 
+/// The default campaign grid (every target × every fault × two rates),
+/// the grid spec files override; the campaign family registers it.
+[[nodiscard]] runtime::ParamGrid default_grid();
+
 /// The campaign grid with the spec's overrides applied — the cells this
 /// spec expands to (cartesian product of the resulting axes).
 [[nodiscard]] runtime::ParamGrid campaign_grid(const CampaignSpec& spec);

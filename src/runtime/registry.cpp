@@ -63,18 +63,12 @@ std::vector<std::unique_ptr<Scenario>> instantiate_family(
     const ScenarioFamily& family, const std::vector<ParamGrid>& grids) {
   std::vector<std::unique_ptr<Scenario>> out;
   if (grids.empty()) {
-    out.push_back(family.factory(ParamSet{}));
+    out.push_back(std::make_unique<Scenario>(family.factory(ParamSet{})));
     return out;
   }
   for (const ParamGrid& grid : grids) {
     for (const ParamSet& point : grid.expand()) {
-      std::unique_ptr<Scenario> scenario = family.factory(point);
-      if (scenario == nullptr) {
-        throw std::invalid_argument("family '" + family.name +
-                                    "' factory returned null for {" +
-                                    point.label() + "}");
-      }
-      out.push_back(std::move(scenario));
+      out.push_back(std::make_unique<Scenario>(family.factory(point)));
     }
   }
   return out;
@@ -230,9 +224,9 @@ int run_families_main(int argc, const char* const* argv) {
 
   ScenarioSuite suite("findep-bench: the registered scenario catalog");
   for (std::size_t f = 0; f < selected.size(); ++f) {
-    // Factories and scenario constructors validate their parameters
-    // (string axes like mix/fleet/case, numeric preconditions); with
-    // overridden grids those throws are user input, not bugs.
+    // Factories validate their grid points (string axes like
+    // mix/fleet/case, numeric preconditions); with overridden grids
+    // those throws are user input, not bugs.
     try {
       for (auto& scenario : instantiate_family(*selected[f], grids[f])) {
         suite.add(std::move(scenario));

@@ -3,10 +3,13 @@
 // A *scenario family* is one experiment kind (a bench table, a paper
 // figure) described declaratively: a name, a one-line description, the
 // default parameter grids, and a factory that turns one grid point into a
-// `Scenario` instance. Families register themselves process-wide at
-// static-initialization time (`ScenarioRegistration` in the family's
-// translation unit), so every binary linking the scenario library — the
-// `findep-bench` CLI and the tests — sees the same catalog.
+// `Scenario` value. The factory parses and validates the point, builds
+// the instance name, and binds the family's run function over the parsed
+// values, so a bad point fails before any run starts. Families register
+// themselves process-wide at static-initialization time
+// (`ScenarioRegistration` in the family's translation unit), so every
+// binary linking the scenario library — the `findep-bench` CLI and the
+// tests — sees the same catalog.
 //
 // `run_families_main()` is findep-bench's main on top of it: select
 // families (`--family`, default all), override grid axes
@@ -34,8 +37,8 @@ struct ScenarioFamily {
   /// plus fault mixes at one size) register several. Empty = one
   /// parameterless instance.
   std::vector<ParamGrid> grids;
-  /// Builds the scenario for one grid point.
-  std::function<std::unique_ptr<Scenario>(const ParamSet&)> factory;
+  /// Builds the scenario for one grid point; throws on an invalid point.
+  std::function<Scenario(const ParamSet&)> factory;
   /// False for measured (wall-clock timing) families, which are exempt
   /// from the bit-identical determinism contract.
   bool deterministic = true;

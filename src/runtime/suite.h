@@ -100,11 +100,6 @@ class ScenarioSuite {
 
   void add(std::unique_ptr<Scenario> scenario);
 
-  template <typename S, typename... Args>
-  void emplace(Args&&... args) {
-    add(std::make_unique<S>(std::forward<Args>(args)...));
-  }
-
   [[nodiscard]] std::size_t size() const noexcept {
     return scenarios_.size();
   }

@@ -477,19 +477,10 @@ std::size_t emit_task_catalog(const FamilySelection& selection,
     for (const ParamSet& point : points) {
       // Build the instance once: validates the grid point where the
       // coordinator can report it, and yields the name for --only.
-      const std::unique_ptr<Scenario> scenario = family->factory(point);
-      if (scenario == nullptr) {
-        throw std::invalid_argument("family '" + family->name +
-                                    "' factory returned null for {" +
-                                    point.label() + "}");
-      }
+      const std::string name = family->factory(point).name();
       const std::size_t seq = sequence++;
-      if (!only.empty() &&
-          scenario->name().find(only) == std::string::npos) {
-        continue;
-      }
-      if (!exclude.empty() &&
-          scenario->name().find(exclude) != std::string::npos) {
+      if (!only.empty() && name.find(only) == std::string::npos) continue;
+      if (!exclude.empty() && name.find(exclude) != std::string::npos) {
         continue;
       }
       for (std::size_t i = 0; i < sweep.num_seeds; ++i) {
@@ -506,23 +497,6 @@ std::size_t emit_task_catalog(const FamilySelection& selection,
 // --- worker: --worker -------------------------------------------------------
 
 namespace {
-
-/// Stand-in for a task whose factory rejected its parameters: carries the
-/// error into the normal execute/collect path so the result record is an
-/// error-carrying TaskResult rather than a dead worker.
-class FailedScenario final : public Scenario {
- public:
-  FailedScenario(std::string name, std::string message)
-      : name_(std::move(name)), message_(std::move(message)) {}
-  std::string name() const override { return name_; }
-  MetricRecord run(const RunContext&) const override {
-    throw std::runtime_error(message_);
-  }
-
- private:
-  std::string name_;
-  std::string message_;
-};
 
 struct LoadedTask {
   TaskSpec spec;
@@ -622,16 +596,18 @@ int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
           << "family '" << task.spec.family << "'\n";
       return 2;
     }
-    // A factory throw is data, not a protocol error: the run's record
-    // carries it to the merge like any failed run.
+    // A factory throw is data, not a protocol error: a stand-in whose run
+    // rethrows the message carries it through the normal execute/collect
+    // path, so the merge sees an error-carrying record like any failed
+    // run rather than a dead worker.
     try {
-      task.scenario = family->factory(task.spec.params);
-      if (task.scenario == nullptr) {
-        throw std::invalid_argument("factory returned null");
-      }
+      task.scenario =
+          std::make_shared<Scenario>(family->factory(task.spec.params));
     } catch (const std::exception& e) {
-      task.scenario = std::make_shared<FailedScenario>(
-          task.spec.family + "/" + task.spec.params.label(), e.what());
+      task.scenario = std::make_shared<Scenario>(
+          task.spec.family + "/" + task.spec.params.label(),
+          [message = std::string(e.what())](const RunContext&)
+              -> MetricRecord { throw std::runtime_error(message); });
     }
     tasks.push_back(std::move(task));
   }

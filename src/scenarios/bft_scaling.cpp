@@ -1,7 +1,7 @@
 #include "scenarios/bft_scaling.h"
 
-#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "replication/cluster.h"
 #include "runtime/param.h"
@@ -10,49 +10,33 @@
 
 namespace findep::scenarios {
 
-BftScalingScenario::BftScalingScenario(Params params)
-    : params_(std::move(params)) {
-  FINDEP_REQUIRE(params_.n >= 4);
-  FINDEP_REQUIRE(params_.requests > 0);
-  FINDEP_REQUIRE(params_.batch_size >= 1);
-  FINDEP_REQUIRE(params_.offered_load >= 0.0);
-  FINDEP_REQUIRE(params_.workers >= 1);
-  if (params_.label.empty()) {
-    params_.label = "n=" + std::to_string(params_.n);
-  }
-}
-
-std::string BftScalingScenario::name() const {
-  return "bft_scaling/" + params_.label;
-}
-
-runtime::MetricRecord BftScalingScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_bft_scaling(const BftScalingParams& params,
+                                      const runtime::RunContext& ctx) {
   replication::ClusterOptions options;
   options.seed = ctx.seed;
-  options.replica.batch_size = params_.batch_size;
-  options.replica.batch_timeout = params_.batch_timeout;
-  options.replica.request_timeout = params_.request_timeout;
-  options.replica.view_change_timeout = params_.view_change_timeout;
-  options.replica.cost_model = params_.cost_model;
-  options.replica.crypto_workers = params_.workers;
-  options.protocol = params_.protocol.value_or(replication::Protocol::kPbft);
-  replication::Cluster cluster(params_.n, options, params_.behaviors);
-  if (params_.offered_load > 0.0) {
+  options.replica.batch_size = params.batch_size;
+  options.replica.batch_timeout = params.batch_timeout;
+  options.replica.request_timeout = params.request_timeout;
+  options.replica.view_change_timeout = params.view_change_timeout;
+  options.replica.cost_model = params.cost_model;
+  options.replica.crypto_workers = params.workers;
+  options.protocol = params.protocol.value_or(replication::Protocol::kPbft);
+  replication::Cluster cluster(params.n, options, params.behaviors);
+  if (params.offered_load > 0.0) {
     // Open-loop arrivals: request i enters at i / rate. Submission runs
     // as a simulation event so traces record the true arrival time.
-    for (int i = 0; i < params_.requests; ++i) {
+    for (int i = 0; i < params.requests; ++i) {
       cluster.simulator().schedule_after(
-          static_cast<double>(i) / params_.offered_load,
+          static_cast<double>(i) / params.offered_load,
           [&cluster] { (void)cluster.submit(); });
     }
   } else {
-    for (int i = 0; i < params_.requests; ++i) cluster.submit();
+    for (int i = 0; i < params.requests; ++i) cluster.submit();
   }
   const bool completed = cluster.run_until_executed(
-      static_cast<std::size_t>(params_.requests), params_.deadline);
+      static_cast<std::size_t>(params.requests), params.deadline);
 
-  const auto requests = static_cast<std::uint64_t>(params_.requests);
+  const auto requests = static_cast<std::uint64_t>(params.requests);
   const net::TrafficStats& stats = cluster.network().stats();
   const std::size_t committed = cluster.completed_requests();
   const double span = cluster.last_completion_time();
@@ -83,7 +67,7 @@ runtime::MetricRecord BftScalingScenario::run(
   // kept for catalog stability.
   metrics.set("max_view_changes",
               static_cast<double>(cluster.most(&Telemetry::disruptions)));
-  if (params_.protocol.has_value()) {
+  if (params.protocol.has_value()) {
     // Commit-latency distribution (simulated clock, nearest-rank). Only
     // emitted for protocol-comparison cells so legacy records stay
     // byte-identical; deterministic per (instance, seed) like every
@@ -95,7 +79,7 @@ runtime::MetricRecord BftScalingScenario::run(
                 committed > 0 ? cluster.latency_percentile(0.99) * 1000.0
                               : -1.0);
   }
-  if (!params_.cost_model.is_free()) {
+  if (!params.cost_model.is_free()) {
     // Modeled-crypto observability. Gated on the cost model so the
     // crypto=free record stays byte-identical to historical output (the
     // CI inertness cmp); committed_requests is the raw count behind
@@ -128,9 +112,15 @@ std::vector<replication::Behavior> behaviors_for_mix(const std::string& mix) {
   throw std::invalid_argument("unknown behaviour mix '" + mix + "'");
 }
 
-}  // namespace
-
-std::string BftScalingScenario::grid_label(
+/// The shared label convention: "n=<n>" plus " <mix>" / " b=<batch>" /
+/// " r=<requests>" / " load=<rate>" / " modeled w=<workers>" suffixes only
+/// for non-default values — so a bft_batching instance dialed back to the
+/// defaults renders *byte-identically* to the equivalent bft_scaling
+/// instance (the CI no-batching invariant). `protocol` is unset for
+/// legacy grids; when a grid carries the protocol axis the label ends in
+/// " proto=<name>" (always last, so CI end-of-line anchors on legacy
+/// labels never match a protocol cell).
+std::string grid_label(
     std::size_t n, const std::string& mix, std::size_t batch_size,
     int requests, double offered_load, const std::string& crypto,
     std::size_t workers, std::optional<replication::Protocol> protocol) {
@@ -149,15 +139,16 @@ std::string BftScalingScenario::grid_label(
   if (workers != 1 || crypto != "free") {
     label += " w=" + std::to_string(workers);
   }
-  // The protocol suffix is always last (see the header doc).
+  // The protocol suffix is always last (see above).
   if (protocol.has_value()) {
     label += std::string(" proto=") + replication::protocol_name(*protocol);
   }
   return label;
 }
 
-std::unique_ptr<runtime::Scenario> BftScalingScenario::from_params(
-    const runtime::ParamSet& p, const std::string& mix) {
+/// Shared factory for the bft_scaling / bft_batching registrations.
+runtime::Scenario from_params(const runtime::ParamSet& p,
+                              const std::string& mix) {
   const std::size_t n = p.get_size("n");
   const std::size_t batch_size = p.get_size("batch_size");
   const int requests = static_cast<int>(p.get_int("requests"));
@@ -175,9 +166,9 @@ std::unique_ptr<runtime::Scenario> BftScalingScenario::from_params(
                         : std::nullopt;
   // A non-free cost model is a throughput study, not a liveness one:
   // park the timers so a saturated single-core replica is measured
-  // instead of view-changed (see Params::request_timeout).
+  // instead of view-changed (see BftScalingParams::request_timeout).
   const bool modeled = crypto != "free";
-  return std::make_unique<BftScalingScenario>(BftScalingScenario::Params{
+  const BftScalingParams params{
       .n = n,
       .behaviors = behaviors_for_mix(mix),
       .requests = requests,
@@ -187,12 +178,18 @@ std::unique_ptr<runtime::Scenario> BftScalingScenario::from_params(
       .view_change_timeout = modeled ? 45.0 : 1.5,
       .cost_model = crypto::CostModel::parse(crypto),
       .workers = workers,
-      .protocol = protocol,
-      .label = grid_label(n, mix, batch_size, requests, offered_load,
-                          crypto, workers, protocol)});
+      .protocol = protocol};
+  FINDEP_REQUIRE(params.n >= 4);
+  FINDEP_REQUIRE(params.requests > 0);
+  FINDEP_REQUIRE(params.batch_size >= 1);
+  FINDEP_REQUIRE(params.offered_load >= 0.0);
+  FINDEP_REQUIRE(params.workers >= 1);
+  return {"bft_scaling/" + grid_label(n, mix, batch_size, requests,
+                                     offered_load, crypto, workers, protocol),
+          [params](const runtime::RunContext& ctx) {
+            return run_bft_scaling(params, ctx);
+          }};
 }
-
-namespace {
 
 const runtime::ScenarioRegistration kBftScaling{{
     .name = "bft_scaling",
@@ -248,11 +245,51 @@ const runtime::ScenarioRegistration kBftScaling{{
                                {"protocol", {"pbft", "hotstuff"}}},
         },
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return BftScalingScenario::from_params(p, p.get_string("mix"));
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      return from_params(p, p.get_string("mix"));
+    },
+}};
+
+// The bft_batching family: the throughput side of request batching.
+//
+// It registers a second declarative slice over the *same* run function
+// as bft_scaling — batch size × committee size at a fixed offered block
+// of requests — so its instances are named by protocol configuration
+// alone ("bft_scaling/n=10 b=8 r=16"), not by family. That is deliberate:
+// a bft_batching instance dialed back to the bft_scaling defaults
+// (`--set batch_size=1 --set requests=5`) produces the *identical*
+// scenario, which is what lets CI `cmp` the two families' JSON to enforce
+// the no-batching-equals-today invariant on every push.
+//
+// The default grid is disjoint from bft_scaling's (batch_size ≥ 2 here,
+// exactly 1 there), so the full catalog never contains duplicate
+// instances and distributed-sweep merges stay overlap-free.
+const runtime::ScenarioRegistration kBftBatching{{
+    .name = "bft_batching",
+    .description = "PBFT request batching: protocol messages per committed "
+                   "request and throughput vs batch size x committee size",
+    .grids =
+        {
+            runtime::ParamGrid{{"batch_size", {2, 4, 8, 16}},
+                               {"n", {4, 10, 25}},
+                               {"requests", {16}},
+                               {"offered_load", {0.0}}},
+            // Batching under the HotStuff lane: the pipeline amortizes a
+            // whole batch behind one proposal per round, so the
+            // msgs-per-committed-request curve falls faster in batch
+            // size than PBFT's (whose three phases each pay the
+            // quadratic fan-out regardless of batch width).
+            runtime::ParamGrid{{"batch_size", {2, 8}},
+                               {"n", {4, 10, 25}},
+                               {"requests", {16}},
+                               {"offered_load", {0.0}},
+                               {"protocol", {"hotstuff"}}},
+        },
+    .factory =
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      return from_params(p, "honest");
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

@@ -1,7 +1,14 @@
-#include "scenarios/bitcoin.h"
-
+// Bitcoin-snapshot scenarios (Example 1 / Figure 1 of the paper), built
+// on the 2023-02-02 mining-pool distribution:
+//  - example1_entropy: the snapshot vs uniform BFT systems of growing
+//    size (Example 1's table).
+//  - fig1_entropy: best-case entropy as the residual hashrate spreads
+//    over x extra miners (Figure 1's curve).
+//  - bitcoin_audit: the end-to-end audit — entropy, worst shared
+//    component under realistic software monoculture, the double-spend
+//    success that hashrate buys, and what a weight cap would recover.
 #include <cmath>
-#include <memory>
+#include <string>
 
 #include "config/catalog.h"
 #include "diversity/datasets.h"
@@ -17,21 +24,17 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
 // --- example1_entropy ------------------------------------------------------
 
-std::string Example1Scenario::name() const {
-  return params_.uniform
-             ? "example1_entropy/uniform n=" + std::to_string(params_.n)
-             : "example1_entropy/bitcoin x=" + std::to_string(params_.n);
-}
-
-runtime::MetricRecord Example1Scenario::run(
-    const runtime::RunContext&) const {
+/// One row of Example 1's comparison table: either the Bitcoin snapshot
+/// (`uniform = false`, n = residual miners) or a uniform BFT system of n
+/// configurations.
+runtime::MetricRecord run_example1(bool uniform, std::size_t n) {
   const diversity::ConfigDistribution dist =
-      params_.uniform
-          ? diversity::ConfigDistribution::uniform(params_.n)
-          : diversity::datasets::bitcoin_best_case_distribution(params_.n);
+      uniform ? diversity::ConfigDistribution::uniform(n)
+              : diversity::datasets::bitcoin_best_case_distribution(n);
 
   runtime::MetricRecord metrics;
   metrics.set("configs", static_cast<double>(dist.support_size()));
@@ -47,22 +50,16 @@ runtime::MetricRecord Example1Scenario::run(
 
 // --- fig1_entropy ----------------------------------------------------------
 
-Fig1Scenario::Fig1Scenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.x >= 1);
-}
-
-std::string Fig1Scenario::name() const {
-  return "fig1_entropy/x=" + std::to_string(params_.x);
-}
-
-runtime::MetricRecord Fig1Scenario::run(const runtime::RunContext&) const {
+/// One x-point of Figure 1: best-case entropy with the residual 0.87%
+/// hashrate spread over x additional unique miners.
+runtime::MetricRecord run_fig1(std::size_t x) {
   const diversity::ConfigDistribution dist =
-      diversity::datasets::bitcoin_best_case_distribution(params_.x);
+      diversity::datasets::bitcoin_best_case_distribution(x);
   const double h = diversity::shannon_entropy(dist);
 
   runtime::MetricRecord metrics;
   metrics.set("miners_total",
-              static_cast<double>(params_.x +
+              static_cast<double>(x +
                                   diversity::datasets::kBitcoinPoolCount));
   metrics.set("entropy_bits", h);
   metrics.set("effective_configs", std::exp2(h));
@@ -72,21 +69,21 @@ runtime::MetricRecord Fig1Scenario::run(const runtime::RunContext&) const {
 
 // --- bitcoin_audit ---------------------------------------------------------
 
-BitcoinAuditScenario::BitcoinAuditScenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.residual_miners >= 1);
-  FINDEP_REQUIRE(params_.cap > 0.0 && params_.cap <= 1.0);
-}
+struct AuditParams {
+  std::size_t residual_miners = 101;
+  /// Per-configuration voting cap evaluated in the final step.
+  double cap = 0.10;
+};
 
-std::string BitcoinAuditScenario::name() const {
-  return "bitcoin_audit/cap=" + support::Table::format_cell(params_.cap);
-}
-
-runtime::MetricRecord BitcoinAuditScenario::run(
-    const runtime::RunContext& ctx) const {
+/// The Example-1 audit end to end, including the attack the numbers
+/// predict and the recovery a weight cap buys. The realistic (monocultural)
+/// software assignment derives from the run seed.
+runtime::MetricRecord run_bitcoin_audit(const AuditParams& params,
+                                        const runtime::RunContext& ctx) {
   // Step 1: the best-case distribution (every pool a unique config).
   const diversity::ConfigDistribution bitcoin =
       diversity::datasets::bitcoin_best_case_distribution(
-          params_.residual_miners);
+          params.residual_miners);
   const double h = diversity::shannon_entropy(bitcoin);
   const std::size_t faults_third =
       diversity::min_faults_to_exceed(bitcoin, diversity::kBftThreshold);
@@ -102,7 +99,7 @@ runtime::MetricRecord BitcoinAuditScenario::run(
 
   // Step 4: the recovery a per-configuration weight cap buys.
   const diversity::CappedDistribution capped =
-      diversity::WeightCapPolicy(params_.cap).apply(bitcoin);
+      diversity::WeightCapPolicy(params.cap).apply(bitcoin);
 
   runtime::MetricRecord metrics;
   metrics.set("entropy_bits", h);
@@ -126,8 +123,6 @@ runtime::MetricRecord BitcoinAuditScenario::run(
 
 // --- registrations ---------------------------------------------------------
 
-namespace {
-
 const runtime::ScenarioRegistration kExample1{{
     .name = "example1_entropy",
     .description = "Example 1: the 2023-02-02 Bitcoin snapshot vs uniform "
@@ -139,9 +134,14 @@ const runtime::ScenarioRegistration kExample1{{
                                {"n", {4, 8, 16, 32, 64, 128}}},
         },
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Example1Scenario>(Example1Scenario::Params{
-          .uniform = p.get_bool("uniform"), .n = p.get_size("n")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const bool uniform = p.get_bool("uniform");
+      const std::size_t n = p.get_size("n");
+      return {uniform ? "example1_entropy/uniform n=" + std::to_string(n)
+                      : "example1_entropy/bitcoin x=" + std::to_string(n),
+              [uniform, n](const runtime::RunContext&) {
+                return run_example1(uniform, n);
+              }};
     },
 }};
 
@@ -154,9 +154,11 @@ const runtime::ScenarioRegistration kFig1{{
                900, 1000}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Fig1Scenario>(
-          Fig1Scenario::Params{.x = p.get_size("x")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const std::size_t x = p.get_size("x");
+      FINDEP_REQUIRE(x >= 1);
+      return {"fig1_entropy/x=" + std::to_string(x),
+              [x](const runtime::RunContext&) { return run_fig1(x); }};
     },
 }};
 
@@ -169,14 +171,18 @@ const runtime::ScenarioRegistration kBitcoinAudit{{
         {"residual_miners", {101}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<BitcoinAuditScenario>(
-          BitcoinAuditScenario::Params{
-              .residual_miners = p.get_size("residual_miners"),
-              .cap = p.get_double("cap")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const AuditParams params{
+          .residual_miners = p.get_size("residual_miners"),
+          .cap = p.get_double("cap")};
+      FINDEP_REQUIRE(params.residual_miners >= 1);
+      FINDEP_REQUIRE(params.cap > 0.0 && params.cap <= 1.0);
+      return {"bitcoin_audit/cap=" + support::Table::format_cell(params.cap),
+              [params](const runtime::RunContext& ctx) {
+                return run_bitcoin_audit(params, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

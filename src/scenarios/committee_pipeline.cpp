@@ -1,7 +1,12 @@
-#include "scenarios/committee_pipeline.h"
-
-#include <memory>
+// The full §V pipeline as one scenario: permissionless participants
+// attest their configurations, a diversity-aware committee forms from
+// sortition winners under a per-configuration cap, the committee runs
+// weighted PBFT, and the worst single configuration fault is injected to
+// show the margin held. Replaces the diversity_aware_committee example's
+// hand-rolled main; population, keys and sortition all derive from the
+// run seed.
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attest/authority.h"
@@ -17,24 +22,18 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
-CommitteePipelineScenario::CommitteePipelineScenario(Params params)
-    : params_(params) {
-  FINDEP_REQUIRE(params_.participants >= 8);
-  FINDEP_REQUIRE(params_.expected_committee >= 4.0);
-  FINDEP_REQUIRE(params_.per_config_cap > 0.0 &&
-                 params_.per_config_cap <= 1.0);
-  FINDEP_REQUIRE(params_.requests > 0);
-}
+struct Params {
+  std::size_t participants = 40;
+  double expected_committee = 20.0;
+  double per_config_cap = 0.25;
+  double zipf_exponent = 1.0;
+  int requests = 5;
+};
 
-std::string CommitteePipelineScenario::name() const {
-  return "committee_pipeline/cap=" +
-         support::Table::format_cell(params_.per_config_cap) +
-         " n=" + std::to_string(params_.participants);
-}
-
-runtime::MetricRecord CommitteePipelineScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_committee_pipeline(const Params& params,
+                                             const runtime::RunContext& ctx) {
   // 1. Permissionless population with skewed software choices, all
   //    TEE-capable; everyone attests to a registry.
   crypto::KeyRegistry keys;
@@ -43,14 +42,14 @@ runtime::MetricRecord CommitteePipelineScenario::run(
   attest::AttestationAuthority authority(keys, rng);
   attest::AttestationRegistry attestation(keys, authority.root_key());
   config::ConfigurationSampler sampler(
-      catalog, config::SamplerOptions{.zipf_exponent = params_.zipf_exponent,
+      catalog, config::SamplerOptions{.zipf_exponent = params.zipf_exponent,
                                       .attestable_fraction = 1.0});
 
   committee::StakeRegistry stake;
   std::vector<crypto::KeyPair> participant_keys;
   std::vector<attest::PlatformModule> platforms;
-  platforms.reserve(params_.participants);
-  for (std::size_t i = 0; i < params_.participants; ++i) {
+  platforms.reserve(params.participants);
+  for (std::size_t i = 0; i < params.participants; ++i) {
     const auto cfg = sampler.sample(rng);
     const auto hw = cfg.component(config::ComponentKind::kTrustedHardware);
     platforms.emplace_back(keys, rng, authority, *hw, cfg);
@@ -68,13 +67,13 @@ runtime::MetricRecord CommitteePipelineScenario::run(
 
   // 2. Sortition proposes candidates; the diversity policy forms the
   //    committee under the per-configuration cap.
-  committee::Sortition sortition(stake, params_.expected_committee);
+  committee::Sortition sortition(stake, params.expected_committee);
   const committee::SortitionResult seats =
       sortition.select(/*round=*/1, participant_keys);
   std::vector<committee::ParticipantId> candidates;
   for (const auto& seat : seats.seats) candidates.push_back(seat.participant);
   committee::SelectionPolicy policy;
-  policy.per_config_cap = params_.per_config_cap;
+  policy.per_config_cap = params.per_config_cap;
   const committee::Committee formed =
       committee::form_committee(stake, candidates, policy);
   if (formed.members.size() < 4) {
@@ -106,9 +105,9 @@ runtime::MetricRecord CommitteePipelineScenario::run(
   replication::ClusterOptions cluster_options;
   cluster_options.seed = support::mix64(ctx.seed ^ 0xc0117e);
   replication::Cluster cluster(weights, cluster_options, behaviors);
-  for (int i = 0; i < params_.requests; ++i) cluster.submit();
+  for (int i = 0; i < params.requests; ++i) cluster.submit();
   const bool live = cluster.run_until_executed(
-      static_cast<std::size_t>(params_.requests), 120.0);
+      static_cast<std::size_t>(params.requests), 120.0);
 
   // 4. The residual the paper warns about: the worst single *component*
   //    shared across distinct configurations.
@@ -143,8 +142,6 @@ runtime::MetricRecord CommitteePipelineScenario::run(
   return metrics;
 }
 
-namespace {
-
 const runtime::ScenarioRegistration kCommitteePipeline{{
     .name = "committee_pipeline",
     .description = "§V end to end: attest → sortition → capped committee "
@@ -154,14 +151,22 @@ const runtime::ScenarioRegistration kCommitteePipeline{{
         {"participants", {40}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<CommitteePipelineScenario>(
-          CommitteePipelineScenario::Params{
-              .participants = p.get_size("participants"),
-              .per_config_cap = p.get_double("cap")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const Params params{.participants = p.get_size("participants"),
+                          .per_config_cap = p.get_double("cap")};
+      FINDEP_REQUIRE(params.participants >= 8);
+      FINDEP_REQUIRE(params.expected_committee >= 4.0);
+      FINDEP_REQUIRE(params.per_config_cap > 0.0 &&
+                     params.per_config_cap <= 1.0);
+      FINDEP_REQUIRE(params.requests > 0);
+      return {"committee_pipeline/cap=" +
+                  support::Table::format_cell(params.per_config_cap) +
+                  " n=" + std::to_string(params.participants),
+              [params](const runtime::RunContext& ctx) {
+                return run_committee_pipeline(params, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

@@ -1,39 +1,36 @@
-#include "scenarios/diversity_audit.h"
-
-#include <memory>
+// The quickstart scenario: sample a replica population with
+// market-share-like popularity skew and report the paper's headline
+// diversity quantities (§IV-A). Doubles as the smallest example of
+// writing a scenario family — see README "Running experiments".
+#include <string>
 #include <vector>
 
 #include "config/sampler.h"
 #include "diversity/analyzer.h"
-#include "diversity/optimality.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
-DiversityAuditScenario::DiversityAuditScenario(Params params)
-    : params_(params) {
-  FINDEP_REQUIRE(params_.replicas > 0);
-}
+struct Params {
+  std::size_t replicas = 32;
+  double zipf_exponent = 1.0;        // market-share-like skew
+  double attestable_fraction = 0.5;  // half the replicas have a TEE
+};
 
-std::string DiversityAuditScenario::name() const {
-  return "diversity_audit/n=" + std::to_string(params_.replicas) +
-         " zipf=" + support::Table::format_cell(params_.zipf_exponent);
-}
-
-runtime::MetricRecord DiversityAuditScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_diversity_audit(const Params& params,
+                                          const runtime::RunContext& ctx) {
   const config::ComponentCatalog catalog = config::standard_catalog();
   config::SamplerOptions options;
-  options.zipf_exponent = params_.zipf_exponent;
-  options.attestable_fraction = params_.attestable_fraction;
+  options.zipf_exponent = params.zipf_exponent;
+  options.attestable_fraction = params.attestable_fraction;
   config::ConfigurationSampler sampler(catalog, options);
 
   support::Rng rng(ctx.seed);
   std::vector<diversity::ReplicaRecord> population;
-  for (const auto& cfg :
-       sampler.sample_population(rng, params_.replicas)) {
+  for (const auto& cfg : sampler.sample_population(rng, params.replicas)) {
     population.push_back(
         diversity::ReplicaRecord{cfg, 1.0, cfg.is_attestable()});
   }
@@ -58,8 +55,6 @@ runtime::MetricRecord DiversityAuditScenario::run(
   return metrics;
 }
 
-namespace {
-
 const runtime::ScenarioRegistration kDiversityAudit{{
     .name = "diversity_audit",
     .description = "quickstart: diversity of a sampled replica population "
@@ -69,14 +64,17 @@ const runtime::ScenarioRegistration kDiversityAudit{{
         {"zipf", {1.0}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<DiversityAuditScenario>(
-          DiversityAuditScenario::Params{
-              .replicas = p.get_size("replicas"),
-              .zipf_exponent = p.get_double("zipf")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const Params params{.replicas = p.get_size("replicas"),
+                          .zipf_exponent = p.get_double("zipf")};
+      FINDEP_REQUIRE(params.replicas > 0);
+      return {"diversity_audit/n=" + std::to_string(params.replicas) +
+                  " zipf=" + support::Table::format_cell(params.zipf_exponent),
+              [params](const runtime::RunContext& ctx) {
+                return run_diversity_audit(params, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

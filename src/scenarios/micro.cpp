@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -255,15 +254,9 @@ OpResult run_op(const std::string& op, std::uint64_t seed) {
   throw std::invalid_argument("unknown micro op '" + op + "'");
 }
 
-}  // namespace
-
-MicroScenario::MicroScenario(Params params) : params_(std::move(params)) {}
-
-std::string MicroScenario::name() const { return "micro/" + params_.op; }
-
-runtime::MetricRecord MicroScenario::run(
-    const runtime::RunContext& ctx) const {
-  const OpResult result = run_op(params_.op, ctx.seed);
+runtime::MetricRecord run_micro(const std::string& op,
+                                const runtime::RunContext& ctx) {
+  const OpResult result = run_op(op, ctx.seed);
 
   runtime::MetricRecord metrics;
   metrics.set("ns_per_op", result.seconds * 1e9 /
@@ -276,6 +269,14 @@ runtime::MetricRecord MicroScenario::run(
               static_cast<double>(result.checksum & 0xffffffffULL));
   return metrics;
 }
+
+}  // namespace
+
+MicroScenario::MicroScenario(const Params& params)
+    : Scenario("micro/" + params.op,
+               [op = params.op](const runtime::RunContext& ctx) {
+                 return run_micro(op, ctx);
+               }) {}
 
 namespace {
 
@@ -291,9 +292,8 @@ const runtime::ScenarioRegistration kMicro{{
                 "sim_far_future_insert", "sim_broadcast_100"}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<MicroScenario>(
-          MicroScenario::Params{.op = p.get_string("op")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      return MicroScenario({.op = p.get_string("op")});
     },
     .deterministic = false,
 }};

@@ -17,6 +17,8 @@
 
 namespace findep::scenarios {
 
+/// The micro family's scenario, kept as a class so bench/perf can build
+/// one directly; it adds nothing to runtime::Scenario but a constructor.
 class MicroScenario : public runtime::Scenario {
  public:
   struct Params {
@@ -27,14 +29,7 @@ class MicroScenario : public runtime::Scenario {
     std::string op = "sha256_4k";
   };
 
-  explicit MicroScenario(Params params);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] runtime::MetricRecord run(
-      const runtime::RunContext& ctx) const override;
-
- private:
-  Params params_;
+  explicit MicroScenario(const Params& params);
 };
 
 }  // namespace findep::scenarios

@@ -1,7 +1,11 @@
-#include "scenarios/nakamoto.h"
-
-#include <memory>
+// Nakamoto-substrate scenarios: fork rate vs propagation delay, the
+// double-spend race (closed form cross-validated by a seeded Monte-Carlo),
+// and the pool-software compromise pipeline (one component fault → the
+// combined hashrate of every pool sharing it → double-spend success).
+// Replaces the setup loops of the old nakamoto_attack bench driver.
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "config/catalog.h"
 #include "faults/injector.h"
@@ -13,73 +17,64 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
-std::string ForkRateScenario::name() const {
-  return "fork_rate/delay=" +
-         support::Table::format_cell(params_.mean_one_way_delay) + "s";
-}
+constexpr double kForkBlockInterval = 120.0;
+constexpr std::size_t kForkMiners = 10;
+/// Horizon in units of the block interval.
+constexpr double kForkHorizonBlocks = 2000.0;
 
-runtime::MetricRecord ForkRateScenario::run(
-    const runtime::RunContext& ctx) const {
+/// Fork/stale rate of an honest mining race at one mean one-way delay
+/// (seconds).
+runtime::MetricRecord run_fork_rate(double delay,
+                                    const runtime::RunContext& ctx) {
   nakamoto::NakamotoOptions options;
-  options.mean_block_interval = params_.mean_block_interval;
-  options.network.min_latency = params_.mean_one_way_delay / 2.0;
-  options.network.mean_extra_latency = params_.mean_one_way_delay / 2.0;
+  options.mean_block_interval = kForkBlockInterval;
+  options.network.min_latency = delay / 2.0;
+  options.network.mean_extra_latency = delay / 2.0;
   options.seed = ctx.seed;
-  nakamoto::NakamotoSim sim(std::vector<double>(params_.miners, 1.0),
-                            options);
-  sim.run_for(params_.mean_block_interval * params_.horizon_blocks);
+  nakamoto::NakamotoSim sim(std::vector<double>(kForkMiners, 1.0), options);
+  sim.run_for(kForkBlockInterval * kForkHorizonBlocks);
   const nakamoto::ChainStats stats = sim.stats();
 
   runtime::MetricRecord metrics;
-  metrics.set("delay_over_interval",
-              params_.mean_one_way_delay / params_.mean_block_interval);
+  metrics.set("delay_over_interval", delay / kForkBlockInterval);
   metrics.set("blocks_mined", static_cast<double>(stats.total_blocks));
   metrics.set("stale_rate_pct", stats.stale_rate * 100.0);
   return metrics;
 }
 
-std::string DoubleSpendScenario::name() const {
-  return "double_spend/q=" +
-         support::Table::format_cell(params_.attacker_share);
-}
-
-runtime::MetricRecord DoubleSpendScenario::run(
-    const runtime::RunContext& ctx) const {
-  const double q = params_.attacker_share;
+/// Double-spend success for attacker share q: Nakamoto closed form at
+/// z ∈ {1, 2, 6}, Monte-Carlo at z = 6, and confirmations for <0.1% risk.
+runtime::MetricRecord run_double_spend(double q, std::size_t trials,
+                                       const runtime::RunContext& ctx) {
   support::Rng rng(ctx.seed);
 
   runtime::MetricRecord metrics;
   metrics.set("closed_z1", nakamoto::attack_success_closed_form(q, 1));
   metrics.set("closed_z2", nakamoto::attack_success_closed_form(q, 2));
   metrics.set("closed_z6", nakamoto::attack_success_closed_form(q, 6));
-  metrics.set("monte_carlo_z6", nakamoto::attack_success_monte_carlo(
-                                    q, 6, params_.trials, rng));
+  metrics.set("monte_carlo_z6",
+              nakamoto::attack_success_monte_carlo(q, 6, trials, rng));
   metrics.set("z_for_0.1pct_risk", static_cast<double>(
                                        nakamoto::confirmations_for_risk(
                                            q, 0.001)));
   return metrics;
 }
 
-std::string PoolCompromiseScenario::name() const {
-  switch (params_.kind) {
-    case Kind::kBestCase:
-      return "pool_compromise/best_case";
-    case Kind::kRealistic:
-      return "pool_compromise/realistic";
-    case Kind::kMonoculture:
-      return "pool_compromise/monoculture";
-  }
-  return "pool_compromise/?";
-}
-
-runtime::MetricRecord PoolCompromiseScenario::run(
-    const runtime::RunContext& ctx) const {
+/// Pool-software compromise: one component fault → aggregated hashrate →
+/// double-spend success, over the Example-1 pool snapshot. `pool_case`
+/// selects the software assignment: "best_case" gives every pool a unique
+/// configuration (the paper's best case); "realistic" and "monoculture"
+/// draw zipf-skewed assignments from the standard and the monoculture
+/// catalog, derived from the run seed.
+runtime::MetricRecord run_pool_compromise(const std::string& pool_case,
+                                          const runtime::RunContext& ctx) {
   const config::ComponentCatalog catalog =
-      params_.kind == Kind::kMonoculture ? config::monoculture_catalog()
-                                         : config::standard_catalog();
+      pool_case == "monoculture" ? config::monoculture_catalog()
+                                 : config::standard_catalog();
   const nakamoto::PoolSet pools =
-      params_.kind == Kind::kBestCase
+      pool_case == "best_case"
           ? nakamoto::PoolSet::example1(catalog, true)
           : nakamoto::PoolSet::example1(catalog, false, ctx.seed);
   faults::FaultInjector injector(pools.as_population());
@@ -92,8 +87,6 @@ runtime::MetricRecord PoolCompromiseScenario::run(
   return metrics;
 }
 
-namespace {
-
 const runtime::ScenarioRegistration kForkRate{{
     .name = "fork_rate",
     .description = "honest mining race: fork/stale rate vs one-way "
@@ -102,10 +95,12 @@ const runtime::ScenarioRegistration kForkRate{{
         {"delay", {0.1, 1.0, 5.0, 15.0, 40.0}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<ForkRateScenario>(
-          ForkRateScenario::Params{.mean_one_way_delay =
-                                       p.get_double("delay")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const double delay = p.get_double("delay");
+      return {"fork_rate/delay=" + support::Table::format_cell(delay) + "s",
+              [delay](const runtime::RunContext& ctx) {
+                return run_fork_rate(delay, ctx);
+              }};
     },
 }};
 
@@ -118,10 +113,13 @@ const runtime::ScenarioRegistration kDoubleSpend{{
         {"trials", {40000}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<DoubleSpendScenario>(
-          DoubleSpendScenario::Params{.attacker_share = p.get_double("q"),
-                                      .trials = p.get_size("trials")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const double q = p.get_double("q");
+      const std::size_t trials = p.get_size("trials");
+      return {"double_spend/q=" + support::Table::format_cell(q),
+              [q, trials](const runtime::RunContext& ctx) {
+                return run_double_spend(q, trials, ctx);
+              }};
     },
 }};
 
@@ -133,22 +131,18 @@ const runtime::ScenarioRegistration kPoolCompromise{{
         {"case", {"best_case", "realistic", "monoculture"}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
       const std::string& c = p.get_string("case");
-      const auto kind = c == "best_case"
-                            ? PoolCompromiseScenario::Kind::kBestCase
-                        : c == "monoculture"
-                            ? PoolCompromiseScenario::Kind::kMonoculture
-                            : PoolCompromiseScenario::Kind::kRealistic;
       if (c != "best_case" && c != "monoculture" && c != "realistic") {
         throw std::invalid_argument("unknown pool_compromise case '" + c +
                                     "'");
       }
-      return std::make_unique<PoolCompromiseScenario>(
-          PoolCompromiseScenario::Params{.kind = kind});
+      return {"pool_compromise/" + c,
+              [c](const runtime::RunContext& ctx) {
+                return run_pool_compromise(c, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

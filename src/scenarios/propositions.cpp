@@ -1,7 +1,14 @@
-#include "scenarios/propositions.h"
-
+// Propositions 1–3 (§IV-B) as scenario families, replacing the three
+// hand-rolled prop* bench drivers:
+//  - prop1_entropy: abundance growth vs entropy for a κ-optimal base.
+//  - prop2_unique: dust-weight unique replicas added to the Bitcoin
+//    oligopoly vs the uniform control.
+//  - prop3_abundance: abundance ω vs the operator / vulnerability
+//    adversaries (analytic and injected).
+//  - prop3_cost: the cost side — measured PBFT messages per request vs
+//    cluster size, against the (n/4)² reference.
 #include <cmath>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "config/sampler.h"
@@ -16,20 +23,14 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
 // --- Proposition 1 ---------------------------------------------------------
 
-Prop1Scenario::Prop1Scenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.skew >= 1.0);
-  FINDEP_REQUIRE(params_.kappa >= 2);
-}
-
-std::string Prop1Scenario::name() const {
-  return "prop1_entropy/skew=" + support::Table::format_cell(params_.skew);
-}
-
-runtime::MetricRecord Prop1Scenario::run(const runtime::RunContext&) const {
-  const std::size_t kappa = params_.kappa;
+/// Proposition 1 at one growth skew (max/min growth factor across the
+/// support): uniform growth preserves entropy, skewed growth strictly
+/// loses bits.
+runtime::MetricRecord run_prop1(double skew, std::size_t kappa) {
   const diversity::ConfigDistribution base =
       diversity::ConfigDistribution::uniform(kappa);
 
@@ -39,8 +40,8 @@ runtime::MetricRecord Prop1Scenario::run(const runtime::RunContext&) const {
   // Skewed growth: configuration i grows by 1 + (skew-1)·i/(κ-1).
   std::vector<double> growth(kappa);
   for (std::size_t i = 0; i < kappa; ++i) {
-    growth[i] = 1.0 + (params_.skew - 1.0) * static_cast<double>(i) /
-                          static_cast<double>(kappa - 1);
+    growth[i] = 1.0 + (skew - 1.0) * static_cast<double>(i) /
+                      static_cast<double>(kappa - 1);
   }
   const diversity::Prop1Result skewed =
       diversity::check_proposition1(base, growth);
@@ -56,13 +57,12 @@ runtime::MetricRecord Prop1Scenario::run(const runtime::RunContext&) const {
 
 // --- Proposition 2 ---------------------------------------------------------
 
-std::string Prop2Scenario::name() const {
-  return "prop2_unique/extra=" + std::to_string(params_.extra);
-}
-
-runtime::MetricRecord Prop2Scenario::run(const runtime::RunContext&) const {
+/// Proposition 2 at one extension size (`extra` dust-weight unique miners
+/// added to the 17-pool snapshot): the oligopoly's entropy saturates
+/// while the uniform control tracks log2(k).
+runtime::MetricRecord run_prop2(std::size_t extra) {
   const diversity::ConfigDistribution oligopoly =
-      diversity::datasets::bitcoin_best_case_distribution(params_.extra);
+      diversity::datasets::bitcoin_best_case_distribution(extra);
   const std::size_t k = oligopoly.support_size();
   const diversity::ConfigDistribution uniform =
       diversity::ConfigDistribution::uniform(k);
@@ -84,8 +84,6 @@ runtime::MetricRecord Prop2Scenario::run(const runtime::RunContext&) const {
 
 // --- Proposition 3, adversary side -----------------------------------------
 
-namespace {
-
 /// Builds a (κ, ω) population: κ distinct configurations, ω independent
 /// operators per configuration, one replica each.
 faults::OperatedPopulation kappa_omega_population(std::size_t kappa,
@@ -105,26 +103,17 @@ faults::OperatedPopulation kappa_omega_population(std::size_t kappa,
   return pop;
 }
 
-}  // namespace
-
-Prop3Scenario::Prop3Scenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.omega >= 1);
-  FINDEP_REQUIRE(params_.kappa >= 1);
-}
-
-std::string Prop3Scenario::name() const {
-  return "prop3_abundance/omega=" + std::to_string(params_.omega);
-}
-
-runtime::MetricRecord Prop3Scenario::run(const runtime::RunContext&) const {
-  const auto pop = kappa_omega_population(params_.kappa, params_.omega);
+/// Proposition 3 at one abundance ω: worst-case operator defection vs one
+/// component fault over a (κ, ω) population, next to the analytic values.
+runtime::MetricRecord run_prop3(std::size_t omega, std::size_t kappa) {
+  const auto pop = kappa_omega_population(kappa, omega);
   faults::FaultInjector injector(pop.replicas);
   const double op_fraction =
       faults::OperatorAdversary{1}.attack(pop).compromised_fraction;
   const double vuln_fraction =
       injector.worst_case_components(1).compromised_fraction;
   const diversity::Prop3Result analytic =
-      diversity::analyze_proposition3(params_.kappa, params_.omega);
+      diversity::analyze_proposition3(kappa, omega);
 
   runtime::MetricRecord metrics;
   metrics.set("replicas", static_cast<double>(pop.replicas.size()));
@@ -137,7 +126,8 @@ runtime::MetricRecord Prop3Scenario::run(const runtime::RunContext&) const {
 
 // --- Proposition 3, cost side ----------------------------------------------
 
-namespace {
+/// Client requests per measured cluster.
+constexpr int kProp3CostRequests = 3;
 
 std::uint64_t measured_messages(std::size_t n, int requests,
                                 std::uint64_t seed) {
@@ -150,29 +140,19 @@ std::uint64_t measured_messages(std::size_t n, int requests,
          static_cast<std::uint64_t>(requests);
 }
 
-}  // namespace
-
-Prop3CostScenario::Prop3CostScenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.n >= 4);
-  FINDEP_REQUIRE(params_.requests > 0);
-}
-
-std::string Prop3CostScenario::name() const {
-  return "prop3_cost/n=" + std::to_string(params_.n);
-}
-
-runtime::MetricRecord Prop3CostScenario::run(
-    const runtime::RunContext& ctx) const {
+/// Proposition 3's price: measured PBFT messages per request at cluster
+/// size n (= κω), compared against quadratic growth from n = 4.
+runtime::MetricRecord run_prop3_cost(std::size_t n,
+                                     const runtime::RunContext& ctx) {
   // Each instance re-measures its own n=4 baseline so ratio_to_n4 is a
   // self-contained per-seed metric; the extra n=4 cluster is a few
   // dozen simulated messages, noise next to the n-sized run.
-  const std::uint64_t base = measured_messages(4, params_.requests, ctx.seed);
+  const std::uint64_t base =
+      measured_messages(4, kProp3CostRequests, ctx.seed);
   const std::uint64_t msgs =
-      params_.n == 4 ? base
-                     : measured_messages(params_.n, params_.requests,
-                                         ctx.seed);
-  const double quad = (static_cast<double>(params_.n) / 4.0) *
-                      (static_cast<double>(params_.n) / 4.0);
+      n == 4 ? base : measured_messages(n, kProp3CostRequests, ctx.seed);
+  const double quad =
+      (static_cast<double>(n) / 4.0) * (static_cast<double>(n) / 4.0);
 
   runtime::MetricRecord metrics;
   metrics.set("msgs_per_request", static_cast<double>(msgs));
@@ -184,8 +164,6 @@ runtime::MetricRecord Prop3CostScenario::run(
 
 // --- registrations ---------------------------------------------------------
 
-namespace {
-
 const runtime::ScenarioRegistration kProp1{{
     .name = "prop1_entropy",
     .description = "Prop. 1: non-uniform abundance growth strictly loses "
@@ -195,9 +173,15 @@ const runtime::ScenarioRegistration kProp1{{
         {"kappa", {16}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Prop1Scenario>(Prop1Scenario::Params{
-          .skew = p.get_double("skew"), .kappa = p.get_size("kappa")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const double skew = p.get_double("skew");
+      const std::size_t kappa = p.get_size("kappa");
+      FINDEP_REQUIRE(skew >= 1.0);
+      FINDEP_REQUIRE(kappa >= 2);
+      return {"prop1_entropy/skew=" + support::Table::format_cell(skew),
+              [skew, kappa](const runtime::RunContext&) {
+                return run_prop1(skew, kappa);
+              }};
     },
 }};
 
@@ -209,9 +193,10 @@ const runtime::ScenarioRegistration kProp2{{
         {"extra", {1, 10, 100, 1000, 10000}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Prop2Scenario>(
-          Prop2Scenario::Params{.extra = p.get_size("extra")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const std::size_t extra = p.get_size("extra");
+      return {"prop2_unique/extra=" + std::to_string(extra),
+              [extra](const runtime::RunContext&) { return run_prop2(extra); }};
     },
 }};
 
@@ -224,9 +209,15 @@ const runtime::ScenarioRegistration kProp3{{
         {"kappa", {8}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Prop3Scenario>(Prop3Scenario::Params{
-          .omega = p.get_size("omega"), .kappa = p.get_size("kappa")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const std::size_t omega = p.get_size("omega");
+      const std::size_t kappa = p.get_size("kappa");
+      FINDEP_REQUIRE(omega >= 1);
+      FINDEP_REQUIRE(kappa >= 1);
+      return {"prop3_abundance/omega=" + std::to_string(omega),
+              [omega, kappa](const runtime::RunContext&) {
+                return run_prop3(omega, kappa);
+              }};
     },
 }};
 
@@ -238,12 +229,15 @@ const runtime::ScenarioRegistration kProp3Cost{{
         {"n", {4, 8, 12, 16, 24}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<Prop3CostScenario>(
-          Prop3CostScenario::Params{.n = p.get_size("n")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const std::size_t n = p.get_size("n");
+      FINDEP_REQUIRE(n >= 4);
+      return {"prop3_cost/n=" + std::to_string(n),
+              [n](const runtime::RunContext& ctx) {
+                return run_prop3_cost(n, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

@@ -1,6 +1,9 @@
-#include "scenarios/selfish_mining.h"
-
-#include <memory>
+// Selfish-mining scenario (Eyal–Sirer baseline, §I "majority is not
+// enough"): one attacker hashrate α per instance, simulated at the three
+// canonical race-win fractions γ ∈ {0, 0.5, 1}. Replaces the Rng reuse
+// across cells of the old bench driver — each seed gets independent
+// substreams per γ.
+#include <string>
 
 #include "nakamoto/selfish.h"
 #include "runtime/registry.h"
@@ -8,25 +11,21 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
+namespace {
 
-std::string SelfishMiningScenario::name() const {
-  return "selfish_mining/alpha=" +
-         support::Table::format_cell(params_.alpha);
-}
-
-runtime::MetricRecord SelfishMiningScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_selfish_mining(double alpha, std::size_t rounds,
+                                         const runtime::RunContext& ctx) {
   support::Rng rng(ctx.seed);
   // Independent substreams so the three γ simulations never share draws.
   support::Rng rng_g0 = rng.fork(0);
   support::Rng rng_g5 = rng.fork(1);
   support::Rng rng_g1 = rng.fork(2);
-  const auto g0 = nakamoto::simulate_selfish_mining(params_.alpha, 0.0,
-                                                    params_.rounds, rng_g0);
-  const auto g5 = nakamoto::simulate_selfish_mining(params_.alpha, 0.5,
-                                                    params_.rounds, rng_g5);
-  const auto g1 = nakamoto::simulate_selfish_mining(params_.alpha, 1.0,
-                                                    params_.rounds, rng_g1);
+  const auto g0 =
+      nakamoto::simulate_selfish_mining(alpha, 0.0, rounds, rng_g0);
+  const auto g5 =
+      nakamoto::simulate_selfish_mining(alpha, 0.5, rounds, rng_g5);
+  const auto g1 =
+      nakamoto::simulate_selfish_mining(alpha, 1.0, rounds, rng_g1);
 
   runtime::MetricRecord metrics;
   metrics.set("revenue_g0", g0.revenue_share());
@@ -35,8 +34,6 @@ runtime::MetricRecord SelfishMiningScenario::run(
   metrics.set("advantage_g05", g5.advantage());
   return metrics;
 }
-
-namespace {
 
 const runtime::ScenarioRegistration kSelfishMining{{
     .name = "selfish_mining",
@@ -47,13 +44,15 @@ const runtime::ScenarioRegistration kSelfishMining{{
         {"rounds", {1'000'000}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<SelfishMiningScenario>(
-          SelfishMiningScenario::Params{.alpha = p.get_double("alpha"),
-                                        .rounds = p.get_size("rounds")});
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const double alpha = p.get_double("alpha");
+      const std::size_t rounds = p.get_size("rounds");
+      return {"selfish_mining/alpha=" + support::Table::format_cell(alpha),
+              [alpha, rounds](const runtime::RunContext& ctx) {
+                return run_selfish_mining(alpha, rounds, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

@@ -1,6 +1,10 @@
-#include "scenarios/two_tier.h"
-
-#include <memory>
+// Two-tier voting scenario (§V): mix attested and non-attested replicas,
+// weight attested replicas by α, and measure the resilience of the
+// effective voting-power distribution. Replaces the fraction × α loops of
+// the old two_tier_resilience bench; the population now derives from the
+// run seed, so a sweep shows the population-to-population spread the
+// single hardcoded draw hid.
+#include <string>
 #include <vector>
 
 #include "config/sampler.h"
@@ -12,8 +16,13 @@
 #include "support/table.h"
 
 namespace findep::scenarios {
-
 namespace {
+
+struct Params {
+  double attested_fraction = 0.5;
+  double alpha = 2.0;  // attested weight multiplier
+  std::size_t replicas = 60;
+};
 
 /// The mixed population is a function of (replicas, attested_fraction,
 /// seed) only — all α instances of one fraction share it, which is what
@@ -39,32 +48,17 @@ std::vector<diversity::ReplicaRecord> mixed_population(
   return population;
 }
 
-}  // namespace
-
-TwoTierScenario::TwoTierScenario(Params params) : params_(params) {
-  FINDEP_REQUIRE(params_.replicas > 0);
-  FINDEP_REQUIRE(params_.attested_fraction >= 0.0 &&
-                 params_.attested_fraction <= 1.0);
-  FINDEP_REQUIRE(params_.alpha >= 1.0);
-}
-
-std::string TwoTierScenario::name() const {
-  return "two_tier/attested=" +
-         support::Table::format_cell(params_.attested_fraction) +
-         " alpha=" + support::Table::format_cell(params_.alpha);
-}
-
-runtime::MetricRecord TwoTierScenario::run(
-    const runtime::RunContext& ctx) const {
+runtime::MetricRecord run_two_tier(const Params& params,
+                                   const runtime::RunContext& ctx) {
   const auto population =
-      mixed_population(params_.replicas, params_.attested_fraction, ctx.seed);
+      mixed_population(params.replicas, params.attested_fraction, ctx.seed);
 
   // Baseline diversity of the raw population (memoized across the α
   // instances sharing this population).
   const diversity::DiversityReport report =
       diversity::DiversityAnalyzer::analyze(population);
   const diversity::TwoTierOutcome out =
-      diversity::TwoTierPolicy(params_.alpha).apply(population);
+      diversity::TwoTierPolicy(params.alpha).apply(population);
 
   runtime::MetricRecord metrics;
   metrics.set("unknown_share_pct", out.unknown_share * 100.0);
@@ -77,8 +71,6 @@ runtime::MetricRecord TwoTierScenario::run(
   return metrics;
 }
 
-namespace {
-
 const runtime::ScenarioRegistration kTwoTier{{
     .name = "two_tier",
     .description = "attested-weight two-tier voting: α vs resilience of "
@@ -89,14 +81,23 @@ const runtime::ScenarioRegistration kTwoTier{{
         {"replicas", {60}},
     }},
     .factory =
-        [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {
-      return std::make_unique<TwoTierScenario>(TwoTierScenario::Params{
+        [](const runtime::ParamSet& p) -> runtime::Scenario {
+      const Params params{
           .attested_fraction = p.get_double("attested_fraction"),
           .alpha = p.get_double("alpha"),
-          .replicas = p.get_size("replicas")});
+          .replicas = p.get_size("replicas")};
+      FINDEP_REQUIRE(params.replicas > 0);
+      FINDEP_REQUIRE(params.attested_fraction >= 0.0 &&
+                     params.attested_fraction <= 1.0);
+      FINDEP_REQUIRE(params.alpha >= 1.0);
+      return {"two_tier/attested=" +
+                  support::Table::format_cell(params.attested_fraction) +
+                  " alpha=" + support::Table::format_cell(params.alpha),
+              [params](const runtime::RunContext& ctx) {
+                return run_two_tier(params, ctx);
+              }};
     },
 }};
 
 }  // namespace
-
 }  // namespace findep::scenarios

@@ -121,9 +121,8 @@ TEST(BftBatch, BatchSizeEightAmortizesFourfold) {
   // same cluster, same 16 requests, same seed — batch_size = 8 must
   // commit them with >= 4x fewer protocol messages per committed request
   // than batch_size = 1.
-  using scenarios::BftScalingScenario;
   const auto metrics_for = [](std::size_t batch_size) {
-    BftScalingScenario::Params params;
+    scenarios::BftScalingParams params;
     params.n = 10;
     params.requests = 16;
     params.batch_size = batch_size;
@@ -133,8 +132,8 @@ TEST(BftBatch, BatchSizeEightAmortizesFourfold) {
     // timer must also stay below the 1 s request_timeout, enforced at
     // construction.)
     params.batch_timeout = 0.9;
-    const BftScalingScenario scenario(params);
-    return scenario.run(runtime::RunContext{.seed = 77, .run_index = 0});
+    return scenarios::run_bft_scaling(
+        params, runtime::RunContext{.seed = 77, .run_index = 0});
   };
   const runtime::MetricRecord unbatched = metrics_for(1);
   const runtime::MetricRecord batched = metrics_for(8);
@@ -171,15 +170,13 @@ TEST(BftBatch, SameRequestsCommittedAcrossBatchSizes) {
 
 TEST(BftBatch, OfferedLoadScenarioCommitsEverything) {
   // Open-loop arrivals: 12 requests at 50 req/s against batch_size = 4.
-  using scenarios::BftScalingScenario;
-  BftScalingScenario::Params params;
+  scenarios::BftScalingParams params;
   params.n = 4;
   params.requests = 12;
   params.batch_size = 4;
   params.offered_load = 50.0;
-  const BftScalingScenario scenario(params);
-  const runtime::MetricRecord metrics =
-      scenario.run(runtime::RunContext{.seed = 5, .run_index = 0});
+  const runtime::MetricRecord metrics = scenarios::run_bft_scaling(
+      params, runtime::RunContext{.seed = 5, .run_index = 0});
   EXPECT_EQ(metrics.get("completed"), 1.0);
   EXPECT_GT(metrics.get("requests_per_second"), 0.0);
   EXPECT_GT(metrics.get("msgs_per_committed_request"), 0.0);
@@ -193,13 +190,12 @@ TEST(BftBatch, LaggardSurvivesRemoteCheckpointAtDepth) {
   // hopeless view changes; they must instead keep slots above their own
   // execution horizon and finish. This seed deterministically stalled
   // before the fix (completed == 0 with ~161 view changes).
-  using scenarios::BftScalingScenario;
-  BftScalingScenario::Params params;
+  scenarios::BftScalingParams params;
   params.n = 25;
   params.requests = 16;
   params.batch_size = 1;
-  const BftScalingScenario scenario(params);
-  const runtime::MetricRecord metrics = scenario.run(
+  const runtime::MetricRecord metrics = scenarios::run_bft_scaling(
+      params,
       runtime::RunContext{.seed = 13757245211066428519ULL, .run_index = 0});
   EXPECT_EQ(metrics.get("completed"), 1.0);
   EXPECT_EQ(metrics.get("max_view_changes"), 0.0);

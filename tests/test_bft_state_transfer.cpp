@@ -10,7 +10,7 @@
 
 #include "bft_test_util.h"
 #include "replication/cluster.h"
-#include "scenarios/bft_churn.h"
+#include "runtime/registry.h"
 #include "support/assert.h"
 
 namespace findep::replication {
@@ -333,13 +333,15 @@ TEST(BftStateTransfer, ChurnScenarioPinsBothDirections) {
   // transfer on, a just-under-1/3 crash through a multi-checkpoint
   // outage ends with zero stranded replicas; with it off, the identical
   // workload reproduces the stranding.
-  using scenarios::BftChurnScenario;
   const auto run = [](bool transfer) {
-    BftChurnScenario::Params params;
-    params.n = 10;
-    params.batch_size = 4;
-    params.state_transfer = transfer;
-    const BftChurnScenario scenario(params);
+    runtime::ParamSet point;
+    point.set("n", 10);
+    point.set("crash", 0.3);
+    point.set("outage", 6.0);
+    point.set("batch_size", 4);
+    point.set("state_transfer", transfer ? 1 : 0);
+    const runtime::Scenario scenario =
+        runtime::ScenarioRegistry::global().find("bft_churn")->factory(point);
     return scenario.run(runtime::RunContext{.seed = 9, .run_index = 0});
   };
   const runtime::MetricRecord with = run(true);

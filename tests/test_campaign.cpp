@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "campaign/cell.h"
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
 #include "campaign/report.h"
@@ -19,13 +18,13 @@
 #include "campaign/target.h"
 #include "config/catalog.h"
 #include "replication/cluster.h"
+#include "runtime/registry.h"
 #include "runtime/suite.h"
 #include "runtime/task.h"
 
 namespace findep {
 namespace {
 
-using campaign::CampaignCellScenario;
 using campaign::CampaignSpec;
 using campaign::FaultKind;
 using campaign::FaultPlan;
@@ -293,24 +292,30 @@ TEST(CampaignOutcome, KnownViolationClassifiesSafetyViolated) {
 
 // --- cells ------------------------------------------------------------------
 
+/// One campaign cell at n = 7, built through the registered factory.
+runtime::Scenario cell(const std::string& target, const std::string& fault,
+                       double rate) {
+  runtime::ParamSet point;
+  point.set("target", target);
+  point.set("fault", fault);
+  point.set("rate", rate);
+  point.set("n", 7);
+  return runtime::ScenarioRegistry::global().find("campaign")->factory(point);
+}
+
 TEST(CampaignCell, RunsAreSeedDeterministic) {
-  const CampaignCellScenario cell(CampaignCellScenario::Params{
-      .target = "diverse", .fault = "partition", .rate = 0.5, .n = 7});
+  const runtime::Scenario partition = cell("diverse", "partition", 0.5);
   const runtime::RunContext ctx{.seed = 42, .run_index = 0};
-  const runtime::MetricRecord a = cell.run(ctx);
-  const runtime::MetricRecord b = cell.run(ctx);
+  const runtime::MetricRecord a = partition.run(ctx);
+  const runtime::MetricRecord b = partition.run(ctx);
   EXPECT_TRUE(a == b);
   EXPECT_TRUE(a.has("fault_detected"));
   EXPECT_TRUE(a.has("safety_violated"));
 }
 
 TEST(CampaignCell, RejectsInvalidParameters) {
-  EXPECT_THROW(CampaignCellScenario(CampaignCellScenario::Params{
-                   .target = "no_such_target"}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      CampaignCellScenario(CampaignCellScenario::Params{.fault = "meteor"}),
-      std::invalid_argument);
+  EXPECT_THROW(cell("no_such_target", "crash", 1.0), std::invalid_argument);
+  EXPECT_THROW(cell("diverse", "meteor", 1.0), std::invalid_argument);
 }
 
 // The paper's safety condition, reproduced as campaign cells: a colluding
@@ -318,12 +323,9 @@ TEST(CampaignCell, RejectsInvalidParameters) {
 // the Lazarus-style fleet caps every component at 2/7 < 1/3, so the same
 // adversary never can (its damage is bounded to liveness).
 TEST(CampaignCell, SafetyThresholdCrossCheck) {
-  const CampaignCellScenario diverse_collude(CampaignCellScenario::Params{
-      .target = "diverse", .fault = "collude", .rate = 1.0, .n = 7});
-  const CampaignCellScenario lazarus_collude(CampaignCellScenario::Params{
-      .target = "lazarus", .fault = "collude", .rate = 1.0, .n = 7});
-  const CampaignCellScenario diverse_crash(CampaignCellScenario::Params{
-      .target = "diverse", .fault = "crash", .rate = 1.0, .n = 7});
+  const runtime::Scenario diverse_collude = cell("diverse", "collude", 1.0);
+  const runtime::Scenario lazarus_collude = cell("lazarus", "collude", 1.0);
+  const runtime::Scenario diverse_crash = cell("diverse", "crash", 1.0);
 
   std::size_t violations = 0;
   for (std::size_t i = 0; i < 6; ++i) {
@@ -351,13 +353,10 @@ TEST(CampaignCell, SafetyThresholdCrossCheck) {
 // --- the reporter -----------------------------------------------------------
 
 TEST(CampaignReport, AggregatesRatesByGroup) {
-  const CampaignCellScenario cells[] = {
-      CampaignCellScenario(CampaignCellScenario::Params{
-          .target = "diverse", .fault = "collude", .rate = 1.0, .n = 7}),
-      CampaignCellScenario(CampaignCellScenario::Params{
-          .target = "diverse", .fault = "crash", .rate = 1.0, .n = 7}),
-      CampaignCellScenario(CampaignCellScenario::Params{
-          .target = "lazarus", .fault = "crash", .rate = 1.0, .n = 7}),
+  const runtime::Scenario cells[] = {
+      cell("diverse", "collude", 1.0),
+      cell("diverse", "crash", 1.0),
+      cell("lazarus", "crash", 1.0),
   };
   std::vector<runtime::TaskResult> results;
   for (std::size_t c = 0; c < 3; ++c) {

@@ -16,6 +16,7 @@
 #include "runtime/registry.h"
 #include "runtime/suite.h"
 #include "runtime/sweep.h"
+#include "support/assert.h"
 
 namespace findep::runtime {
 namespace {
@@ -131,30 +132,21 @@ TEST(ParamGrid, MixedNumericAxisAcceptsDoubleOverrides) {
 
 // --- ScenarioRegistry ------------------------------------------------------
 
-class LabeledScenario : public Scenario {
- public:
-  explicit LabeledScenario(std::string name, double value = 0.0)
-      : name_(std::move(name)), value_(value) {}
-  std::string name() const override { return name_; }
-  MetricRecord run(const RunContext& ctx) const override {
-    MetricRecord m;
-    m.set("value", value_);
-    m.set("index", static_cast<double>(ctx.run_index));
-    return m;
-  }
-
- private:
-  std::string name_;
-  double value_;
-};
+/// A scenario whose metrics are `value` and the run index.
+Scenario labeled_scenario(std::string name, double value = 0.0) {
+  return {std::move(name), [value](const RunContext& ctx) {
+            MetricRecord m;
+            m.set("value", value);
+            m.set("index", static_cast<double>(ctx.run_index));
+            return m;
+          }};
+}
 
 TEST(ScenarioRegistry, RejectsDuplicateAndInvalidFamilies) {
   ScenarioRegistry registry;  // local; the global one stays untouched
   ScenarioFamily family;
   family.name = "dup";
-  family.factory = [](const ParamSet&) {
-    return std::make_unique<LabeledScenario>("dup/x");
-  };
+  family.factory = [](const ParamSet&) { return labeled_scenario("dup/x"); };
   registry.register_family(family);
   EXPECT_THROW(registry.register_family(family), std::invalid_argument);
 
@@ -166,6 +158,10 @@ TEST(ScenarioRegistry, RejectsDuplicateAndInvalidFamilies) {
   no_factory.name = "nofactory";
   EXPECT_THROW(registry.register_family(no_factory),
                std::invalid_argument);
+
+  // A scenario must carry a run function.
+  EXPECT_THROW(Scenario("empty/x", Scenario::RunFn{}),
+               support::ContractViolation);
 }
 
 TEST(ScenarioRegistry, ListsFamiliesSortedAndFindsByName) {
@@ -173,9 +169,7 @@ TEST(ScenarioRegistry, ListsFamiliesSortedAndFindsByName) {
   for (const char* name : {"zeta", "alpha", "mid"}) {
     ScenarioFamily family;
     family.name = name;
-    family.factory = [](const ParamSet&) {
-      return std::make_unique<LabeledScenario>("x");
-    };
+    family.factory = [](const ParamSet&) { return labeled_scenario("x"); };
     registry.register_family(std::move(family));
   }
   const auto families = registry.families();
@@ -226,6 +220,21 @@ TEST(ScenarioRegistry, InstantiateExpandsEveryGrid) {
   // 4 worker counts) + the protocol-comparison lane (4 sizes × 2
   // protocols).
   EXPECT_EQ(scenarios.size(), 26u);
+}
+
+// gossip_scale's size axes are integers: a negative or fractional node
+// count is a usage error, never a cast of an out-of-range double.
+TEST(ScenarioRegistry, GossipScaleRejectsNegativeAndFractionalSizes) {
+  const ScenarioFamily* family =
+      ScenarioRegistry::global().find("gossip_scale");
+  ASSERT_NE(family, nullptr);
+  ParamSet negative;
+  negative.set("n", -1);
+  negative.set("degree", 4);
+  EXPECT_THROW((void)family->factory(negative), std::invalid_argument);
+
+  ParamGrid grid = family->grids.front();
+  EXPECT_THROW(grid.override_axis("n", {"10000.5"}), std::invalid_argument);
 }
 
 // --- the global work queue vs serial ---------------------------------------
@@ -288,8 +297,8 @@ TEST(GlobalQueue, FillsWorkersAcrossScenariosAtOneSeed) {
   std::vector<std::unique_ptr<Scenario>> owned;
   std::vector<const Scenario*> pointers;
   for (int i = 0; i < 6; ++i) {
-    owned.push_back(std::make_unique<LabeledScenario>(
-        "q/" + std::to_string(i), static_cast<double>(i)));
+    owned.push_back(std::make_unique<Scenario>(
+        labeled_scenario("q/" + std::to_string(i), static_cast<double>(i))));
     pointers.push_back(owned.back().get());
   }
   const auto results =
@@ -307,30 +316,22 @@ TEST(GlobalQueue, FillsWorkersAcrossScenariosAtOneSeed) {
 
 /// Deterministic parameterized family whose metrics are exact small
 /// integers, so CSV/JSON bytes are stable across platforms.
-class GoldenScenario : public Scenario {
- public:
-  GoldenScenario(std::int64_t a, std::int64_t b) : a_(a), b_(b) {}
-  std::string name() const override {
-    return "golden/a=" + std::to_string(a_) + " b=" + std::to_string(b_);
-  }
-  MetricRecord run(const RunContext& ctx) const override {
-    MetricRecord m;
-    m.set("combined", static_cast<double>(a_ * 10 + b_));
-    m.set("index", static_cast<double>(ctx.run_index));
-    return m;
-  }
-
- private:
-  std::int64_t a_;
-  std::int64_t b_;
-};
+Scenario golden_scenario(std::int64_t a, std::int64_t b) {
+  return {"golden/a=" + std::to_string(a) + " b=" + std::to_string(b),
+          [a, b](const RunContext& ctx) {
+            MetricRecord m;
+            m.set("combined", static_cast<double>(a * 10 + b));
+            m.set("index", static_cast<double>(ctx.run_index));
+            return m;
+          }};
+}
 
 TEST(GoldenOutput, CsvAndJsonForParameterizedFamily) {
   ScenarioFamily family;
   family.name = "golden";
   family.grids = {ParamGrid{{"a", {1, 2}}, {"b", {3, 4}}}};
   family.factory = [](const ParamSet& p) {
-    return std::make_unique<GoldenScenario>(p.get_int("a"), p.get_int("b"));
+    return golden_scenario(p.get_int("a"), p.get_int("b"));
   };
 
   ScenarioSuite suite("");

@@ -2,9 +2,11 @@
 // the suite driver.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/metrics.h"
 #include "runtime/scenario.h"
@@ -16,27 +18,31 @@ namespace findep::runtime {
 namespace {
 
 /// Cheap deterministic scenario: metrics are pure functions of the seed.
-class EchoScenario : public Scenario {
- public:
-  std::string name() const override { return "echo/basic"; }
-  MetricRecord run(const RunContext& ctx) const override {
-    MetricRecord m;
-    m.set("seed_lo", static_cast<double>(ctx.seed & 0xffffffff));
-    m.set("index", static_cast<double>(ctx.run_index));
-    return m;
-  }
-};
+Scenario echo_scenario() {
+  return {"echo/basic", [](const RunContext& ctx) {
+            MetricRecord m;
+            m.set("seed_lo", static_cast<double>(ctx.seed & 0xffffffff));
+            m.set("index", static_cast<double>(ctx.run_index));
+            return m;
+          }};
+}
 
-class FailingScenario : public Scenario {
- public:
-  std::string name() const override { return "echo/failing"; }
-  MetricRecord run(const RunContext& ctx) const override {
-    if (ctx.run_index % 2 == 1) throw std::runtime_error("boom");
-    MetricRecord m;
-    m.set("ok", 1.0);
-    return m;
-  }
-};
+Scenario failing_scenario() {
+  return {"echo/failing", [](const RunContext& ctx) {
+            if (ctx.run_index % 2 == 1) throw std::runtime_error("boom");
+            MetricRecord m;
+            m.set("ok", 1.0);
+            return m;
+          }};
+}
+
+/// The PBFT scaling run function at one configuration.
+Scenario bft_scenario(const scenarios::BftScalingParams& params) {
+  return {"bft_scaling/n=" + std::to_string(params.n),
+          [params](const RunContext& ctx) {
+            return scenarios::run_bft_scaling(params, ctx);
+          }};
+}
 
 TEST(MetricRecord, KeepsInsertionOrderAndOverwrites) {
   MetricRecord m;
@@ -62,7 +68,7 @@ TEST(DeriveSeed, StableAndCollisionFreeOverSweep) {
 }
 
 TEST(SweepRunner, RecordsIndexedByRunNotCompletion) {
-  EchoScenario scenario;
+  const Scenario scenario = echo_scenario();
   const SweepRunner runner({.base_seed = 3, .num_seeds = 16, .threads = 8});
   const auto records = runner.run(scenario);
   ASSERT_EQ(records.size(), 16u);
@@ -79,7 +85,7 @@ TEST(SweepRunner, RecordsIndexedByRunNotCompletion) {
 // to the serial run (each worker owns its own Simulator + SimNetwork +
 // RNG, so thread scheduling cannot leak into results).
 TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
-  const scenarios::BftScalingScenario scenario({.n = 4, .requests = 3});
+  const Scenario scenario = bft_scenario({.n = 4, .requests = 3});
   const auto serial =
       SweepRunner({.base_seed = 42, .num_seeds = 8, .threads = 1})
           .run(scenario);
@@ -98,7 +104,7 @@ TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
 }
 
 TEST(SweepRunner, IdenticallySeededRunnersAgree) {
-  const scenarios::BftScalingScenario scenario({.n = 4, .requests = 2});
+  const Scenario scenario = bft_scenario({.n = 4, .requests = 2});
   const SweepOptions options{.base_seed = 9, .num_seeds = 4, .threads = 4};
   const auto a = SweepRunner(options).run(scenario);
   const auto b = SweepRunner(options).run(scenario);
@@ -109,7 +115,7 @@ TEST(SweepRunner, IdenticallySeededRunnersAgree) {
 }
 
 TEST(SweepRunner, CapturesPerRunErrorsWithoutAbortingSweep) {
-  FailingScenario scenario;
+  const Scenario scenario = failing_scenario();
   const auto records =
       SweepRunner({.base_seed = 1, .num_seeds = 4, .threads = 2})
           .run(scenario);
@@ -134,7 +140,7 @@ TEST(MetricsSink, SortsRecordsBySeedNotArrivalOrder) {
 }
 
 TEST(MetricsSink, JsonIdenticalForSerialAndParallelSweeps) {
-  EchoScenario scenario;
+  const Scenario scenario = echo_scenario();
   const auto render = [&](std::size_t threads) {
     MetricsSink sink;
     sink.add(scenario.name(), scenario.family(),
@@ -187,8 +193,8 @@ TEST(Suite, RejectsUnknownOrTruncatedFlags) {
 
 TEST(Suite, RunsMatchingScenariosAndReportsErrors) {
   ScenarioSuite suite("test suite");
-  suite.emplace<EchoScenario>();
-  suite.emplace<FailingScenario>();
+  suite.add(std::make_unique<Scenario>(echo_scenario()));
+  suite.add(std::make_unique<Scenario>(failing_scenario()));
   SuiteOptions options;
   options.sweep = {.base_seed = 1, .num_seeds = 2, .threads = 1};
 

@@ -437,17 +437,25 @@ TEST(DistributedSweep, WorkerOutputIndependentOfThreadCount) {
 TEST(DistributedSweep, WorkerTurnsFactoryRejectionIntoErrorRecord) {
   // "mix" is a string axis whose values the bft_scaling factory
   // validates: an unknown mix must come back as an error-carrying result
-  // (exit 1), not kill the worker (exit 2).
+  // (exit 1), not kill the worker (exit 2). Every other axis keeps its
+  // first grid value, so the mix is the only thing wrong with the task.
+  const ScenarioFamily* family = ScenarioRegistry::global().find("bft_scaling");
+  ASSERT_NE(family, nullptr);
+  ParamGrid grid = family->grids.front();
+  ASSERT_TRUE(grid.override_axis("mix", {"not_a_real_mix"}));
   TaskSpec task;
   task.family = "bft_scaling";
-  task.params.set("n", ParamValue(std::int64_t{7}));
-  task.params.set("mix", ParamValue("not_a_real_mix"));
+  task.params = grid.expand().front();
   std::istringstream in(to_json(task) + "\n");
   std::ostringstream out, err;
   EXPECT_EQ(run_worker(in, out, err, 1), 1);
   const TaskResult result = task_result_from_json(out.str());
   EXPECT_FALSE(result.record.ok());
+  EXPECT_NE(result.record.error.find("not_a_real_mix"), std::string::npos)
+      << result.record.error;
   EXPECT_EQ(result.family, "bft_scaling");
+  // The worker's stand-in name for a point its factory rejected.
+  EXPECT_EQ(result.scenario, "bft_scaling/" + task.params.label());
 }
 
 TEST(DistributedSweep, WorkerRejectsMalformedAndUnknownTasks) {
