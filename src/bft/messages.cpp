@@ -343,8 +343,13 @@ Envelope make_envelope(ReplicaId sender, const crypto::KeyPair& keys,
 
 bool verify_envelope(const crypto::KeyRegistry& registry,
                      const Envelope& envelope) {
-  return registry.verify(envelope.sender_key(), envelope.digest(),
-                         envelope.signature());
+  if (envelope.verified_by_ == registry.id()) return true;
+  if (!registry.verify(envelope.sender_key(), envelope.digest(),
+                       envelope.signature())) {
+    return false;
+  }
+  envelope.verified_by_ = registry.id();
+  return true;
 }
 
 }  // namespace findep::bft

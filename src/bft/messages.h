@@ -6,7 +6,9 @@
 // Every message is signed; receivers verify via the KeyRegistry before
 // processing, so a Byzantine replica cannot forge others' votes — it can
 // only equivocate with its own weight, which the quorum intersection
-// argument charges to f.
+// argument charges to f. The receivers of a broadcast share one envelope,
+// so the first check against a registry runs the HMAC and the rest read
+// its recorded acceptance (see Envelope).
 #pragma once
 
 #include <cstdint>
@@ -314,6 +316,12 @@ using Payload = std::variant<Request, PrePrepare, Prepare, Commit,
 /// against the bound digest instead of rehashing the payload. (A real
 /// receiver hashes the bytes it got; here every receiver shares one
 /// immutable body, whose hash is this value.)
+///
+/// The signature check is shared the same way: verify_envelope records
+/// the id of the registry that accepted the signature, and a later check
+/// against that registry returns true without the HMAC. A registry never
+/// withdraws an acceptance, so the verdict is a function of the registry
+/// and these read-only fields. A rejection is never recorded.
 class Envelope {
  public:
   [[nodiscard]] ReplicaId sender() const noexcept { return sender_; }
@@ -333,9 +341,16 @@ class Envelope {
   friend Envelope make_envelope(ReplicaId sender,
                                 const crypto::KeyPair& keys,
                                 Payload payload);
+  friend bool verify_envelope(const crypto::KeyRegistry& registry,
+                              const Envelope& envelope);
   Envelope(ReplicaId sender, const crypto::KeyPair& keys, Payload payload);
 
   ReplicaId sender_ = 0;
+  /// KeyRegistry::id() of the registry that accepted the signature, or 0.
+  /// Declared next to sender_ so it takes the 4 bytes of padding the
+  /// envelope already had: every network body is sized to its widest
+  /// alternative, this one.
+  mutable std::uint32_t verified_by_ = 0;
   crypto::PublicKey sender_key_;
   Payload payload_;
   crypto::Digest digest_;
@@ -359,7 +374,7 @@ class Envelope {
 [[nodiscard]] std::optional<std::size_t> proof_signatures(
     const Payload& payload);
 
-/// Verifies the envelope signature.
+/// Verifies the envelope signature, once per registry (see Envelope).
 [[nodiscard]] bool verify_envelope(const crypto::KeyRegistry& registry,
                                    const Envelope& envelope);
 

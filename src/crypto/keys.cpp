@@ -1,5 +1,7 @@
 #include "crypto/keys.h"
 
+#include <atomic>
+
 #include "support/assert.h"
 #include "support/rng.h"
 
@@ -12,6 +14,16 @@ constexpr std::string_view kSignatureDomain = "findep/sig/v1";
 Digest signing_key(const Digest& secret) {
   // Domain-separate signing from other HMAC uses of the same secret.
   return Sha256{}.update(kSignatureDomain).update(secret.bytes).finish();
+}
+
+std::atomic<std::uint32_t> g_last_registry_id{0};
+
+std::uint32_t next_registry_id() {
+  std::uint32_t id = 0;
+  while (id == 0) {
+    id = g_last_registry_id.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  return id;
 }
 }  // namespace
 
@@ -49,6 +61,8 @@ Signature KeyPair::sign(std::string_view message) const {
 Signature KeyPair::sign(const Digest& message) const {
   return sign(std::span<const std::uint8_t>(message.bytes));
 }
+
+KeyRegistry::KeyRegistry() : id_(next_registry_id()) {}
 
 bool KeyRegistry::enroll(const KeyPair& keys) {
   const auto [it, inserted] = keys_.try_emplace(keys.public_key().id, keys);

@@ -78,8 +78,22 @@ class KeyPair {
 /// The verification oracle standing in for public-key mathematics. Every
 /// simulation owns one registry; verification succeeds iff the signature
 /// was produced by the registered key for that public key.
+///
+/// A registry only grows: nothing removes a key, and a public key never
+/// changes secret. So once it accepts a signature it accepts it for the
+/// rest of its life, which lets `bft::verify_envelope` remember the
+/// acceptance under id(). Not copyable or movable: a copy that kept the
+/// id would share those verdicts after the two key sets diverged.
 class KeyRegistry {
  public:
+  KeyRegistry();
+  KeyRegistry(const KeyRegistry&) = delete;
+  KeyRegistry& operator=(const KeyRegistry&) = delete;
+
+  /// Nonzero and unique among the registries of this process (it would
+  /// take 2^32 constructions to wrap).
+  [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
+
   /// Registers a key pair; idempotent for the same pair. Returns false if
   /// a *different* secret was already registered under the public key
   /// (which would indicate a broken test setup).
@@ -104,6 +118,7 @@ class KeyRegistry {
       const PublicKey& pub) const;
 
  private:
+  std::uint32_t id_;
   /// pub id -> the enrolled pair; verification re-signs with its
   /// precomputed HMAC schedule.
   std::unordered_map<Digest, KeyPair> keys_;

@@ -125,9 +125,9 @@ void NodeHarness::on_message(const net::Message& raw) {
   const bool from_replica = env->sender() < weights_.size();
   if (from_replica && directory_[env->sender()] != env->sender_key()) return;
   if (verify_pool_ == nullptr || env->sender() == id_) {
-    // crypto=free (no pool), or our own loopback leg — a replica does
-    // not re-verify its own signature, so the self-send stays on the
-    // historical inline path even under a modeled cost.
+    // crypto=free (no pool), or our own loopback leg. A replica is not
+    // charged modeled time to check its own signature, so the self-send
+    // still verifies, but inline rather than on the worker pool.
     if (!bft::verify_envelope(*registry_, *env)) return;
     protocol_->dispatch_payload(*env, raw.from, raw.bytes);
     return;

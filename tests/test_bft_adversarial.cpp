@@ -3,6 +3,8 @@
 // and recovery dynamics beyond the happy paths of test_bft.cpp.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bft_test_util.h"
 #include "support/assert.h"
 
@@ -143,20 +145,72 @@ TEST(BftAdversarial, ViewChangeProofKeepsTheSignedDigest) {
 }
 
 TEST(BftAdversarial, OutsiderCannotSendProtocolMessages) {
-  Cluster cluster(4, fast_options(25));
-  // A *valid* key, but sender id beyond the directory: protocol messages
-  // (non-Request) from clients must be ignored.
-  crypto::KeyPair client = crypto::KeyPair::derive(424242);
-  // Enroll via a fresh cluster-side path: the registry only holds cluster
-  // keys, so verification fails regardless; this asserts no crash and no
-  // progress from garbage.
-  Envelope env = make_envelope(/*sender=*/17, client,
-                               Commit{0, 1, crypto::sha256("x")});
+  // The cluster's own client signs a Commit with its enrolled key, so the
+  // envelope passes the signature check: only the rule that clients may
+  // send nothing but requests keeps the vote out of the tally.
+  const ClusterOptions opt = fast_options(25);
+  Cluster cluster(4, opt);
+  const net::NodeId client_id = 4;
+  const crypto::KeyPair client =
+      crypto::KeyPair::derive(opt.seed * 1000003 + client_id);
+  const Envelope env = make_envelope(client_id, client,
+                                     Commit{0, 1, crypto::sha256("x")});
   for (net::NodeId r = 0; r < 4; ++r) {
-    cluster.network().send(17, r, env, 256);
+    cluster.network().send(client_id, r, env, 256);
   }
   cluster.run_for(2.0);
   EXPECT_EQ(cluster.min_honest_executed(), 0u);
+}
+
+TEST(BftAdversarial, MemberCannotSignAsAnotherMember) {
+  // Replica 1 signs a PrePrepare with its own enrolled key but claims to
+  // be replica 0, the primary. The signature is valid, so only the
+  // directory check (the claimed sender's key must be the one that
+  // signed) stops a member's valid signature from standing in for
+  // another member's identity.
+  const ClusterOptions opt = fast_options(39);
+  Cluster cluster(4, opt);
+  const crypto::KeyPair member =
+      crypto::KeyPair::derive(opt.seed * 1000003 + 1);
+  const Request forged_request{77, crypto::sha256("forged-op")};
+  const Envelope forged = make_envelope(
+      /*sender=*/0, member, PrePrepare{0, 1, Batch{{forged_request}}});
+  for (net::NodeId r = 0; r < 4; ++r) {
+    cluster.network().send(1, r, forged, 256);
+  }
+  cluster.run_for(5.0);
+  EXPECT_EQ(cluster.min_honest_executed(), 0u);
+}
+
+TEST(BftAdversarial, SignatureVerdictIsPerRegistryAndNeverNegative) {
+  // verify_envelope records which registry accepted a signature and
+  // skips the HMAC when that registry asks again. The recorded verdict
+  // must not speak for another registry, and a rejection is never
+  // recorded, so a key enrolled later is honoured.
+  static_assert(!std::is_copy_constructible_v<crypto::KeyRegistry>);
+  static_assert(!std::is_move_constructible_v<crypto::KeyRegistry>);
+  const crypto::KeyPair keys = crypto::KeyPair::derive(11);
+  const crypto::KeyPair outsider = crypto::KeyPair::derive(12);
+  const Request r{3, crypto::sha256("op")};
+  const Envelope env = make_envelope(1, keys, PrePrepare{0, 1, Batch{{r}}});
+
+  crypto::KeyRegistry a;
+  a.enroll(keys);
+  EXPECT_TRUE(verify_envelope(a, env));
+  EXPECT_TRUE(verify_envelope(a, env));
+
+  crypto::KeyRegistry b;
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_FALSE(verify_envelope(b, env));
+  b.enroll(keys);
+  EXPECT_TRUE(verify_envelope(b, env));
+
+  const Envelope forged =
+      make_envelope(1, outsider, PrePrepare{0, 1, Batch{{r}}});
+  EXPECT_FALSE(verify_envelope(a, forged));
+  EXPECT_FALSE(verify_envelope(a, forged));
+  a.enroll(outsider);
+  EXPECT_TRUE(verify_envelope(a, forged));
 }
 
 TEST(BftAdversarial, WeightedEquivocatorBelowThirdIsHarmless) {

@@ -186,6 +186,25 @@ TEST(HotStuff, QcNoticeRepeatingOneVoteIsRejected) {
   EXPECT_EQ(cluster.hotstuff(3).high_qc().round, 1000u);
 }
 
+TEST(HotStuff, ClientMayOnlySendRequests) {
+  // The cluster's own client signs a round-1 vote with its enrolled key,
+  // so the envelope passes the signature check: only the rule that
+  // clients may send nothing but requests keeps the vote away from the
+  // round-2 leader's tally.
+  const ClusterOptions opt = hotstuff_options(20);
+  Cluster cluster(4, opt);
+  const net::NodeId client_id = 4;
+  const crypto::KeyPair client =
+      crypto::KeyPair::derive(opt.seed * 1000003 + client_id);
+  const HsVote vote{1, 1, crypto::sha256("x")};
+  const Envelope env = make_envelope(client_id, client, vote);
+  for (net::NodeId r = 0; r < 4; ++r) {
+    cluster.network().send(client_id, r, env, payload_wire_bytes(vote));
+  }
+  cluster.run_for(2.0);
+  EXPECT_EQ(cluster.min_honest_executed(), 0u);
+}
+
 TEST(HotStuff, WeightedQuorumFollowsReplicaOrderSums) {
   // Bft.WeightedQuorumFollowsPowerNotCount's fractional cluster on this
   // lane: the live voters {0, 1, 3} of weights {0.1, 0.1, 0.3, 0.4} form
