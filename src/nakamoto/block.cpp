@@ -29,88 +29,126 @@ const Block& genesis() {
   return g;
 }
 
-BlockTree::BlockTree() {
-  blocks_.emplace(genesis().hash, genesis());
-  tip_ = genesis().hash;
+BlockTree::BlockTree(std::size_t views)
+    : blocks_{genesis()}, parent_{0}, held_(views, true), views_(views) {
+  index_.emplace(genesis().hash, 0);
 }
 
-bool BlockTree::add(const Block& block) {
-  if (blocks_.contains(block.hash)) return false;
-  const auto parent_it = blocks_.find(block.parent);
-  if (parent_it == blocks_.end()) return false;
-  FINDEP_REQUIRE_MSG(block.height == parent_it->second.height + 1,
-                     "block height must be parent height + 1");
-  blocks_.emplace(block.hash, block);
-  // Longest-chain rule; strictly-greater keeps the first-seen tip on ties.
-  if (block.height > blocks_.at(tip_).height) {
-    tip_ = block.hash;
-  }
-  return true;
+void BlockTree::require_view(std::size_t view) const {
+  FINDEP_REQUIRE_MSG(view < views_.size(), "unknown view");
 }
 
-bool BlockTree::contains(const crypto::Digest& hash) const {
-  return blocks_.contains(hash);
-}
-
-const Block& BlockTree::get(const crypto::Digest& hash) const {
-  const auto it = blocks_.find(hash);
-  FINDEP_REQUIRE_MSG(it != blocks_.end(), "unknown block");
+std::optional<std::uint32_t> BlockTree::held(
+    std::size_t view, const crypto::Digest& hash) const {
+  const auto it = index_.find(hash);
+  if (it == index_.end() || !holds(view, it->second)) return std::nullopt;
   return it->second;
 }
 
-const Block& BlockTree::tip() const { return blocks_.at(tip_); }
+bool BlockTree::add(std::size_t view, const Block& block) {
+  require_view(view);
+  const auto stored = index_.find(block.hash);
+  if (stored != index_.end() && holds(view, stored->second)) return false;
+  const std::optional<std::uint32_t> parent = held(view, block.parent);
+  if (!parent) return false;
+  FINDEP_REQUIRE_MSG(block.height == blocks_[*parent].height + 1,
+                     "block height must be parent height + 1");
+  std::uint32_t at = 0;
+  if (stored != index_.end()) {
+    at = stored->second;
+    FINDEP_REQUIRE_MSG(parent_[at] == *parent,
+                       "one block hash with two parents");
+  } else {
+    // `block` is not in the store, so growing it cannot move `block`.
+    at = static_cast<std::uint32_t>(blocks_.size());
+    blocks_.push_back(block);
+    parent_.push_back(*parent);
+    held_.resize(held_.size() + views_.size());
+    index_.emplace(block.hash, at);
+  }
+  held_[at * views_.size() + view] = true;
+  View& v = views_[view];
+  ++v.blocks;
+  // Longest-chain rule; strictly-greater keeps the first-seen tip on ties.
+  if (block.height > blocks_[v.tip].height) v.tip = at;
+  return true;
+}
 
-std::vector<crypto::Digest> BlockTree::main_chain() const {
+bool BlockTree::contains(std::size_t view,
+                         const crypto::Digest& hash) const {
+  require_view(view);
+  return held(view, hash).has_value();
+}
+
+const Block& BlockTree::get(const crypto::Digest& hash) const {
+  const auto it = index_.find(hash);
+  FINDEP_REQUIRE_MSG(it != index_.end(), "unknown block");
+  return blocks_[it->second];
+}
+
+const Block& BlockTree::tip(std::size_t view) const {
+  require_view(view);
+  return blocks_[views_[view].tip];
+}
+
+std::size_t BlockTree::block_count(std::size_t view) const {
+  require_view(view);
+  return views_[view].blocks;
+}
+
+std::vector<crypto::Digest> BlockTree::main_chain(std::size_t view) const {
   std::vector<crypto::Digest> chain;
-  chain.reserve(tip_height());
-  crypto::Digest cursor = tip_;
-  while (cursor != genesis().hash) {
-    chain.push_back(cursor);
-    cursor = blocks_.at(cursor).parent;
+  chain.reserve(tip_height(view));
+  for (std::uint32_t at = views_[view].tip; at != 0; at = parent_[at]) {
+    chain.push_back(blocks_[at].hash);
   }
   std::reverse(chain.begin(), chain.end());
   return chain;
 }
 
-bool BlockTree::on_main_chain(const crypto::Digest& hash) const {
-  const auto it = blocks_.find(hash);
-  if (it == blocks_.end()) return false;
+bool BlockTree::on_main_chain(std::size_t view,
+                              const crypto::Digest& hash) const {
+  require_view(view);
+  const std::optional<std::uint32_t> at = held(view, hash);
+  if (!at) return false;
   // Walk down from the tip to the block's height.
-  crypto::Digest cursor = tip_;
-  while (blocks_.at(cursor).height > it->second.height) {
-    cursor = blocks_.at(cursor).parent;
+  std::uint32_t cursor = views_[view].tip;
+  while (blocks_[cursor].height > blocks_[*at].height) {
+    cursor = parent_[cursor];
   }
-  return cursor == hash;
+  return cursor == *at;
 }
 
-std::unordered_map<MinerId, std::size_t> BlockTree::miner_shares() const {
+std::unordered_map<MinerId, std::size_t> BlockTree::miner_shares(
+    std::size_t view) const {
+  require_view(view);
   std::unordered_map<MinerId, std::size_t> shares;
-  for (const crypto::Digest& hash : main_chain()) {
-    ++shares[blocks_.at(hash).miner];
+  for (std::uint32_t at = views_[view].tip; at != 0; at = parent_[at]) {
+    ++shares[blocks_[at].miner];
   }
   return shares;
 }
 
-Height BlockTree::reorg_depth(const crypto::Digest& candidate_tip) const {
-  const auto it = blocks_.find(candidate_tip);
-  FINDEP_REQUIRE(it != blocks_.end());
+Height BlockTree::reorg_depth(std::size_t view,
+                              const crypto::Digest& candidate_tip) const {
+  require_view(view);
+  const std::uint32_t tip_at = views_[view].tip;
+  const std::optional<std::uint32_t> candidate = held(view, candidate_tip);
+  FINDEP_REQUIRE(candidate.has_value());
+  const auto height = [this](std::uint32_t at) { return blocks_[at].height; };
   // Find the fork point between the main chain and the candidate branch.
-  crypto::Digest a = tip_;
-  crypto::Digest b = candidate_tip;
-  while (blocks_.at(a).height > blocks_.at(b).height) {
-    a = blocks_.at(a).parent;
-  }
-  while (blocks_.at(b).height > blocks_.at(a).height) {
-    b = blocks_.at(b).parent;
-  }
+  std::uint32_t a = tip_at;
+  std::uint32_t b = *candidate;
+  while (height(a) > height(b)) a = parent_[a];
+  while (height(b) > height(a)) b = parent_[b];
   Height depth = 0;
   while (a != b) {
-    a = blocks_.at(a).parent;
-    b = blocks_.at(b).parent;
+    a = parent_[a];
+    b = parent_[b];
     ++depth;
   }
   // Depth counted from the current tip down to the fork point.
-  return depth == 0 ? 0 : blocks_.at(tip_).height - blocks_.at(a).height;
+  return depth == 0 ? 0 : height(tip_at) - height(a);
 }
 
 }  // namespace findep::nakamoto

@@ -10,7 +10,8 @@ NakamotoSim::NakamotoSim(std::vector<double> hashrates,
                          NakamotoOptions options)
     : hashrates_(std::move(hashrates)),
       options_(options),
-      rng_(options.seed) {
+      rng_(options.seed),
+      chain_(hashrates_.size()) {
   FINDEP_REQUIRE(!hashrates_.empty());
   FINDEP_REQUIRE(options_.mean_block_interval > 0.0);
   for (const double h : hashrates_) {
@@ -25,7 +26,6 @@ NakamotoSim::NakamotoSim(std::vector<double> hashrates,
 
   std::vector<net::NodeId> nodes;
   nodes.reserve(hashrates_.size());
-  views_.resize(hashrates_.size());
   orphans_.resize(hashrates_.size());
   for (MinerId m = 0; m < hashrates_.size(); ++m) nodes.push_back(m);
 
@@ -54,14 +54,17 @@ void NakamotoSim::schedule_next_find(MinerId miner) {
 void NakamotoSim::on_found(MinerId miner) {
   // Extend the miner's current best tip (decided at find time — the
   // exponential race is memoryless, so this is exactly the honest
-  // strategy).
-  const Block& parent = views_[miner].tip();
+  // strategy). The tip lives in the store, which publishing the new
+  // block grows, so copy what is needed from it first.
   Block block;
-  block.parent = parent.hash;
-  block.height = parent.height + 1;
+  {
+    const Block& parent = chain_.tip(miner);
+    block.parent = parent.hash;
+    block.height = parent.height + 1;
+  }
   block.miner = miner;
   block.mined_at = sim_.now();
-  block.hash = Block::compute_hash(parent.hash, miner, nonce_++);
+  block.hash = Block::compute_hash(block.parent, miner, nonce_++);
 
   net::GossipItem item;
   item.id = block.hash;
@@ -73,9 +76,8 @@ void NakamotoSim::on_found(MinerId miner) {
 }
 
 void NakamotoSim::on_block(MinerId miner, const Block& block) {
-  BlockTree& tree = views_[miner];
-  if (!tree.add(block)) {
-    if (!tree.contains(block.hash)) {
+  if (!chain_.add(miner, block)) {
+    if (!chain_.contains(miner, block.hash)) {
       orphans_[miner].push_back(block);  // parent not yet seen
     }
     return;
@@ -86,10 +88,10 @@ void NakamotoSim::on_block(MinerId miner, const Block& block) {
     progress = false;
     auto& pool = orphans_[miner];
     for (std::size_t i = 0; i < pool.size();) {
-      if (tree.add(pool[i])) {
+      if (chain_.add(miner, pool[i])) {
         pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
         progress = true;
-      } else if (tree.contains(pool[i].hash)) {
+      } else if (chain_.contains(miner, pool[i].hash)) {
         pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -102,30 +104,25 @@ void NakamotoSim::run_for(double duration) {
   sim_.run_until(sim_.now() + duration);
 }
 
-const BlockTree& NakamotoSim::view(MinerId miner) const {
-  FINDEP_REQUIRE(miner < views_.size());
-  return views_[miner];
-}
-
 ChainStats NakamotoSim::stats() const {
-  const BlockTree& tree = views_[0];
+  constexpr MinerId kObserver = 0;
   ChainStats out;
-  out.main_chain_height = tree.tip_height();
-  out.total_blocks = tree.block_count();
-  out.stale_blocks = tree.stale_count();
+  out.main_chain_height = chain_.tip_height(kObserver);
+  out.total_blocks = chain_.block_count(kObserver);
+  out.stale_blocks = chain_.stale_count(kObserver);
   out.stale_rate =
       out.total_blocks == 0
           ? 0.0
           : static_cast<double>(out.stale_blocks) /
                 static_cast<double>(out.total_blocks);
   out.miner_main_share.assign(hashrates_.size(), 0.0);
-  const auto shares = tree.miner_shares();
-  for (const auto& [miner, blocks] : shares) {
-    if (miner < out.miner_main_share.size() && out.main_chain_height > 0) {
-      out.miner_main_share[miner] =
-          static_cast<double>(blocks) /
-          static_cast<double>(out.main_chain_height);
-    }
+  if (out.main_chain_height == 0) return out;
+  // Count each miner's main-chain blocks (exact in a double), then divide.
+  for (const crypto::Digest& hash : chain_.main_chain(kObserver)) {
+    out.miner_main_share[chain_.get(hash).miner] += 1.0;
+  }
+  for (double& share : out.miner_main_share) {
+    share /= static_cast<double>(out.main_chain_height);
   }
   return out;
 }

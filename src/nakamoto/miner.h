@@ -52,8 +52,8 @@ class NakamotoSim {
   [[nodiscard]] std::size_t miner_count() const noexcept {
     return hashrates_.size();
   }
-  /// Local chain view of one miner.
-  [[nodiscard]] const BlockTree& view(MinerId miner) const;
+  /// The block store; miner m's local chain is view m.
+  [[nodiscard]] const BlockTree& chain() const noexcept { return chain_; }
   /// Stats from miner 0's view (all views converge after propagation).
   [[nodiscard]] ChainStats stats() const;
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
@@ -76,7 +76,8 @@ class NakamotoSim {
   std::unique_ptr<net::SimNetwork> network_;
   std::unique_ptr<net::GossipOverlay> gossip_;
   support::Rng rng_;
-  std::vector<BlockTree> views_;
+  /// One store, one view per miner.
+  BlockTree chain_;
   /// Blocks whose parent was unknown on arrival, retried on next receipt.
   std::vector<std::vector<Block>> orphans_;
   std::uint64_t nonce_ = 0;

@@ -9,22 +9,25 @@ namespace findep::net {
 GossipOverlay::GossipOverlay(SimNetwork& network, std::vector<NodeId> nodes,
                              std::size_t degree, std::uint64_t seed,
                              DeliverFn deliver)
-    : network_(&network), nodes_(std::move(nodes)),
-      deliver_(std::move(deliver)) {
-  FINDEP_REQUIRE(!nodes_.empty());
+    : network_(&network), deliver_(std::move(deliver)) {
+  FINDEP_REQUIRE(!nodes.empty());
   FINDEP_REQUIRE(deliver_ != nullptr);
+  const std::size_t n = nodes.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    FINDEP_REQUIRE_MSG(nodes[i] == i, "gossip nodes must be 0..N-1");
+  }
 
   support::Rng rng(seed);
-  const std::size_t n = nodes_.size();
+  adjacency_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto& adj = adjacency_[nodes_[i]];
+    auto& adj = adjacency_[i];
     // Guaranteed-connectivity ring edge.
-    if (n > 1) adj.push_back(nodes_[(i + 1) % n]);
+    if (n > 1) adj.push_back(static_cast<NodeId>((i + 1) % n));
     // Random extra edges.
     for (std::size_t d = 0; d + 1 < degree && n > 2; ++d) {
       for (int attempt = 0; attempt < 16; ++attempt) {
-        const NodeId candidate = nodes_[rng.below(n)];
-        if (candidate == nodes_[i]) continue;
+        const auto candidate = static_cast<NodeId>(rng.below(n));
+        if (candidate == i) continue;
         if (std::find(adj.begin(), adj.end(), candidate) != adj.end()) {
           continue;
         }
@@ -34,47 +37,47 @@ GossipOverlay::GossipOverlay(SimNetwork& network, std::vector<NodeId> nodes,
     }
   }
 
-  for (const NodeId node : nodes_) {
-    seen_[node];  // materialize
+  for (const NodeId node : nodes) {
     network_->attach(node, [this, node](const Message& msg) {
-      const auto* item = msg.envelope.get<GossipItem>();
-      FINDEP_ASSERT(item != nullptr);
-      receive(node, *item);
+      receive(node, msg.envelope);
     });
   }
 }
 
 void GossipOverlay::publish(NodeId origin, GossipItem item) {
-  receive(origin, item);
+  FINDEP_REQUIRE_MSG(origin < adjacency_.size(),
+                     "publish from a node outside the overlay");
+  receive(origin, Envelope(std::move(item)));
 }
 
-void GossipOverlay::receive(NodeId node, const GossipItem& item) {
-  auto& seen = seen_[node];
-  if (!seen.insert(item.id).second) return;  // duplicate
-  deliver_(node, item);
-  forward(node, item);
-}
-
-void GossipOverlay::forward(NodeId node, const GossipItem& item) {
-  const auto it = adjacency_.find(node);
-  if (it == adjacency_.end()) return;
-  // One envelope body shared across every neighbour hop.
-  const Envelope envelope(item);
-  for (const NodeId neighbour : it->second) {
-    network_->send(node, neighbour, envelope, item.bytes);
+void GossipOverlay::receive(NodeId node, const Envelope& envelope) {
+  const GossipItem* item = envelope.get<GossipItem>();
+  FINDEP_ASSERT(item != nullptr);
+  const std::size_t n = adjacency_.size();
+  const auto [it, fresh] = item_index_.try_emplace(
+      item->id, static_cast<std::uint32_t>(item_index_.size()));
+  if (fresh) seen_.resize(seen_.size() + n);
+  const std::size_t bit = it->second * n + node;
+  if (seen_[bit]) return;  // duplicate
+  seen_[bit] = true;
+  deliver_(node, *item);
+  // Every hop forwards the body it received: one body per published item.
+  for (const NodeId neighbour : adjacency_[node]) {
+    network_->send(node, neighbour, envelope, item->bytes);
   }
 }
 
 const std::vector<NodeId>& GossipOverlay::neighbours(NodeId node) const {
-  const auto it = adjacency_.find(node);
-  FINDEP_REQUIRE(it != adjacency_.end());
-  return it->second;
+  FINDEP_REQUIRE(node < adjacency_.size());
+  return adjacency_[node];
 }
 
 bool GossipOverlay::has_seen(NodeId node,
                              const crypto::Digest& id) const {
-  const auto it = seen_.find(node);
-  return it != seen_.end() && it->second.contains(id);
+  if (node >= adjacency_.size()) return false;
+  const auto it = item_index_.find(id);
+  return it != item_index_.end() &&
+         seen_[it->second * adjacency_.size() + node];
 }
 
 }  // namespace findep::net

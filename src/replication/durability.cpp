@@ -187,17 +187,24 @@ bool verify_checkpoint_proof(const NodeHarness& harness,
 crypto::Digest state_digest_over(
     const std::vector<bft::ExecutedEntry>& log,
     const std::vector<bft::ExecutedEntry>& extra) {
+  crypto::Sha256 h = state_hash_start();
+  absorb_executed(h, log);
+  absorb_executed(h, extra);
+  return h.finish();
+}
+
+crypto::Sha256 state_hash_start() {
   crypto::Sha256 h;
   h.update("findep/bft/state/v1");
-  for (const bft::ExecutedEntry& e : log) {
-    h.update_u64(e.seq);
-    h.update(e.request.digest().bytes);
+  return h;
+}
+
+void absorb_executed(crypto::Sha256& hash,
+                     std::span<const bft::ExecutedEntry> entries) {
+  for (const bft::ExecutedEntry& e : entries) {
+    hash.update_u64(e.seq);
+    hash.update(e.request.digest().bytes);
   }
-  for (const bft::ExecutedEntry& e : extra) {
-    h.update_u64(e.seq);
-    h.update(e.request.digest().bytes);
-  }
-  return h.finish();
 }
 
 }  // namespace findep::replication

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bft/messages.h"
@@ -160,9 +161,19 @@ class StateFetchMachine {
     const std::vector<bft::SignedCheckpoint>& proof);
 
 /// State digest of `log` extended by `extra` (what checkpoint emission
-/// hashes, and what a state response's entries must reproduce).
+/// hashes, and what a state response's entries must reproduce), hashed
+/// from scratch.
 [[nodiscard]] crypto::Digest state_digest_over(
     const std::vector<bft::ExecutedEntry>& log,
     const std::vector<bft::ExecutedEntry>& extra);
+
+/// A state-digest context over no entries. Finishing it after
+/// absorb_executed() gives the state_digest_over() of what it absorbed,
+/// so a replica can keep one running context instead of rehashing its
+/// whole log at every checkpoint.
+[[nodiscard]] crypto::Sha256 state_hash_start();
+/// Absorbs `entries`, in order, into a state-digest context.
+void absorb_executed(crypto::Sha256& hash,
+                     std::span<const bft::ExecutedEntry> entries);
 
 }  // namespace findep::replication

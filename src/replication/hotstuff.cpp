@@ -547,7 +547,6 @@ void HotStuff::prune_blocks() {
   // the structural anchor.
   const SeqNum keep_above =
       std::min<SeqNum>(ckpt_.stable(), committed_height_);
-  // findep-lint: allow(unordered-iteration) -- this blocks_ is a std::map (digest-ordered, deterministic); the name merely collides with nakamoto's unordered block index in the include closure
   for (auto it = blocks_.begin(); it != blocks_.end();) {
     const bool prune = it->second.height <= keep_above &&
                        it->second.height > 0;

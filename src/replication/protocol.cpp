@@ -1,6 +1,7 @@
 #include "replication/protocol.h"
 
 #include <algorithm>
+#include <span>
 
 namespace findep::replication {
 
@@ -45,6 +46,12 @@ void OrderingProtocol::append_executed(const ExecutedEntry& entry) {
   if (on_executed_) on_executed_(entry);
 }
 
+const crypto::Sha256& OrderingProtocol::log_hash() {
+  absorb_executed(log_hash_, std::span(executed_).subspan(log_hashed_));
+  log_hashed_ = executed_.size();
+  return log_hash_;
+}
+
 std::vector<const Request*> OrderingProtocol::pending_by_id() const {
   std::vector<const Request*> out;
   out.reserve(pending_requests_.size());
@@ -83,7 +90,8 @@ void OrderingProtocol::maybe_checkpoint() {
   const SeqNum seq =
       ckpt_.maybe_emit(last_executed_, options().checkpoint_interval);
   if (seq == 0) return;
-  broadcast(Checkpoint{seq, state_digest_over(executed_, {})});
+  crypto::Sha256 state = log_hash();
+  broadcast(Checkpoint{seq, state.finish()});
 }
 
 // --- checkpoints and state transfer ------------------------------------------
@@ -158,9 +166,9 @@ bool OrderingProtocol::on_state_response(const StateResponse& resp,
     prev = e.seq;
     suffix.push_back(e);
   }
-  if (state_digest_over(executed_, suffix) != resp.checkpoint.state_digest) {
-    return reject();
-  }
+  crypto::Sha256 state = log_hash();
+  absorb_executed(state, suffix);
+  if (state.finish() != resp.checkpoint.state_digest) return reject();
 
   // 3. Adopt: replay the suffix, advance the horizon to the checkpoint,
   //    take over the proof so we can serve transfers ourselves.

@@ -250,8 +250,15 @@ class OrderingProtocol {
  private:
   /// Appends `entry` to the log and hands it to the listener.
   void append_executed(const ExecutedEntry& entry);
+  /// The state-digest context over all of executed_: absorbs the entries
+  /// appended since the last call, so each entry is hashed once. Lazy, so
+  /// a log that is never checkpointed never pays for it.
+  const crypto::Sha256& log_hash();
 
   ExecutionListener on_executed_;
+  /// Running state digest of executed_[0, log_hashed_).
+  crypto::Sha256 log_hash_ = state_hash_start();
+  std::size_t log_hashed_ = 0;
 };
 
 }  // namespace findep::replication

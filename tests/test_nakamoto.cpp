@@ -25,43 +25,43 @@ Block child_of(const Block& parent, MinerId miner, std::uint64_t nonce,
 
 TEST(BlockTree, StartsAtGenesis) {
   BlockTree tree;
-  EXPECT_EQ(tree.tip().hash, genesis().hash);
-  EXPECT_EQ(tree.tip_height(), 0u);
-  EXPECT_EQ(tree.block_count(), 0u);
-  EXPECT_TRUE(tree.main_chain().empty());
+  EXPECT_EQ(tree.tip(0).hash, genesis().hash);
+  EXPECT_EQ(tree.tip_height(0), 0u);
+  EXPECT_EQ(tree.block_count(0), 0u);
+  EXPECT_TRUE(tree.main_chain(0).empty());
 }
 
 TEST(BlockTree, ExtendsAndSelectsLongest) {
   BlockTree tree;
   const Block b1 = child_of(genesis(), 0, 1);
   const Block b2 = child_of(b1, 1, 2);
-  EXPECT_TRUE(tree.add(b1));
-  EXPECT_TRUE(tree.add(b2));
-  EXPECT_EQ(tree.tip().hash, b2.hash);
-  EXPECT_EQ(tree.tip_height(), 2u);
-  EXPECT_EQ(tree.main_chain().size(), 2u);
-  EXPECT_TRUE(tree.on_main_chain(b1.hash));
+  EXPECT_TRUE(tree.add(0, b1));
+  EXPECT_TRUE(tree.add(0, b2));
+  EXPECT_EQ(tree.tip(0).hash, b2.hash);
+  EXPECT_EQ(tree.tip_height(0), 2u);
+  EXPECT_EQ(tree.main_chain(0).size(), 2u);
+  EXPECT_TRUE(tree.on_main_chain(0, b1.hash));
 }
 
 TEST(BlockTree, RejectsOrphanAndDuplicate) {
   BlockTree tree;
   const Block b1 = child_of(genesis(), 0, 1);
   const Block b2 = child_of(b1, 0, 2);
-  EXPECT_FALSE(tree.add(b2));  // parent unknown
-  EXPECT_TRUE(tree.add(b1));
-  EXPECT_TRUE(tree.add(b2));
-  EXPECT_FALSE(tree.add(b2));  // duplicate
+  EXPECT_FALSE(tree.add(0, b2));  // parent unknown
+  EXPECT_TRUE(tree.add(0, b1));
+  EXPECT_TRUE(tree.add(0, b2));
+  EXPECT_FALSE(tree.add(0, b2));  // duplicate
 }
 
 TEST(BlockTree, FirstSeenTieBreak) {
   BlockTree tree;
   const Block a = child_of(genesis(), 0, 1);
   const Block b = child_of(genesis(), 1, 2);
-  tree.add(a);
-  tree.add(b);  // same height: tip stays with first seen
-  EXPECT_EQ(tree.tip().hash, a.hash);
-  EXPECT_EQ(tree.stale_count(), 1u);
-  EXPECT_FALSE(tree.on_main_chain(b.hash));
+  tree.add(0, a);
+  tree.add(0, b);  // same height: tip stays with first seen
+  EXPECT_EQ(tree.tip(0).hash, a.hash);
+  EXPECT_EQ(tree.stale_count(0), 1u);
+  EXPECT_FALSE(tree.on_main_chain(0, b.hash));
 }
 
 TEST(BlockTree, ReorgToLongerBranch) {
@@ -69,14 +69,14 @@ TEST(BlockTree, ReorgToLongerBranch) {
   const Block a1 = child_of(genesis(), 0, 1);
   const Block b1 = child_of(genesis(), 1, 2);
   const Block b2 = child_of(b1, 1, 3);
-  tree.add(a1);
-  EXPECT_EQ(tree.reorg_depth(a1.hash), 0u);
-  tree.add(b1);
-  EXPECT_EQ(tree.reorg_depth(b1.hash), 1u);  // adopting b1 drops a1
-  tree.add(b2);  // b-branch is longer: automatic reorg
-  EXPECT_EQ(tree.tip().hash, b2.hash);
-  EXPECT_FALSE(tree.on_main_chain(a1.hash));
-  EXPECT_TRUE(tree.on_main_chain(b1.hash));
+  tree.add(0, a1);
+  EXPECT_EQ(tree.reorg_depth(0, a1.hash), 0u);
+  tree.add(0, b1);
+  EXPECT_EQ(tree.reorg_depth(0, b1.hash), 1u);  // adopting b1 drops a1
+  tree.add(0, b2);  // b-branch is longer: automatic reorg
+  EXPECT_EQ(tree.tip(0).hash, b2.hash);
+  EXPECT_FALSE(tree.on_main_chain(0, a1.hash));
+  EXPECT_TRUE(tree.on_main_chain(0, b1.hash));
 }
 
 TEST(BlockTree, MinerSharesCountMainChainOnly) {
@@ -84,13 +84,74 @@ TEST(BlockTree, MinerSharesCountMainChainOnly) {
   const Block a1 = child_of(genesis(), 7, 1);
   const Block a2 = child_of(a1, 8, 2);
   const Block stale = child_of(genesis(), 9, 3);
-  tree.add(a1);
-  tree.add(a2);
-  tree.add(stale);
-  const auto shares = tree.miner_shares();
+  tree.add(0, a1);
+  tree.add(0, a2);
+  tree.add(0, stale);
+  const auto shares = tree.miner_shares(0);
   EXPECT_EQ(shares.at(7), 1u);
   EXPECT_EQ(shares.at(8), 1u);
   EXPECT_FALSE(shares.contains(9));
+}
+
+TEST(BlockTree, ViewsAreIndependent) {
+  BlockTree tree(2);
+  const Block a1 = child_of(genesis(), 0, 1);
+  const Block a2 = child_of(a1, 0, 2);
+  const Block b1 = child_of(genesis(), 1, 3);
+
+  // A block added through view 0 is stored, but view 1 does not hold it.
+  EXPECT_TRUE(tree.add(0, a1));
+  EXPECT_TRUE(tree.contains(0, a1.hash));
+  EXPECT_FALSE(tree.contains(1, a1.hash));
+  EXPECT_EQ(tree.get(a1.hash).hash, a1.hash);
+
+  // View 1 rejects a child whose parent it lacks although the store holds
+  // both, and accepts it once the parent is added.
+  EXPECT_TRUE(tree.add(0, a2));
+  EXPECT_FALSE(tree.add(1, a2));
+  EXPECT_FALSE(tree.contains(1, a2.hash));
+  EXPECT_EQ(tree.block_count(1), 0u);
+  EXPECT_TRUE(tree.add(1, a1));
+  EXPECT_TRUE(tree.add(1, a2));
+  EXPECT_FALSE(tree.add(1, a2));  // duplicate within view 1
+  EXPECT_EQ(tree.tip(1).hash, a2.hash);
+
+  // Competing equal-height blocks in opposite orders: each view keeps the
+  // one it saw first.
+  const Block c0 = child_of(a2, 0, 4);
+  const Block c1 = child_of(a2, 1, 5);
+  EXPECT_TRUE(tree.add(0, c0));
+  EXPECT_TRUE(tree.add(0, c1));
+  EXPECT_TRUE(tree.add(1, c1));
+  EXPECT_TRUE(tree.add(1, c0));
+  EXPECT_EQ(tree.tip(0).hash, c0.hash);
+  EXPECT_EQ(tree.tip(1).hash, c1.hash);
+  EXPECT_TRUE(tree.on_main_chain(0, c0.hash));
+  EXPECT_FALSE(tree.on_main_chain(1, c0.hash));
+
+  // Counts are per view: only view 0 holds the stale b1.
+  EXPECT_TRUE(tree.add(0, b1));
+  EXPECT_EQ(tree.block_count(0), 5u);
+  EXPECT_EQ(tree.stale_count(0), 2u);
+  EXPECT_EQ(tree.block_count(1), 4u);
+  EXPECT_EQ(tree.stale_count(1), 1u);
+  EXPECT_FALSE(tree.contains(1, b1.hash));
+  EXPECT_THROW((void)tree.tip(2), support::ContractViolation);
+}
+
+TEST(BlockTree, OneHashOneParent) {
+  // The store keeps one block per hash, so a stored hash arriving under
+  // another parent is a contract violation, not a second block.
+  BlockTree tree(2);
+  const Block a1 = child_of(genesis(), 0, 1);
+  const Block b1 = child_of(genesis(), 1, 2);
+  ASSERT_TRUE(tree.add(0, a1));
+  ASSERT_TRUE(tree.add(1, b1));
+  Block forged = child_of(b1, 1, 3);
+  forged.hash = a1.hash;
+  EXPECT_THROW(tree.add(1, forged), support::ContractViolation);
+  EXPECT_FALSE(tree.contains(1, a1.hash));
+  EXPECT_EQ(tree.block_count(1), 1u);
 }
 
 TEST(Sim, ConvergesAcrossViews) {
@@ -102,15 +163,15 @@ TEST(Sim, ConvergesAcrossViews) {
   opt.network.mean_extra_latency = 0.1;
   NakamotoSim sim(std::vector<double>(8, 1.0), opt);
   sim.run_for(3000.0);
-  Height min_height = sim.view(0).tip_height();
+  Height min_height = sim.chain().tip_height(0);
   for (MinerId m = 1; m < 8; ++m) {
-    min_height = std::min(min_height, sim.view(m).tip_height());
+    min_height = std::min(min_height, sim.chain().tip_height(m));
   }
   ASSERT_GT(min_height, 50u);
   const std::size_t confirmed = static_cast<std::size_t>(min_height) - 6;
-  const auto reference = sim.view(0).main_chain();
+  const auto reference = sim.chain().main_chain(0);
   for (MinerId m = 1; m < 8; ++m) {
-    const auto chain = sim.view(m).main_chain();
+    const auto chain = sim.chain().main_chain(m);
     EXPECT_EQ(chain[confirmed - 1], reference[confirmed - 1]) << m;
   }
 }

@@ -1,6 +1,7 @@
 // Simulated network and gossip overlay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -280,6 +281,50 @@ TEST(Gossip, NeighboursAreValidNodes) {
     }
     EXPECT_GE(overlay.neighbours(n).size(), 1u);
   }
+}
+
+TEST(Gossip, ForwardingSharesOneBody) {
+  sim::Simulator sim;
+  SimNetwork net(sim, fast_network());
+  std::vector<NodeId> nodes;
+  for (NodeId n = 0; n < 20; ++n) nodes.push_back(n);
+  std::vector<const GossipItem*> addresses;
+  GossipOverlay overlay(net, nodes, 4, 11,
+                        [&](NodeId, const GossipItem& item) {
+                          addresses.push_back(&item);
+                        });
+  GossipItem item;
+  item.id = crypto::sha256("one-body");
+  overlay.publish(3, item);
+  sim.run();
+  ASSERT_EQ(addresses.size(), nodes.size());
+  // Every node, the publisher included, saw the one published body.
+  std::sort(addresses.begin(), addresses.end());
+  addresses.erase(std::unique(addresses.begin(), addresses.end()),
+                  addresses.end());
+  EXPECT_EQ(addresses.size(), 1u);
+}
+
+TEST(Gossip, PublishRequiresOverlayNode) {
+  sim::Simulator sim;
+  SimNetwork net(sim, fast_network());
+  std::vector<NodeId> nodes = {0, 1, 2, 3};
+  int total = 0;
+  GossipOverlay overlay(net, nodes, 2, 12,
+                        [&](NodeId, const GossipItem&) { ++total; });
+  GossipItem item;
+  item.id = crypto::sha256("outsider");
+  EXPECT_THROW(overlay.publish(4, item), support::ContractViolation);
+  sim.run();
+  EXPECT_EQ(total, 0);
+  EXPECT_FALSE(overlay.has_seen(4, item.id));
+  EXPECT_THROW((void)overlay.neighbours(4), support::ContractViolation);
+  // Overlay nodes are the dense ids 0..N-1.
+  const auto sparse = [&] {
+    const GossipOverlay gapped(net, {0, 2, 3}, 2, 12,
+                               [](NodeId, const GossipItem&) {});
+  };
+  EXPECT_THROW(sparse(), support::ContractViolation);
 }
 
 }  // namespace
