@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <stdexcept>
+#include <ostream>
 
 #include "config/component.h"
 
@@ -159,31 +157,7 @@ CampaignReport build_campaign_report(
 int report_main(const std::vector<std::string>& paths, std::ostream& out,
                 std::ostream& err) {
   std::vector<runtime::TaskResult> results;
-  for (const std::string& path : paths) {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (path != "-") {
-      file.open(path);
-      if (!file) {
-        err << "campaign report: cannot read " << path << "\n";
-        return 2;
-      }
-      in = &file;
-    }
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(*in, line)) {
-      ++line_no;
-      if (line.empty()) continue;
-      try {
-        results.push_back(runtime::task_result_from_json(line));
-      } catch (const std::exception& e) {
-        err << "campaign report: " << path << ":" << line_no << ": "
-            << e.what() << "\n";
-        return 2;
-      }
-    }
-  }
+  if (!runtime::read_shards(paths, results, err)) return 2;
   const CampaignReport report = build_campaign_report(results);
   out << report.to_string();
   return report.errored_cells > 0 ? 1 : 0;

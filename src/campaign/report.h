@@ -48,9 +48,10 @@ struct CampaignReport {
 [[nodiscard]] CampaignReport build_campaign_report(
     const std::vector<runtime::TaskResult>& results);
 
-/// Reads result-JSONL shard files ("-" = stdin), builds and prints the
-/// report. Unreadable files or malformed lines go to `err` with exit
-/// code 2; returns 1 when any record carried an error, else 0.
+/// Reads result shards ("-" = stdin) through runtime::read_shards, the
+/// reader behind `--merge`, then builds and prints the report. Unreadable
+/// files or malformed lines go to `err` with exit code 2; returns 1 when
+/// any record carried an error, else 0.
 int report_main(const std::vector<std::string>& paths, std::ostream& out,
                 std::ostream& err);
 

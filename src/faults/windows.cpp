@@ -1,32 +1,47 @@
 #include "faults/windows.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "diversity/resilience.h"
 #include "support/assert.h"
 
 namespace findep::faults {
 
+namespace {
+
+/// First recovery boundary of a replica at or after time t.
+double next_recovery(double t, double offset, double period) {
+  if (t <= offset) return offset;
+  const double k = std::ceil((t - offset) / period);
+  return offset + k * period;
+}
+
+}  // namespace
+
 ExposureTimeline compute_exposure(
     const std::vector<diversity::ReplicaRecord>& population,
     const VulnerabilityCatalog& catalog, double horizon_days,
-    std::size_t samples, const PatchLagModel& patching) {
+    std::size_t samples, const PatchLagModel& patching,
+    const std::optional<RecoverySchedule>& recovery) {
   FINDEP_REQUIRE(!population.empty());
   FINDEP_REQUIRE(horizon_days > 0.0);
   FINDEP_REQUIRE(samples >= 2);
+  FINDEP_REQUIRE(!recovery || recovery->period_days > 0.0);
 
   double total_power = 0.0;
   for (const auto& rec : population) total_power += rec.power;
   FINDEP_REQUIRE(total_power > 0.0);
 
   // Pre-compute, per vulnerability, which replicas are exposed and until
-  // when (patch release + per-replica deploy lag).
+  // when (patch release + per-replica deploy lag, cut at the first
+  // recovery boundary after the release).
   support::Rng rng(patching.seed);
   struct PerVuln {
     double open_from = 0.0;
     double open_until_global = 0.0;  // patch release
     std::vector<std::size_t> replicas;
-    std::vector<double> replica_until;  // patched_at + deploy lag
+    std::vector<double> replica_until;
   };
   std::vector<PerVuln> windows;
   windows.reserve(catalog.size());
@@ -41,9 +56,21 @@ ExposureTimeline compute_exposure(
         continue;
       }
       w.replicas.push_back(r);
-      w.replica_until.push_back(
+      const double lag_end =
           v.patched_at +
-          rng.exponential(1.0 / patching.mean_deploy_lag_days));
+          rng.exponential(1.0 / patching.mean_deploy_lag_days);
+      if (!recovery) {
+        w.replica_until.push_back(lag_end);
+        continue;
+      }
+      const double offset =
+          recovery->staggered
+              ? recovery->period_days * static_cast<double>(r) /
+                    static_cast<double>(population.size())
+              : 0.0;
+      w.replica_until.push_back(std::min(
+          lag_end,
+          next_recovery(v.patched_at, offset, recovery->period_days)));
     }
     windows.push_back(std::move(w));
   }

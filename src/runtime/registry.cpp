@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <stdexcept>
 
 #include "runtime/suite.h"
@@ -74,6 +75,44 @@ std::vector<std::unique_ptr<Scenario>> instantiate_family(
   return out;
 }
 
+std::vector<CatalogInstance> expand_selection(const FamilySelection& selection,
+                                              const std::string& only,
+                                              const std::string& exclude) {
+  std::vector<CatalogInstance> out;
+  std::size_t sequence = 0;
+  for (const auto& [family, grids] : selection) {
+    std::vector<ParamSet> points;
+    if (grids.empty()) points.emplace_back();
+    for (const ParamGrid& grid : grids) {
+      std::vector<ParamSet> block = grid.expand();
+      points.insert(points.end(), std::make_move_iterator(block.begin()),
+                    std::make_move_iterator(block.end()));
+    }
+    // Factories validate their grid points (string axes like
+    // mix/fleet/case, numeric preconditions); with overridden grids those
+    // throws are user input, not bugs.
+    const auto build = [family = family](const ParamSet& point) -> Scenario {
+      try {
+        return family->factory(point);
+      } catch (const std::exception& e) {
+        throw std::invalid_argument("family '" + family->name +
+                                    "': " + e.what());
+      }
+    };
+    for (ParamSet& point : points) {
+      Scenario scenario = build(point);
+      const std::size_t seq = sequence++;
+      const std::string& name = scenario.name();
+      if (!only.empty() && name.find(only) == std::string::npos) continue;
+      if (!exclude.empty() && name.find(exclude) != std::string::npos) {
+        continue;
+      }
+      out.push_back({family, std::move(point), seq, std::move(scenario)});
+    }
+  }
+  return out;
+}
+
 namespace {
 
 std::string grid_summary(const std::vector<ParamGrid>& grids) {
@@ -126,119 +165,114 @@ int run_families_main(int argc, const char* const* argv) {
   SuiteOptions options;
   if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
 
-  // The two wire-side modes need no family selection: a worker executes
+  // Only a sweep and --emit-tasks select families: a worker executes
   // whatever tasks arrive, a merge only re-renders results.
-  if (options.worker || options.merge_mode) {
-    std::ofstream out_file;
-    std::ostream* dest = &std::cout;
-    if (!open_output(options.out_file, out_file, dest)) {
-      return usage_error(std::cerr, "cannot open --out file '" +
-                                        options.out_file + "'");
+  const bool wire_side = options.worker || !options.merge.empty();
+  std::vector<CatalogInstance> instances;
+  if (!wire_side) {
+    std::vector<const ScenarioFamily*> selected =
+        ScenarioRegistry::global().families();
+
+    // --family narrows the catalog, which stays in name order; every
+    // requested name must resolve.
+    const std::vector<std::string>& wanted = options.families;
+    for (const std::string& name : wanted) {
+      if (ScenarioRegistry::global().find(name) != nullptr) continue;
+      std::string known;
+      for (const ScenarioFamily* f : selected) {
+        if (!known.empty()) known += ", ";
+        known += f->name;
+      }
+      return usage_error(std::cerr, "unknown family '" + name +
+                                        "' (available: " + known + ")");
     }
-    const int code =
-        options.worker
-            ? run_worker(std::cin, *dest, std::cerr, options.sweep.threads)
-            : merge_shards(options.merge, options.csv, options.json, *dest,
-                           std::cerr);
-    if (!close_output(options.out_file, out_file, dest, std::cerr)) return 2;
-    return code;
-  }
-
-  std::vector<const ScenarioFamily*> selected =
-      ScenarioRegistry::global().families();
-
-  // --family narrows the catalog, which stays in name order; every
-  // requested name must resolve.
-  const std::vector<std::string>& wanted = options.families;
-  for (const std::string& name : wanted) {
-    if (ScenarioRegistry::global().find(name) != nullptr) continue;
-    std::string known;
-    for (const ScenarioFamily* f : selected) {
-      if (!known.empty()) known += ", ";
-      known += f->name;
+    if (!wanted.empty()) {
+      std::erase_if(selected, [&](const ScenarioFamily* f) {
+        return std::find(wanted.begin(), wanted.end(), f->name) ==
+               wanted.end();
+      });
     }
-    return usage_error(std::cerr, "unknown family '" + name +
-                                      "' (available: " + known + ")");
-  }
-  if (!wanted.empty()) {
-    std::erase_if(selected, [&](const ScenarioFamily* f) {
-      return std::find(wanted.begin(), wanted.end(), f->name) == wanted.end();
-    });
-  }
 
-  if (options.list) {
-    list_families(selected, std::cout);
-    return 0;
-  }
+    if (options.list) {
+      list_families(selected, std::cout);
+      return 0;
+    }
 
-  // Working copies of the grids, then the axis overrides in command-line
-  // order. Every override must hit at least one selected grid — a
-  // typoed axis is a usage error.
-  std::vector<std::vector<ParamGrid>> grids;
-  grids.reserve(selected.size());
-  for (const ScenarioFamily* family : selected) {
-    grids.push_back(family->grids);
-  }
-  for (const AxisOverride& over : options.sets) {
-    bool applied = false;
-    for (std::vector<ParamGrid>& family_grids : grids) {
-      for (ParamGrid& grid : family_grids) {
-        try {
-          applied = grid.override_axis(over.axis, over.values) || applied;
-        } catch (const std::invalid_argument& e) {
-          return usage_error(std::cerr, std::string("--set ") + e.what());
+    // Working copies of the grids, then the axis overrides in
+    // command-line order. Every override must hit at least one selected
+    // grid — a typoed axis is a usage error.
+    FamilySelection selection;
+    for (const ScenarioFamily* family : selected) {
+      selection.emplace_back(family, family->grids);
+    }
+    for (const AxisOverride& over : options.sets) {
+      bool applied = false;
+      for (auto& [family, grids] : selection) {
+        for (ParamGrid& grid : grids) {
+          try {
+            applied = grid.override_axis(over.axis, over.values) || applied;
+          } catch (const std::invalid_argument& e) {
+            return usage_error(std::cerr, std::string("--set ") + e.what());
+          }
         }
       }
+      if (!applied) {
+        return usage_error(std::cerr, "--set " + over.axis +
+                                          ": no selected family has that "
+                                          "axis");
+      }
     }
-    if (!applied) {
-      return usage_error(std::cerr, "--set " + over.axis +
-                                        ": no selected family has that "
-                                        "axis");
-    }
-  }
 
-  // Coordinator mode: print the selected catalog as task JSONL instead of
-  // sweeping it. The same selection + overridden grids feed both paths,
-  // so `--emit-tasks | --worker | --merge -` reproduces the in-process
-  // sweep byte-for-byte.
-  if (options.emit_tasks) {
-    FamilySelection selection;
-    for (std::size_t f = 0; f < selected.size(); ++f) {
-      selection.emplace_back(selected[f], grids[f]);
-    }
-    std::ofstream out_file;
-    std::ostream* dest = &std::cout;
-    if (!open_output(options.out_file, out_file, dest)) {
-      return usage_error(std::cerr, "cannot open --out file '" +
-                                        options.out_file + "'");
-    }
+    // The same instances feed the sweep and --emit-tasks, so
+    // `--emit-tasks | --worker | --merge -` reproduces the in-process
+    // sweep byte-for-byte.
     try {
-      emit_task_catalog(selection, options.sweep, options.only,
-                        options.exclude, *dest);
+      instances = expand_selection(selection, options.only, options.exclude);
     } catch (const std::exception& e) {
       return usage_error(std::cerr, e.what());
     }
-    if (!close_output(options.out_file, out_file, dest, std::cerr)) return 2;
-    return 0;
   }
 
-  ScenarioSuite suite("findep-bench: the registered scenario catalog");
-  for (std::size_t f = 0; f < selected.size(); ++f) {
-    // Factories validate their grid points (string axes like
-    // mix/fleet/case, numeric preconditions); with overridden grids
-    // those throws are user input, not bugs.
-    try {
-      for (auto& scenario : instantiate_family(*selected[f], grids[f])) {
-        suite.add(std::move(scenario));
-      }
-    } catch (const std::exception& e) {
-      return usage_error(std::cerr,
-                         "family '" + selected[f]->name + "': " + e.what());
+  // --out is opened once, after every usage check and before any work:
+  // a bad path fails before the work, and a usage error never truncates
+  // an earlier results file.
+  std::ofstream file;
+  if (!options.out_file.empty()) {
+    file.open(options.out_file);
+    if (!file) {
+      return usage_error(std::cerr, "cannot open --out file '" +
+                                        options.out_file + "'");
     }
   }
-  // `list` was handled above at family granularity; everything else
-  // (sweep, --only, rendering) is the suite's job.
-  return suite.run(options, std::cout, std::cerr);
+  std::ostream& out = file.is_open() ? file : std::cout;
+
+  int code = 0;
+  if (options.worker) {
+    code = run_worker(std::cin, out, std::cerr, options.sweep.threads);
+  } else if (!options.merge.empty()) {
+    code = merge_shards(options.merge, options.csv, options.json, out,
+                        std::cerr);
+  } else if (options.emit_tasks) {
+    emit_task_catalog(instances, options.sweep, out);
+  } else {
+    code = sweep_instances(instances, options, out, std::cerr);
+  }
+  if (!file.is_open()) return code;
+
+  // A truncated results file must not exit 0.
+  file.flush();
+  if (!file) {
+    return usage_error(std::cerr, "failed writing --out file '" +
+                                      options.out_file + "'");
+  }
+  // A sweep keeps a one-line confirmation on stdout, so scripted sweeps
+  // can pipe stdout and stderr freely.
+  if (!wire_side && !options.emit_tasks) {
+    std::cout << "wrote " << options.out_file << " ("
+              << (options.json ? "json" : options.csv ? "csv" : "tables")
+              << ")\n";
+  }
+  return code;
 }
 
 }  // namespace findep::runtime

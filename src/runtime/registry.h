@@ -13,13 +13,15 @@
 //
 // `run_families_main()` is findep-bench's main on top of it: select
 // families (`--family`, default all), override grid axes
-// (`--set axis=v1,v2`), expand, and sweep everything through the suite's
-// global (scenario, seed) work queue.
+// (`--set axis=v1,v2`), expand the selection once (`expand_selection`),
+// and hand the instances to the in-process sweep or to `--emit-tasks`.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/param.h"
@@ -77,6 +79,32 @@ struct ScenarioRegistration {
 /// grids in order.
 [[nodiscard]] std::vector<std::unique_ptr<Scenario>> instantiate_family(
     const ScenarioFamily& family, const std::vector<ParamGrid>& grids);
+
+/// One selected family with its (possibly axis-overridden) grids, in
+/// catalog order — what `run_families_main` resolves from `--family` /
+/// `--set`.
+using FamilySelection =
+    std::vector<std::pair<const ScenarioFamily*, std::vector<ParamGrid>>>;
+
+/// One scenario instance of an expanded selection.
+struct CatalogInstance {
+  const ScenarioFamily* family = nullptr;
+  ParamSet point;
+  /// Position in the unfiltered expansion: the wire's `sequence`, which
+  /// orders a merge like the in-process sweep.
+  std::size_t sequence = 0;
+  Scenario scenario;
+};
+
+/// The one expansion behind the in-process sweep and `--emit-tasks`:
+/// every grid point of every selected family in order (an empty grid
+/// list is one parameterless point), built once through the factory,
+/// numbered, then kept only when its name contains `only` and does not
+/// contain a non-empty `exclude`. A factory rejection throws
+/// std::invalid_argument naming the family.
+[[nodiscard]] std::vector<CatalogInstance> expand_selection(
+    const FamilySelection& selection, const std::string& only,
+    const std::string& exclude);
 
 /// The registry-driven main of `findep-bench`: understands every suite
 /// flag (runtime/suite.h) and runs the selected families, or the whole

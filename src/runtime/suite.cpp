@@ -1,10 +1,8 @@
 #include "runtime/suite.h"
 
 #include <charconv>
-#include <fstream>
 #include <ostream>
 
-#include "support/assert.h"
 #include "support/table.h"
 
 namespace findep::runtime {
@@ -82,7 +80,6 @@ bool parse_suite_options(int argc, const char* const* argv,
     if (arg == "--merge") {
       // Consumes every following non-flag argument as a shard path; "-"
       // alone names stdin.
-      options.merge_mode = true;
       while (i + 1 < argc) {
         const std::string path = argv[i + 1];
         if (path.size() >= 2 && path.compare(0, 2, "--") == 0) break;
@@ -160,7 +157,7 @@ bool parse_suite_options(int argc, const char* const* argv,
   }
   const int modes = static_cast<int>(options.emit_tasks) +
                     static_cast<int>(options.worker) +
-                    static_cast<int>(options.merge_mode);
+                    static_cast<int>(!options.merge.empty());
   if (modes > 1) {
     return fail(err, "--emit-tasks, --worker and --merge are mutually "
                      "exclusive");
@@ -168,95 +165,53 @@ bool parse_suite_options(int argc, const char* const* argv,
   return true;
 }
 
-bool open_output(const std::string& path, std::ofstream& file,
-                 std::ostream*& dest) {
-  if (path.empty()) return true;
-  file.open(path);
-  if (!file) return false;
-  dest = &file;
-  return true;
-}
-
-bool close_output(const std::string& path, std::ofstream& file,
-                  const std::ostream* dest, std::ostream& err) {
-  if (dest != &file) return true;
-  file.flush();
-  if (!file) {
-    err << "error: failed writing --out file '" << path << "'\n";
-    return false;
-  }
-  return true;
-}
-
-void ScenarioSuite::add(std::unique_ptr<Scenario> scenario) {
-  FINDEP_REQUIRE(scenario != nullptr);
-  scenarios_.push_back(std::move(scenario));
-}
-
-int ScenarioSuite::run(const SuiteOptions& options, std::ostream& out,
-                       std::ostream& err) const {
-  // Select first, then sweep everything through one global work queue so
-  // the whole suite shares the worker pool (fills cores at --seeds 1).
-  std::vector<const Scenario*> selected;
-  for (const auto& scenario : scenarios_) {
-    if (!options.only.empty() &&
-        scenario->name().find(options.only) == std::string::npos) {
-      continue;
-    }
-    if (!options.exclude.empty() &&
-        scenario->name().find(options.exclude) != std::string::npos) {
-      continue;
-    }
-    selected.push_back(scenario.get());
-  }
-
-  // --out FILE redirects the rendered results; stdout keeps a one-line
-  // confirmation so scripted sweeps can pipe stdout/stderr freely. Opened
-  // before the sweep so a bad path fails before the work, not after.
-  std::ofstream file;
-  std::ostream* dest = &out;
-  if (!open_output(options.out_file, file, dest)) {
-    err << "error: cannot open --out file '" << options.out_file << "'\n";
-    return 2;
-  }
-
-  const SweepRunner runner(options.sweep);
-  std::vector<std::vector<RunRecord>> results = runner.run_all(selected);
-
-  MetricsSink sink;
-  for (std::size_t s = 0; s < selected.size(); ++s) {
-    sink.add(selected[s]->name(), selected[s]->family(),
-             std::move(results[s]));
-  }
-
-  if (options.json) {
-    sink.print_json(*dest);
-  } else if (options.csv) {
-    sink.print_csv(*dest);
+int render_results(const MetricsSink& sink, bool csv, bool json,
+                   const std::string& title, const std::string& detail,
+                   std::ostream& out, std::ostream& err) {
+  if (json) {
+    sink.print_json(out);
+  } else if (csv) {
+    sink.print_csv(out);
   } else {
-    if (!intro_.empty()) support::print_banner(*dest, intro_);
-    *dest << "sweep: " << options.sweep.num_seeds << " seed(s) from --seed "
-          << options.sweep.base_seed << '\n';
-    sink.print_tables(*dest);
+    support::print_banner(out, title);
+    out << detail;
+    sink.print_tables(out);
   }
-  if (!close_output(options.out_file, file, dest, err)) return 2;
-  if (dest == &file) {
-    out << "wrote " << options.out_file << " ("
-        << (options.json ? "json" : options.csv ? "csv" : "tables") << ")\n";
-  }
-
-  if (sink.any_errors()) {
-    for (const auto& entry : sink.entries()) {
-      for (const RunRecord& record : entry.records) {
-        if (!record.ok()) {
-          err << entry.scenario << " seed " << record.seed
-              << " failed: " << record.error << '\n';
-        }
+  if (!sink.any_errors()) return 0;
+  for (const auto& entry : sink.entries()) {
+    for (const RunRecord& record : entry.records) {
+      if (!record.ok()) {
+        err << entry.scenario << " seed " << record.seed
+            << " failed: " << record.error << '\n';
       }
     }
-    return 1;
   }
-  return 0;
+  return 1;
+}
+
+int sweep_instances(const std::vector<CatalogInstance>& instances,
+                    const SuiteOptions& options, std::ostream& out,
+                    std::ostream& err) {
+  std::vector<const Scenario*> scenarios;
+  scenarios.reserve(instances.size());
+  for (const CatalogInstance& instance : instances) {
+    scenarios.push_back(&instance.scenario);
+  }
+  std::vector<std::vector<RunRecord>> results =
+      SweepRunner(options.sweep).run_all(scenarios);
+
+  MetricsSink sink;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    sink.add(scenarios[s]->name(), scenarios[s]->family(),
+             std::move(results[s]));
+  }
+  return render_results(
+      sink, options.csv, options.json,
+      "findep-bench: the registered scenario catalog",
+      "sweep: " + std::to_string(options.sweep.num_seeds) +
+          " seed(s) from --seed " + std::to_string(options.sweep.base_seed) +
+          "\n",
+      out, err);
 }
 
 }  // namespace findep::runtime

@@ -1,11 +1,12 @@
-// ScenarioSuite: the uniform experiment flags and the sweep-and-render
-// step behind `findep-bench`.
+// The uniform experiment flags and the in-process sweep behind
+// `findep-bench`.
 //
 // parse_suite_options() reads the flags below; run_families_main()
-// (runtime/registry.h) resolves them against the scenario registry, adds
-// the selected scenarios to a suite, and ScenarioSuite::run() sweeps
-// every scenario across the requested seeds on a worker pool and renders
-// results through the MetricsSink.
+// (runtime/registry.h) resolves them against the scenario registry,
+// expands the selection once (expand_selection), opens `--out`, and
+// hands the instances to sweep_instances() here or to the wire modes of
+// runtime/task.h. The sweep and `--merge` render through one
+// render_results().
 //
 //   --seed S      master seed (default 1); every per-run seed derives
 //                 from it, so one flag reproduces an entire sweep
@@ -21,8 +22,8 @@
 //   --list        print the selected scenario families and exit
 //   --csv / --json  machine-readable output instead of tables
 //   --out FILE    write the rendered results to FILE instead of stdout
-//                 (stdout keeps a one-line confirmation, so scripted
-//                 sweeps can pipe freely)
+//                 (a sweep keeps a one-line confirmation on stdout, so
+//                 scripted sweeps can pipe freely)
 //
 // Distributed-sweep modes (mutually exclusive — see runtime/task.h for
 // the wire protocol):
@@ -31,19 +32,17 @@
 //   --merge F...  gather result shards ("-" = stdin) into the standard
 //                 table/CSV/JSON rendering
 //
-// All scenarios of a suite are swept through ONE global (scenario, seed)
-// work queue, so a multi-scenario suite fills every worker even at
-// --seeds 1; per-run results are still bit-identical to --threads 1.
+// All instances of a sweep go through ONE global (scenario, seed) work
+// queue, so a multi-scenario sweep fills every worker even at --seeds 1;
+// per-run results are still bit-identical to --threads 1.
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
-#include "runtime/scenario.h"
+#include "runtime/registry.h"
 #include "runtime/sweep.h"
 
 namespace findep::runtime {
@@ -68,7 +67,6 @@ struct SuiteOptions {
   bool emit_tasks = false;             // --emit-tasks
   bool worker = false;                 // --worker
   std::vector<std::string> merge;      // --merge shard paths ("-" = stdin)
-  bool merge_mode = false;
 };
 
 /// Parses the uniform flags; returns false (after printing a specific
@@ -79,39 +77,18 @@ struct SuiteOptions {
                                        SuiteOptions& options,
                                        std::ostream& err);
 
-/// Routes driver output for `--out`: leaves `dest` untouched when `path`
-/// is empty, otherwise opens `file` at `path` and points `dest` at it.
-/// Returns false when the file cannot be opened. Open the output BEFORE
-/// doing any work, so a bad path cannot discard a finished sweep.
-[[nodiscard]] bool open_output(const std::string& path, std::ofstream& file,
-                               std::ostream*& dest);
+/// The one render step: `sink` as JSON, CSV or (default) tables under a
+/// `title` banner and the `detail` text, then one line per failed run on
+/// `err`. Returns 1 when any run failed, else 0.
+int render_results(const MetricsSink& sink, bool csv, bool json,
+                   const std::string& title, const std::string& detail,
+                   std::ostream& out, std::ostream& err);
 
-/// Flushes a file previously routed by open_output and reports write
-/// failures: returns false (after an "error: ..." line on `err`) when
-/// any write to `file` failed — a truncated results file must not exit
-/// 0. No-op returning true when `dest` was never redirected.
-[[nodiscard]] bool close_output(const std::string& path, std::ofstream& file,
-                                const std::ostream* dest, std::ostream& err);
-
-class ScenarioSuite {
- public:
-  /// `intro` is printed (as a banner) before the results.
-  explicit ScenarioSuite(std::string intro) : intro_(std::move(intro)) {}
-
-  void add(std::unique_ptr<Scenario> scenario);
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return scenarios_.size();
-  }
-
-  /// Sweeps every (matching) scenario and renders results to `out`.
-  /// Returns a process exit code (non-zero when any run failed).
-  int run(const SuiteOptions& options, std::ostream& out,
-          std::ostream& err) const;
-
- private:
-  std::string intro_;
-  std::vector<std::unique_ptr<Scenario>> scenarios_;
-};
+/// The in-process sweep: runs every instance across `options.sweep`'s
+/// seeds through SweepRunner's one work queue and renders the results
+/// as `options` asks. Returns render_results' code.
+int sweep_instances(const std::vector<CatalogInstance>& instances,
+                    const SuiteOptions& options, std::ostream& out,
+                    std::ostream& err);
 
 }  // namespace findep::runtime

@@ -1,5 +1,6 @@
 #include "runtime/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -35,32 +36,21 @@ RunRecord execute_task(const SweepTask& task) {
   return record;
 }
 
-/// The in-process source: flat (scenario, run_index) indices claimed off
-/// one atomic counter, scenario-major so a serial drain executes exactly
-/// like the old per-scenario loop.
-class IndexedTaskSource final : public TaskSource {
+/// The one TaskSource over a prepared task list: tasks claimed in list
+/// order off one atomic index.
+class TaskList final : public TaskSource {
  public:
-  IndexedTaskSource(const std::vector<const Scenario*>& scenarios,
-                    const SweepOptions& options)
-      : scenarios_(scenarios), options_(options) {}
+  explicit TaskList(const std::vector<SweepTask>& tasks) : tasks_(tasks) {}
 
   bool next(SweepTask& task) override {
-    const std::size_t flat = next_.fetch_add(1);
-    if (flat >= scenarios_.size() * options_.num_seeds) return false;
-    const std::size_t i = flat % options_.num_seeds;
-    // Aliasing shared_ptr: the suite owns the scenario for the whole
-    // sweep, so the task needs no ownership of its own.
-    task.scenario = std::shared_ptr<const Scenario>(
-        std::shared_ptr<const Scenario>{}, scenarios_[flat / options_.num_seeds]);
-    task.seed = derive_seed(options_.base_seed, i);
-    task.run_index = i;
-    task.slot = flat;
+    const std::size_t i = next_.fetch_add(1);
+    if (i >= tasks_.size()) return false;
+    task = tasks_[i];
     return true;
   }
 
  private:
-  const std::vector<const Scenario*>& scenarios_;
-  const SweepOptions& options_;
+  const std::vector<SweepTask>& tasks_;
   std::atomic<std::size_t> next_{0};
 };
 
@@ -104,6 +94,14 @@ void run_task_pool(TaskSource& source, ResultCollector& collector,
   for (std::thread& worker : pool) worker.join();
 }
 
+void run_tasks(const std::vector<SweepTask>& tasks,
+               ResultCollector& collector, std::size_t threads) {
+  if (tasks.empty()) return;
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  TaskList source(tasks);
+  run_task_pool(source, collector, std::min(threads, tasks.size()));
+}
+
 SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
   FINDEP_REQUIRE(options_.num_seeds > 0);
 }
@@ -115,21 +113,24 @@ std::vector<RunRecord> SweepRunner::run(const Scenario& scenario) const {
 std::vector<std::vector<RunRecord>> SweepRunner::run_all(
     const std::vector<const Scenario*>& scenarios) const {
   const std::size_t n = options_.num_seeds;
-  std::vector<std::vector<RunRecord>> records(scenarios.size());
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    FINDEP_REQUIRE(scenarios[s] != nullptr);
-    records[s].resize(n);
+  std::vector<std::vector<RunRecord>> records(scenarios.size(),
+                                              std::vector<RunRecord>(n));
+  // Scenario-major, so a serial drain runs each scenario's seeds in turn.
+  std::vector<SweepTask> tasks;
+  tasks.reserve(scenarios.size() * n);
+  for (const Scenario* scenario : scenarios) {
+    FINDEP_REQUIRE(scenario != nullptr);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Aliasing shared_ptr: the caller owns the scenario for the whole
+      // sweep, so the task needs no ownership of its own.
+      tasks.push_back(SweepTask{
+          std::shared_ptr<const Scenario>(std::shared_ptr<const Scenario>{},
+                                          scenario),
+          derive_seed(options_.base_seed, i), i, tasks.size()});
+    }
   }
-
-  std::size_t threads = options_.threads != 0
-                            ? options_.threads
-                            : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min(threads, scenarios.size() * n);
-
-  IndexedTaskSource source(scenarios, options_);
   SlottedCollector collector(records, n);
-  run_task_pool(source, collector, threads);
+  run_tasks(tasks, collector, options_.threads);
   return records;
 }
 

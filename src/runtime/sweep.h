@@ -8,17 +8,18 @@
 // first. Hence a sweep on any thread count — including 1 — produces
 // bit-identical per-seed records.
 //
-// The queue is suite-wide, not per-scenario: every (scenario, run_index)
-// pair of a multi-scenario sweep is one task claimed off one atomic
-// counter, so a suite of S scenarios keeps all workers busy even at
-// --seeds 1 (the old per-scenario pools left S−1 scenarios waiting).
+// The queue is sweep-wide, not per-scenario: every (scenario, run_index)
+// pair of a multi-scenario sweep is one task of one prepared list,
+// claimed by an atomic index, so a sweep of S scenarios keeps all
+// workers busy even at --seeds 1.
 //
 // The queue itself is an abstraction: `run_task_pool` drains any
 // `TaskSource` into any `ResultCollector` on the worker pool. The
 // in-process sweep (`SweepRunner::run_all`) and the wire-format worker
-// (`runtime/task.h`, tasks read as JSONL off stdin) are two
-// implementations of the same seam, so distributing a sweep across
-// processes cannot change per-run execution.
+// (`runtime/task.h`, tasks read as JSONL off stdin) both prepare a
+// `SweepTask` list and drain it through `run_tasks`; they differ only in
+// their collector, so distributing a sweep across processes cannot
+// change per-run execution.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +32,12 @@
 namespace findep::runtime {
 
 /// One claimed unit of sweep work: a scenario instance to execute at an
-/// already-derived seed. `slot` is an opaque position assigned by the
-/// TaskSource (in-process: the flat scenario×run index; wire worker: the
+/// already-derived seed. `slot` is an opaque position assigned with the
+/// task (in-process: the flat scenario×run index; wire worker: the
 /// task's input ordinal) that the ResultCollector uses to place the
 /// record independently of completion order. The shared_ptr keeps
-/// wire-built instances alive until their run completes; in-process
-/// sources alias suite-owned scenarios without ownership.
+/// wire-built instances alive until their run completes; the in-process
+/// sweep aliases caller-owned scenarios without ownership.
 struct SweepTask {
   std::shared_ptr<const Scenario> scenario;
   std::uint64_t seed = 0;
@@ -68,6 +69,11 @@ class ResultCollector {
 /// run_index of the task are copied into the record verbatim.
 void run_task_pool(TaskSource& source, ResultCollector& collector,
                    std::size_t threads);
+
+/// Drains a prepared task list into `collector` through run_task_pool on
+/// min(threads, tasks.size()) workers (0 = hardware concurrency).
+void run_tasks(const std::vector<SweepTask>& tasks,
+               ResultCollector& collector, std::size_t threads);
 
 struct SweepOptions {
   /// Master seed of the sweep; per-run seeds derive from it.

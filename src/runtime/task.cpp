@@ -7,11 +7,9 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "support/table.h"
+#include "runtime/suite.h"
 
 namespace findep::runtime {
 
@@ -458,81 +456,29 @@ TaskResult task_result_from_json(const std::string& text) {
 
 // --- coordinator: --emit-tasks ----------------------------------------------
 
-std::size_t emit_task_catalog(const FamilySelection& selection,
-                              const SweepOptions& sweep,
-                              const std::string& only,
-                              const std::string& exclude, std::ostream& out) {
-  std::size_t sequence = 0;
-  std::size_t emitted = 0;
-  for (const auto& [family, grids] : selection) {
-    // Empty grid list = one parameterless instance, like instantiate_family.
-    std::vector<ParamSet> points;
-    if (grids.empty()) {
-      points.emplace_back();
-    } else {
-      for (const ParamGrid& grid : grids) {
-        for (ParamSet& point : grid.expand()) points.push_back(std::move(point));
-      }
-    }
-    for (const ParamSet& point : points) {
-      // Build the instance once: validates the grid point where the
-      // coordinator can report it, and yields the name for --only.
-      const std::string name = family->factory(point).name();
-      const std::size_t seq = sequence++;
-      if (!only.empty() && name.find(only) == std::string::npos) continue;
-      if (!exclude.empty() && name.find(exclude) != std::string::npos) {
-        continue;
-      }
-      for (std::size_t i = 0; i < sweep.num_seeds; ++i) {
-        out << to_json(TaskSpec{family->name, point, sweep.base_seed, i,
-                                seq})
-            << '\n';
-        ++emitted;
-      }
+void emit_task_catalog(const std::vector<CatalogInstance>& instances,
+                       const SweepOptions& sweep, std::ostream& out) {
+  for (const CatalogInstance& instance : instances) {
+    for (std::size_t i = 0; i < sweep.num_seeds; ++i) {
+      out << to_json(TaskSpec{instance.family->name, instance.point,
+                              sweep.base_seed, i, instance.sequence})
+          << '\n';
     }
   }
-  return emitted;
 }
 
 // --- worker: --worker -------------------------------------------------------
 
 namespace {
 
-struct LoadedTask {
-  TaskSpec spec;
-  std::shared_ptr<const Scenario> scenario;
-};
-
-/// Hands out pre-parsed wire tasks by input ordinal.
-class LoadedTaskSource final : public TaskSource {
- public:
-  explicit LoadedTaskSource(const std::vector<LoadedTask>& tasks)
-      : tasks_(tasks) {}
-
-  bool next(SweepTask& task) override {
-    const std::size_t i = next_.fetch_add(1);
-    if (i >= tasks_.size()) return false;
-    task.scenario = tasks_[i].scenario;
-    task.seed = derive_seed(tasks_[i].spec.base_seed,
-                            tasks_[i].spec.run_index);
-    task.run_index = tasks_[i].spec.run_index;
-    task.slot = i;
-    return true;
-  }
-
- private:
-  const std::vector<LoadedTask>& tasks_;
-  std::atomic<std::size_t> next_{0};
-};
-
 /// Streams result lines in input order regardless of completion order, so
 /// a worker's stdout is deterministic on any thread count.
 class OrderedJsonlCollector final : public ResultCollector {
  public:
-  OrderedJsonlCollector(const std::vector<LoadedTask>& tasks,
+  OrderedJsonlCollector(const std::vector<std::size_t>& sequences,
                         std::ostream& out)
-      : tasks_(tasks), pending_(tasks.size()), done_(tasks.size(), false),
-        out_(out) {}
+      : sequences_(sequences), pending_(sequences.size()),
+        done_(sequences.size(), false), out_(out) {}
 
   void collect(const SweepTask& task, RunRecord record) override {
     if (!record.ok()) any_error_ = true;
@@ -543,7 +489,7 @@ class OrderedJsonlCollector final : public ResultCollector {
     // sink would — that's the byte-identity contract.
     result.family = task.scenario->family();
     result.scenario = task.scenario->name();
-    result.sequence = tasks_[task.slot].spec.sequence;
+    result.sequence = sequences_[task.slot];
     result.record = std::move(record);
     std::string line = to_json(result);
 
@@ -560,7 +506,7 @@ class OrderedJsonlCollector final : public ResultCollector {
   [[nodiscard]] bool any_error() const noexcept { return any_error_; }
 
  private:
-  const std::vector<LoadedTask>& tasks_;
+  const std::vector<std::size_t>& sequences_;
   std::vector<std::string> pending_;
   std::vector<bool> done_;
   std::size_t next_to_emit_ = 0;
@@ -568,6 +514,20 @@ class OrderedJsonlCollector final : public ResultCollector {
   std::mutex mutex_;
   std::atomic<bool> any_error_{false};
 };
+
+/// Calls `line_fn(line, line_number)` for every line of `in` that holds
+/// more than whitespace; stops early, returning false, when it does.
+template <typename LineFn>
+bool for_each_line(std::istream& in, LineFn line_fn) {
+  std::string line;
+  std::size_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (!line_fn(line, line_number)) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -577,165 +537,133 @@ int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
 
   // Parse and resolve everything up front: a malformed task list fails
   // fast (before any work runs) with the offending line number.
-  std::vector<LoadedTask> tasks;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    LoadedTask task;
+  std::vector<SweepTask> tasks;
+  std::vector<std::size_t> sequences;
+  const bool parsed = for_each_line(in, [&](const std::string& line,
+                                            std::size_t line_number) {
+    TaskSpec spec;
     try {
-      task.spec = task_spec_from_json(line);
+      spec = task_spec_from_json(line);
     } catch (const std::invalid_argument& e) {
       err << "error: task line " << line_number << ": " << e.what() << '\n';
-      return 2;
+      return false;
     }
-    const ScenarioFamily* family = registry.find(task.spec.family);
+    const ScenarioFamily* family = registry.find(spec.family);
     if (family == nullptr) {
       err << "error: task line " << line_number << ": unknown scenario "
-          << "family '" << task.spec.family << "'\n";
-      return 2;
+          << "family '" << spec.family << "'\n";
+      return false;
     }
     // A factory throw is data, not a protocol error: a stand-in whose run
     // rethrows the message carries it through the normal execute/collect
     // path, so the merge sees an error-carrying record like any failed
     // run rather than a dead worker.
+    std::shared_ptr<const Scenario> scenario;
     try {
-      task.scenario =
-          std::make_shared<Scenario>(family->factory(task.spec.params));
+      scenario = std::make_shared<const Scenario>(family->factory(spec.params));
     } catch (const std::exception& e) {
-      task.scenario = std::make_shared<Scenario>(
-          task.spec.family + "/" + task.spec.params.label(),
+      scenario = std::make_shared<const Scenario>(
+          spec.family + "/" + spec.params.label(),
           [message = std::string(e.what())](const RunContext&)
               -> MetricRecord { throw std::runtime_error(message); });
     }
-    tasks.push_back(std::move(task));
-  }
+    tasks.push_back(SweepTask{std::move(scenario),
+                              derive_seed(spec.base_seed, spec.run_index),
+                              spec.run_index, tasks.size()});
+    sequences.push_back(spec.sequence);
+    return true;
+  });
+  if (!parsed) return 2;
 
-  if (tasks.empty()) return 0;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  LoadedTaskSource source(tasks);
-  OrderedJsonlCollector collector(tasks, out);
-  run_task_pool(source, collector, std::min(threads, tasks.size()));
+  OrderedJsonlCollector collector(sequences, out);
+  run_tasks(tasks, collector, threads);
   out.flush();
   return collector.any_error() ? 1 : 0;
 }
 
-// --- merge: --merge ---------------------------------------------------------
+// --- the shard reader: --merge and --report ---------------------------------
 
-namespace {
-
-struct MergeGroup {
-  std::string family;
-  std::string scenario;
-  std::size_t sequence = 0;
-  std::vector<RunRecord> records;
-};
-
-bool read_shard(std::istream& in, const std::string& label,
-                std::vector<MergeGroup>& groups, std::ostream& err) {
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    TaskResult result;
-    try {
-      result = task_result_from_json(line);
-    } catch (const std::invalid_argument& e) {
-      err << "error: " << label << " line " << line_number << ": "
-          << e.what() << '\n';
-      return false;
-    }
-    // Sequence is part of the group key: two catalog instances may share
-    // a display name (e.g. a --set collapsing both bft_scaling grids onto
-    // the same point), and the in-process sweep renders them as two
-    // entries — the merge must too.
-    MergeGroup* group = nullptr;
-    for (MergeGroup& g : groups) {
-      if (g.scenario == result.scenario && g.family == result.family &&
-          g.sequence == result.sequence) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      groups.push_back(MergeGroup{result.family, result.scenario,
-                                  result.sequence, {}});
-      group = &groups.back();
-    }
-    for (const RunRecord& existing : group->records) {
-      if (existing.seed == result.record.seed &&
-          existing.run_index == result.record.run_index) {
-        err << "error: " << label << " line " << line_number
-            << ": duplicate record for scenario '" << result.scenario
-            << "' seed " << result.record.seed
-            << " (overlapping shards?)\n";
+bool read_shards(const std::vector<std::string>& paths,
+                 std::vector<TaskResult>& results, std::ostream& err) {
+  for (const std::string& path : paths) {
+    std::ifstream file;
+    if (path != "-") {
+      file.open(path);
+      if (!file) {
+        err << "error: cannot open shard file '" << path << "'\n";
         return false;
       }
     }
-    group->records.push_back(std::move(result.record));
+    const std::string label = path == "-" ? "<stdin>" : path;
+    const bool ok = for_each_line(
+        path == "-" ? std::cin : file,
+        [&](const std::string& line, std::size_t line_number) {
+          try {
+            results.push_back(task_result_from_json(line));
+          } catch (const std::invalid_argument& e) {
+            err << "error: " << label << " line " << line_number << ": "
+                << e.what() << '\n';
+            return false;
+          }
+          return true;
+        });
+    if (!ok) return false;
   }
   return true;
 }
 
-}  // namespace
+// --- merge: --merge ---------------------------------------------------------
 
 int merge_shards(const std::vector<std::string>& paths, bool csv, bool json,
                  std::ostream& out, std::ostream& err) {
-  std::vector<MergeGroup> groups;
-  for (const std::string& path : paths) {
-    if (path == "-") {
-      if (!read_shard(std::cin, "<stdin>", groups, err)) return 2;
-      continue;
-    }
-    std::ifstream file(path);
-    if (!file) {
-      err << "error: cannot open shard file '" << path << "'\n";
-      return 2;
-    }
-    if (!read_shard(file, path, groups, err)) return 2;
-  }
+  std::vector<TaskResult> results;
+  if (!read_shards(paths, results, err)) return 2;
 
+  // Sequence is part of the group key: two catalog instances may share a
+  // display name (e.g. a --set collapsing both bft_scaling grids onto the
+  // same point), and the in-process sweep renders them as two entries —
+  // the merge must too.
+  struct Group {
+    const TaskResult* first;
+    std::vector<RunRecord> records;
+  };
+  std::vector<Group> groups;
+  for (TaskResult& result : results) {
+    const auto it =
+        std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+          return g.first->sequence == result.sequence &&
+                 g.first->scenario == result.scenario &&
+                 g.first->family == result.family;
+        });
+    Group& group =
+        it != groups.end() ? *it : groups.emplace_back(Group{&result, {}});
+    for (const RunRecord& existing : group.records) {
+      if (existing.seed == result.record.seed &&
+          existing.run_index == result.record.run_index) {
+        err << "error: duplicate record for scenario '" << result.scenario
+            << "' seed " << result.record.seed << " (overlapping shards?)\n";
+        return 2;
+      }
+    }
+    group.records.push_back(std::move(result.record));
+  }
   // Scenario order: by catalog sequence, first appearance breaking ties —
-  // reproduces the in-process suite order however tasks were sharded.
+  // reproduces the in-process sweep order however tasks were sharded.
   std::stable_sort(groups.begin(), groups.end(),
-                   [](const MergeGroup& a, const MergeGroup& b) {
-                     return a.sequence < b.sequence;
+                   [](const Group& a, const Group& b) {
+                     return a.first->sequence < b.first->sequence;
                    });
 
   MetricsSink sink;
-  std::size_t total_records = 0;
-  for (MergeGroup& group : groups) {
-    total_records += group.records.size();
-    sink.add(std::move(group.scenario), std::move(group.family),
+  for (Group& group : groups) {
+    sink.add(group.first->scenario, group.first->family,
              std::move(group.records));
   }
-
-  if (json) {
-    sink.print_json(out);
-  } else if (csv) {
-    sink.print_csv(out);
-  } else {
-    support::print_banner(
-        out, "merged " + std::to_string(total_records) + " record(s) from " +
-                 std::to_string(paths.size()) + " shard(s)");
-    sink.print_tables(out);
-  }
-
-  if (sink.any_errors()) {
-    for (const auto& entry : sink.entries()) {
-      for (const RunRecord& record : entry.records) {
-        if (!record.ok()) {
-          err << entry.scenario << " seed " << record.seed
-              << " failed: " << record.error << '\n';
-        }
-      }
-    }
-    return 1;
-  }
-  return 0;
+  return render_results(sink, csv, json,
+                        "merged " + std::to_string(results.size()) +
+                            " record(s) from " +
+                            std::to_string(paths.size()) + " shard(s)",
+                        "", out, err);
 }
 
 }  // namespace findep::runtime

@@ -1,13 +1,14 @@
 // The task wire format: serializable sweep tasks and results (JSONL).
 //
 // A distributed sweep is the in-process sweep cut at the global work
-// queue: the coordinator expands the selected catalog into `TaskSpec`
-// lines (`--emit-tasks`), any number of workers execute tasks through the
-// same registry + TaskSource/ResultCollector seam the in-process sweep
-// uses (`--worker`: task JSONL on stdin, `TaskResult` JSONL on stdout),
-// and a merge step gathers the result shards back into the standard
-// MetricsSink rendering (`--merge`). Because a worker derives the run
-// seed exactly like `SweepRunner` (`derive_seed(base_seed, run_index)`)
+// queue: the coordinator writes the same expanded instances the sweep
+// runs (`expand_selection`) as `TaskSpec` lines (`--emit-tasks`), any
+// number of workers execute tasks through the same registry and
+// `run_tasks` list the in-process sweep uses (`--worker`: task JSONL on
+// stdin, `TaskResult` JSONL on stdout), and a merge step reads the
+// result shards back (`read_shards`, also behind `--report`) into the
+// sweep's own `render_results` (`--merge`). Because a worker derives the
+// run seed exactly like `SweepRunner` (`derive_seed(base_seed, run_index)`)
 // and doubles travel as 17-significant-digit shortest-round-trip text,
 // the merged table/CSV/JSON is byte-identical to sweeping the same
 // catalog in one process — the repo's reproducibility contract survives
@@ -26,13 +27,12 @@
 //
 // `sequence` is the scenario instance's position in the emitted catalog;
 // the merge orders scenarios by it (ties by first appearance), which
-// reproduces the in-process suite order no matter how tasks were sharded.
+// reproduces the in-process sweep order no matter how tasks were sharded.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -84,24 +84,12 @@ struct TaskResult {
 
 // --- the three pipeline stages ---------------------------------------------
 
-/// One selected family with its (possibly axis-overridden) grids, in
-/// catalog order — what `run_families_main` resolves from `--family` /
-/// `--set` before either sweeping in-process or emitting tasks.
-using FamilySelection =
-    std::vector<std::pair<const ScenarioFamily*, std::vector<ParamGrid>>>;
-
-/// Coordinator: expands `selection` into task JSONL on `out`,
-/// scenario-major (all run indices of one instance consecutively),
-/// `num_seeds` tasks per instance, `sequence` numbering instances in
-/// catalog order. Instances whose name does not contain `only`, or does
-/// contain a non-empty `exclude`, are skipped (same filters as the
-/// in-process sweep). Factories run once per instance so parameter
-/// validation fails here, not on a worker. Returns the number of tasks
-/// emitted; throws on a factory error.
-std::size_t emit_task_catalog(const FamilySelection& selection,
-                              const SweepOptions& sweep,
-                              const std::string& only,
-                              const std::string& exclude, std::ostream& out);
+/// Coordinator: writes `instances` (see expand_selection) as task JSONL
+/// on `out`, scenario-major (all run indices of one instance
+/// consecutively), `num_seeds` tasks per instance, each carrying its
+/// instance's `sequence`.
+void emit_task_catalog(const std::vector<CatalogInstance>& instances,
+                       const SweepOptions& sweep, std::ostream& out);
 
 /// Worker: reads task JSONL from `in` (blank lines ignored), executes
 /// every task through the global registry on `threads` workers via the
@@ -114,12 +102,20 @@ std::size_t emit_task_catalog(const FamilySelection& selection,
 int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
                std::size_t threads);
 
-/// Merge: reads result JSONL from `paths` (a path of "-" means stdin),
-/// groups records by (family, scenario, sequence) — sequence keeps
-/// same-named catalog instances apart — ordered by (sequence, first
-/// appearance), and renders through MetricsSink: `csv`/`json` exactly as
-/// the in-process sweep would, otherwise tables under a shard-count
-/// banner.
+/// The one shard reader (`--merge` and `--report`): appends the result
+/// JSONL of `paths` ("-" = stdin) to `results` in path then line order,
+/// skipping blank and whitespace-only lines. An unopenable file or a
+/// malformed line is reported on `err` with its path and line number,
+/// and returns false.
+[[nodiscard]] bool read_shards(const std::vector<std::string>& paths,
+                               std::vector<TaskResult>& results,
+                               std::ostream& err);
+
+/// Merge: reads result shards through read_shards, groups records by
+/// (family, scenario, sequence) — sequence keeps same-named catalog
+/// instances apart — ordered by (sequence, first appearance), and renders
+/// through render_results: `csv`/`json` exactly as the in-process sweep
+/// would, otherwise tables under a shard-count banner.
 /// Duplicate (scenario, seed, run_index) records — overlapping shards —
 /// and unreadable files or lines are reported on `err` with exit code 2.
 /// Returns 1 when any merged record carries an error, else 0.

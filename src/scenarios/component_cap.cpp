@@ -40,7 +40,7 @@ runtime::MetricRecord run_component_cap(const Params& params,
   for (std::size_t i = 0; i < params.candidates; ++i) {
     const auto kp = crypto::KeyPair::derive(support::mix64(ctx.seed) + i);
     keys.enroll(kp);
-    everyone.push_back(stake.add("p" + std::to_string(i),
+    everyone.push_back(stake.add(std::string("p").append(std::to_string(i)),
                                  rng.uniform(1.0, 3.0), sampler.sample(rng),
                                  true, kp.public_key()));
   }

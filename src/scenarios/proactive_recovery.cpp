@@ -4,12 +4,13 @@
 // Replaces the hand-rolled period loop of the old bench; the CVE stream
 // and deploy lags derive from the run seed, so a sweep replays many
 // independent years.
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "config/catalog.h"
 #include "diversity/manager.h"
-#include "faults/recovery.h"
+#include "faults/windows.h"
 #include "runtime/registry.h"
 #include "support/assert.h"
 #include "support/rng.h"
@@ -53,15 +54,12 @@ runtime::MetricRecord run_proactive_recovery(const Params& params,
 
   const std::size_t samples =
       static_cast<std::size_t>(params.horizon_days) + 1;
-  const faults::ExposureTimeline timeline =
-      params.period_days == 0.0
-          ? faults::compute_exposure(population, vulns,
-                                     params.horizon_days, samples,
-                                     patching)
-          : faults::compute_exposure_with_recovery(
-                population, vulns, params.horizon_days, samples, patching,
-                faults::RecoverySchedule{.period_days = params.period_days,
-                                         .staggered = true});
+  std::optional<faults::RecoverySchedule> recovery;
+  if (params.period_days != 0.0) {
+    recovery = faults::RecoverySchedule{.period_days = params.period_days};
+  }
+  const faults::ExposureTimeline timeline = faults::compute_exposure(
+      population, vulns, params.horizon_days, samples, patching, recovery);
 
   runtime::MetricRecord metrics;
   metrics.set("peak_exposed_pct", timeline.peak_exposed_fraction * 100.0);

@@ -42,21 +42,6 @@ void Table::print(std::ostream& out) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& out) const {
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
-std::string Table::format_cell(const std::string& v) { return v; }
-std::string Table::format_cell(const char* v) { return v; }
-
 std::string Table::format_cell(double v) {
   std::ostringstream out;
   out << std::setprecision(6) << v;

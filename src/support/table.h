@@ -1,18 +1,16 @@
-// Aligned table rendering for the benchmark harness. Every bench binary
-// regenerates a paper table/figure as rows printed through this class, so
-// the output format is uniform and machine-extractable (optional CSV mode).
+// Aligned table rendering: MetricsSink prints each family's sweep table
+// through this class, and scenario factories format numeric grid values
+// in instance names with `format_cell`.
 #pragma once
 
-#include <concepts>
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace findep::support {
 
-/// Collects rows of stringified cells and renders them either as an
-/// aligned, human-readable table or as CSV.
+/// Collects rows of stringified cells and renders them as an aligned,
+/// human-readable table.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -20,30 +18,11 @@ class Table {
   /// Appends a row; the cell count must equal the header count.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats each value with `format_cell`.
-  template <typename... Ts>
-  void add(const Ts&... values) {
-    add_row({format_cell(values)...});
-  }
-
-  [[nodiscard]] std::size_t row_count() const noexcept {
-    return rows_.size();
-  }
-
   /// Renders with space-padded, right-aligned columns.
   void print(std::ostream& out) const;
 
-  /// Renders as CSV (cell content never needs quoting in our usage).
-  void print_csv(std::ostream& out) const;
-
-  [[nodiscard]] static std::string format_cell(const std::string& v);
-  [[nodiscard]] static std::string format_cell(const char* v);
-  /// Doubles are rendered with six significant digits.
+  /// Formats a double with six significant digits.
   [[nodiscard]] static std::string format_cell(double v);
-  template <std::integral T>
-  [[nodiscard]] static std::string format_cell(T v) {
-    return std::to_string(v);
-  }
 
  private:
   std::vector<std::string> headers_;
@@ -51,7 +30,7 @@ class Table {
 };
 
 /// Prints a section banner ("== title ==") used to delimit experiments in
-/// bench output.
+/// sweep output.
 void print_banner(std::ostream& out, const std::string& title);
 
 }  // namespace findep::support

@@ -1,9 +1,9 @@
 // The campaign engine: spec parsing, rejection and lowering to
 // findep-bench flags, target fleets, fault planning, outcome
 // classification on known-good and known-violated runs, cell
-// seed-determinism, the paper's safety-threshold cross-check, and the
-// distributed shard pipeline's byte-identity for campaign cells.
-#include <fstream>
+// seed-determinism and the paper's safety-threshold cross-check. The
+// distributed shard pipeline's byte-identity for campaign cells, and
+// `--report` over those shards, are pinned in test_task.cpp.
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -412,80 +412,6 @@ TEST(CampaignReport, AggregatesRatesByGroup) {
   EXPECT_NE(rendered.find("by faulted component kind"), std::string::npos);
   EXPECT_NE(rendered.find("diverse"), std::string::npos);
   EXPECT_NE(rendered.find("6 cells"), std::string::npos);
-}
-
-// --- distributed byte-identity ---------------------------------------------
-
-runtime::FamilySelection campaign_selection() {
-  const runtime::ScenarioFamily* family =
-      runtime::ScenarioRegistry::global().find("campaign");
-  EXPECT_NE(family, nullptr);
-  std::vector<runtime::ParamGrid> grids = family->grids;
-  for (runtime::ParamGrid& grid : grids) {
-    grid.override_axis("target", {"uniform", "diverse"});
-    grid.override_axis("fault", {"crash", "corrupt", "collude"});
-    grid.override_axis("rate", {"1"});
-  }
-  return {{family, std::move(grids)}};
-}
-
-std::string run_in_process(const runtime::FamilySelection& selection,
-                           const runtime::SuiteOptions& options) {
-  runtime::ScenarioSuite suite("");
-  for (const auto& [family, grids] : selection) {
-    for (auto& scenario : runtime::instantiate_family(*family, grids)) {
-      suite.add(std::move(scenario));
-    }
-  }
-  std::ostringstream out, err;
-  EXPECT_EQ(suite.run(options, out, err), 0) << err.str();
-  return out.str();
-}
-
-TEST(CampaignDistributed, TwoShardMergeIsByteIdenticalToInProcess) {
-  const runtime::FamilySelection selection = campaign_selection();
-  runtime::SuiteOptions options;
-  options.sweep = {.base_seed = 7, .num_seeds = 2, .threads = 0};
-  options.json = true;
-  const std::string in_process = run_in_process(selection, options);
-
-  // Round-robin shard the emitted tasks across two workers, then merge.
-  std::ostringstream tasks;
-  (void)runtime::emit_task_catalog(selection, options.sweep, "", "", tasks);
-  std::vector<std::string> shard_tasks(2);
-  std::istringstream task_lines(tasks.str());
-  std::string line;
-  std::size_t index = 0;
-  while (std::getline(task_lines, line)) {
-    shard_tasks[index++ % 2] += line + '\n';
-  }
-  EXPECT_GT(index, 2u);
-
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < 2; ++s) {
-    std::istringstream in(shard_tasks[s]);
-    std::ostringstream out, err;
-    EXPECT_EQ(runtime::run_worker(in, out, err, /*threads=*/0), 0)
-        << err.str();
-    const std::string path = ::testing::TempDir() + "findep_campaign_shard_" +
-                             std::to_string(s) + ".jsonl";
-    std::ofstream file(path);
-    file << out.str();
-    paths.push_back(path);
-  }
-
-  std::ostringstream merged, err;
-  EXPECT_EQ(runtime::merge_shards(paths, false, true, merged, err), 0)
-      << err.str();
-  EXPECT_EQ(merged.str(), in_process);
-  EXPECT_NE(in_process.find("campaign/target=diverse fault=collude"),
-            std::string::npos);
-
-  // The report runs off the same shards without disturbing them.
-  std::ostringstream report_out, report_err;
-  EXPECT_EQ(campaign::report_main(paths, report_out, report_err), 0)
-      << report_err.str();
-  EXPECT_NE(report_out.str().find("by target"), std::string::npos);
 }
 
 }  // namespace

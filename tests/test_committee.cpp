@@ -27,8 +27,8 @@ struct Fixture {
     for (std::size_t i = 0; i < n; ++i) {
       keys.push_back(crypto::KeyPair::derive(1000 + keys.size()));
       crypto_registry.enroll(keys.back());
-      stake.add("p" + std::to_string(stake.size()), stake_each, configs[i],
-                attested, keys.back().public_key());
+      stake.add(std::string("p").append(std::to_string(stake.size())),
+                stake_each, configs[i], attested, keys.back().public_key());
     }
   }
 };

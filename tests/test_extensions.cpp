@@ -2,12 +2,13 @@
 // and the selfish-mining baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "committee/diversity_aware.h"
 #include "config/sampler.h"
 #include "diversity/manager.h"
-#include "faults/recovery.h"
+#include "faults/windows.h"
 #include "nakamoto/selfish.h"
 #include "support/assert.h"
 
@@ -23,8 +24,8 @@ struct CommitteeFixture {
 
   void add(const config::ReplicaConfiguration& cfg, double power) {
     const auto keys = crypto::KeyPair::derive(4000 + stake.size());
-    stake.add("p" + std::to_string(stake.size()), power, cfg, true,
-              keys.public_key());
+    stake.add(std::string("p").append(std::to_string(stake.size())), power,
+              cfg, true, keys.public_key());
   }
   [[nodiscard]] std::vector<committee::ParticipantId> everyone() const {
     std::vector<committee::ParticipantId> all;
@@ -98,11 +99,12 @@ TEST(ComponentCap, NoOpWhenAlreadyDiverse) {
 
 // --- proactive recovery -----------------------------------------------
 
-std::vector<diversity::ReplicaRecord> recovery_population() {
+std::vector<diversity::ReplicaRecord> recovery_population(
+    std::size_t replicas = 8) {
   const config::ComponentCatalog catalog = config::standard_catalog();
   std::vector<diversity::ReplicaRecord> population;
   for (const auto& cfg :
-       diversity::LazarusStyleAssigner(catalog).assign(8)) {
+       diversity::LazarusStyleAssigner(catalog).assign(replicas)) {
     population.push_back(diversity::ReplicaRecord{cfg, 1.0, true});
   }
   return population;
@@ -135,8 +137,8 @@ TEST(Recovery, BoundsDeployLagByPeriod) {
   // Weekly recovery ends it within one period of the patch release.
   faults::RecoverySchedule weekly;
   weekly.period_days = 7.0;
-  const auto recovered = faults::compute_exposure_with_recovery(
-      population, vulns, 100.0, 201, patching, weekly);
+  const auto recovered =
+      faults::compute_exposure(population, vulns, 100.0, 201, patching, weekly);
   EXPECT_DOUBLE_EQ(recovered.points.back().exposed_fraction, 0.0);
   for (const auto& point : recovered.points) {
     if (point.t > 20.0 + 7.0 + 1.0) {
@@ -156,8 +158,8 @@ TEST(Recovery, NoPrePatchBenefit) {
   patching.mean_deploy_lag_days = 0.001;  // immediate patch adoption
   faults::RecoverySchedule daily;
   daily.period_days = 1.0;
-  const auto timeline = faults::compute_exposure_with_recovery(
-      population, vulns, 40.0, 401, patching, daily);
+  const auto timeline =
+      faults::compute_exposure(population, vulns, 40.0, 401, patching, daily);
   // Exposure exists inside the zero-day window [10, 20) despite daily
   // recovery.
   bool exposed_mid_window = false;
@@ -185,14 +187,61 @@ TEST(Recovery, ShorterPeriodsNeverIncreaseExposure) {
   for (const double period : {1000.0, 90.0, 30.0, 7.0}) {
     faults::RecoverySchedule schedule;
     schedule.period_days = period;
-    const auto timeline = faults::compute_exposure_with_recovery(
-        population, vulns, 200.0, 201, patching, schedule);
+    const auto timeline = faults::compute_exposure(population, vulns, 200.0,
+                                                   201, patching, schedule);
     EXPECT_LE(timeline.peak_exposed_fraction, prev_peak + 1e-9) << period;
     EXPECT_LE(timeline.time_above_bft_threshold, prev_above + 1e-9)
         << period;
     prev_peak = timeline.peak_exposed_fraction;
     prev_above = timeline.time_above_bft_threshold;
   }
+}
+
+TEST(Recovery, PeriodPastHorizonKeepsPatchLagTimeline) {
+  // A vulnerability in a component no replica runs still counts in k_t
+  // until its patch. A schedule with no boundary inside the horizon must
+  // leave every point of the patch-lag-only timeline as it is.
+  const config::ComponentCatalog catalog = config::standard_catalog();
+  const auto population = recovery_population(3);
+  faults::VulnerabilityCatalog vulns =
+      one_vuln(*population[0].configuration.component(
+          config::ComponentKind::kOperatingSystem));
+  bool found_unexposed = false;
+  for (const config::ComponentId os :
+       catalog.of_kind(config::ComponentKind::kOperatingSystem)) {
+    const bool exposed = std::any_of(
+        population.begin(), population.end(), [&](const auto& replica) {
+          return replica.configuration.component(
+                     config::ComponentKind::kOperatingSystem) == os;
+        });
+    if (exposed) continue;
+    faults::Vulnerability v;
+    v.component = os;
+    v.discovered_at = 5.0;
+    v.patched_at = 30.0;
+    vulns.add(v);
+    found_unexposed = true;
+    break;
+  }
+  ASSERT_TRUE(found_unexposed);
+
+  faults::PatchLagModel patching;
+  patching.mean_deploy_lag_days = 3.0;
+  const auto baseline =
+      faults::compute_exposure(population, vulns, 40.0, 401, patching);
+  const auto recovered = faults::compute_exposure(
+      population, vulns, 40.0, 401, patching,
+      faults::RecoverySchedule{.period_days = 1e9});
+  ASSERT_EQ(recovered.points.size(), baseline.points.size());
+  for (std::size_t i = 0; i < baseline.points.size(); ++i) {
+    EXPECT_EQ(recovered.points[i].open_vulnerabilities,
+              baseline.points[i].open_vulnerabilities)
+        << baseline.points[i].t;
+    EXPECT_EQ(recovered.points[i].exposed_fraction,
+              baseline.points[i].exposed_fraction)
+        << baseline.points[i].t;
+  }
+  EXPECT_EQ(baseline.peak_open_vulnerabilities, 2u);
 }
 
 // --- selfish mining -----------------------------------------------------

@@ -154,8 +154,9 @@ TEST(Integration, DiverseCommitteeRunsWeightedConsensus) {
   for (std::size_t i = 0; i < 12; ++i) {
     keys.push_back(crypto::KeyPair::derive(9000 + i));
     crypto_registry.enroll(keys.back());
-    stake.add("p" + std::to_string(i), rng.uniform(1.0, 3.0), configs[i],
-              true, keys.back().public_key());
+    stake.add(std::string("p").append(std::to_string(i)),
+              rng.uniform(1.0, 3.0), configs[i], true,
+              keys.back().public_key());
   }
   committee::Sortition sortition(stake, 12.0);  // everyone eligible
   const committee::SortitionResult seats = sortition.select(1, keys);

@@ -334,16 +334,14 @@ TEST(GoldenOutput, CsvAndJsonForParameterizedFamily) {
     return golden_scenario(p.get_int("a"), p.get_int("b"));
   };
 
-  ScenarioSuite suite("");
-  for (auto& scenario : instantiate_family(family, family.grids)) {
-    suite.add(std::move(scenario));
-  }
+  const std::vector<CatalogInstance> instances =
+      expand_selection({{&family, family.grids}}, "", "");
   SuiteOptions options;
   options.sweep = {.base_seed = 9, .num_seeds = 1, .threads = 2};
 
   std::ostringstream csv, err;
   options.csv = true;
-  ASSERT_EQ(suite.run(options, csv, err), 0);
+  ASSERT_EQ(sweep_instances(instances, options, csv, err), 0);
   EXPECT_EQ(csv.str(),
             "family,scenario,seeds,metric,mean,stddev,min,max\n"
             "golden,golden/a=1 b=3,1,combined,13,0,13,13\n"
@@ -358,7 +356,7 @@ TEST(GoldenOutput, CsvAndJsonForParameterizedFamily) {
   std::ostringstream json, err2;
   options.csv = false;
   options.json = true;
-  ASSERT_EQ(suite.run(options, json, err2), 0);
+  ASSERT_EQ(sweep_instances(instances, options, json, err2), 0);
   const std::string seed = std::to_string(derive_seed(9, 0));
   std::string expected = "{\n  \"scenarios\": [";
   bool first = true;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "runtime/metrics.h"
+#include "runtime/registry.h"
 #include "runtime/scenario.h"
 #include "runtime/suite.h"
 #include "runtime/sweep.h"
@@ -192,21 +193,28 @@ TEST(Suite, RejectsUnknownOrTruncatedFlags) {
 }
 
 TEST(Suite, RunsMatchingScenariosAndReportsErrors) {
-  ScenarioSuite suite("test suite");
-  suite.add(std::make_unique<Scenario>(echo_scenario()));
-  suite.add(std::make_unique<Scenario>(failing_scenario()));
+  ScenarioFamily family;
+  family.name = "echo";
+  family.grids = {ParamGrid{{"case", {"basic", "failing"}}}};
+  family.factory = [](const ParamSet& p) {
+    return p.get_string("case") == "basic" ? echo_scenario()
+                                           : failing_scenario();
+  };
+  const FamilySelection selection = {{&family, family.grids}};
   SuiteOptions options;
   options.sweep = {.base_seed = 1, .num_seeds = 2, .threads = 1};
 
   std::ostringstream out, err;
-  options.only = "basic";
-  EXPECT_EQ(suite.run(options, out, err), 0);
+  EXPECT_EQ(sweep_instances(expand_selection(selection, "basic", ""), options,
+                            out, err),
+            0);
   EXPECT_NE(out.str().find("echo"), std::string::npos);
   EXPECT_EQ(out.str().find("failing"), std::string::npos);
 
   std::ostringstream out2, err2;
-  options.only = "failing";
-  EXPECT_EQ(suite.run(options, out2, err2), 1);
+  EXPECT_EQ(sweep_instances(expand_selection(selection, "failing", ""),
+                            options, out2, err2),
+            1);
   EXPECT_NE(err2.str().find("boom"), std::string::npos);
 }
 

@@ -1,8 +1,9 @@
 // The task wire format: JSON round-trips for params, metrics and run
 // records (including inf/nan/denormal values and error-carrying records),
 // the emit → worker → merge pipeline's byte-identity with the in-process
-// sweep across real families, deterministic worker output, CSV escaping,
-// and the new CLI flags.
+// sweep across real families (a campaign slice included, with `--report`
+// over its shards), deterministic worker output, the one shard reader
+// behind `--merge` and `--report`, CSV escaping, and the new CLI flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/report.h"
 #include "runtime/metrics.h"
 #include "runtime/param.h"
 #include "runtime/registry.h"
@@ -110,7 +112,7 @@ TEST(ParamSetJson, PropertyRandomSetsAreSerializationFixedPoints) {
     ParamSet params;
     const std::size_t n = rng.below(6);
     for (std::size_t p = 0; p < n; ++p) {
-      const std::string name = "p" + std::to_string(p);
+      const std::string name = std::string("p").append(std::to_string(p));
       switch (rng.below(4)) {
         case 0: params.set(name, ParamValue(rng.below(2) == 0)); break;
         case 1:
@@ -127,7 +129,8 @@ TEST(ParamSetJson, PropertyRandomSetsAreSerializationFixedPoints) {
           break;
         }
         default:
-          params.set(name, ParamValue("s" + std::to_string(rng() % 97)));
+          params.set(name, ParamValue(std::string("s").append(
+                               std::to_string(rng() % 97))));
       }
     }
     const std::string wire = to_json(params);
@@ -204,7 +207,7 @@ TEST(RunRecordJson, PropertyRandomRecordsAreSerializationFixedPoints) {
         const std::uint64_t bits = rng();
         double v;
         std::memcpy(&v, &bits, sizeof v);
-        record.metrics.set("m" + std::to_string(m), v);
+        record.metrics.set(std::string("m").append(std::to_string(m)), v);
       }
     }
     const std::string wire = to_json(record);
@@ -285,27 +288,41 @@ FamilySelection shrunken_selection() {
   return selection;
 }
 
-/// Renders the selection through the normal in-process suite path.
+/// A campaign slice: crash, corrupt and collude cells over two target
+/// fleets, so `--report` has outcomes to attribute.
+FamilySelection campaign_selection() {
+  const ScenarioFamily* family = ScenarioRegistry::global().find("campaign");
+  if (family == nullptr) ADD_FAILURE() << "missing family campaign";
+  std::vector<ParamGrid> grids = family->grids;
+  for (ParamGrid& grid : grids) {
+    grid.override_axis("target", {"uniform", "diverse"});
+    grid.override_axis("fault", {"crash", "corrupt", "collude"});
+    grid.override_axis("rate", {"1"});
+  }
+  return {{family, std::move(grids)}};
+}
+
+/// Renders the selection through the in-process sweep.
 std::string run_in_process(const FamilySelection& selection,
                            const SuiteOptions& options) {
-  ScenarioSuite suite("");
-  for (const auto& [family, grids] : selection) {
-    for (auto& scenario : instantiate_family(*family, grids)) {
-      suite.add(std::move(scenario));
-    }
-  }
   std::ostringstream out, err;
-  EXPECT_EQ(suite.run(options, out, err), 0) << err.str();
+  EXPECT_EQ(sweep_instances(expand_selection(selection, options.only,
+                                             options.exclude),
+                            options, out, err),
+            0)
+      << err.str();
   return out.str();
 }
 
 /// Emits the selection as tasks, hand-shards them round-robin across
-/// `shards` workers, executes each shard, and merges the result files.
-std::string run_distributed(const FamilySelection& selection,
-                            const SuiteOptions& options, std::size_t shards,
-                            bool csv, bool json) {
+/// `shards` workers, executes each shard, and returns the result files.
+std::vector<std::string> run_shards(const FamilySelection& selection,
+                                    const SuiteOptions& options,
+                                    std::size_t shards) {
   std::ostringstream tasks;
-  emit_task_catalog(selection, options.sweep, options.only, "", tasks);
+  emit_task_catalog(
+      expand_selection(selection, options.only, options.exclude),
+      options.sweep, tasks);
 
   // Round-robin sharding: deliberately NOT contiguous, so the merge's
   // sequence-based ordering (not shard order) is what restores catalog
@@ -329,9 +346,15 @@ std::string run_distributed(const FamilySelection& selection,
     file << out.str();
     paths.push_back(path);
   }
+  return paths;
+}
 
+/// Merges result files the way `--merge` renders them under `options`.
+std::string merge(const std::vector<std::string>& paths,
+                  const SuiteOptions& options) {
   std::ostringstream merged, err;
-  EXPECT_EQ(merge_shards(paths, csv, json, merged, err), 0) << err.str();
+  EXPECT_EQ(merge_shards(paths, options.csv, options.json, merged, err), 0)
+      << err.str();
   return merged.str();
 }
 
@@ -341,9 +364,8 @@ TEST(DistributedSweep, MergedShardsByteIdenticalToInProcessJson) {
   options.sweep = {.base_seed = 11, .num_seeds = 2, .threads = 0};
   options.json = true;
   const std::string in_process = run_in_process(selection, options);
-  const std::string distributed =
-      run_distributed(selection, options, /*shards=*/3, false, true);
-  EXPECT_EQ(distributed, in_process);
+  EXPECT_EQ(merge(run_shards(selection, options, /*shards=*/3), options),
+            in_process);
   // Meaningful comparison only if the sweep actually covered the catalog.
   EXPECT_NE(in_process.find("two_tier"), std::string::npos);
   EXPECT_NE(in_process.find("safety_condition"), std::string::npos);
@@ -355,22 +377,39 @@ TEST(DistributedSweep, MergedShardsByteIdenticalToInProcessCsv) {
   options.sweep = {.base_seed = 11, .num_seeds = 2, .threads = 0};
   options.csv = true;
   const std::string in_process = run_in_process(selection, options);
-  const std::string distributed =
-      run_distributed(selection, options, /*shards=*/4, true, false);
-  EXPECT_EQ(distributed, in_process);
+  EXPECT_EQ(merge(run_shards(selection, options, /*shards=*/4), options),
+            in_process);
+}
+
+TEST(DistributedSweep, CampaignShardsMergeAndReport) {
+  const FamilySelection selection = campaign_selection();
+  SuiteOptions options;
+  options.sweep = {.base_seed = 7, .num_seeds = 2, .threads = 0};
+  options.json = true;
+  const std::string in_process = run_in_process(selection, options);
+  const std::vector<std::string> paths =
+      run_shards(selection, options, /*shards=*/2);
+  EXPECT_EQ(merge(paths, options), in_process);
+  EXPECT_NE(in_process.find("campaign/target=diverse fault=collude"),
+            std::string::npos);
+
+  // The report runs off the same shards without disturbing them.
+  std::ostringstream report_out, report_err;
+  EXPECT_EQ(campaign::report_main(paths, report_out, report_err), 0)
+      << report_err.str();
+  EXPECT_NE(report_out.str().find("by target"), std::string::npos);
 }
 
 TEST(DistributedSweep, EmitTasksShapeAndSeedDerivation) {
   const FamilySelection selection = shrunken_selection();
   SweepOptions sweep{.base_seed = 3, .num_seeds = 2, .threads = 0};
   std::ostringstream out;
-  const std::size_t emitted = emit_task_catalog(selection, sweep, "", "", out);
+  emit_task_catalog(expand_selection(selection, "", ""), sweep, out);
 
   std::size_t instances = 0;
   for (const auto& [family, grids] : selection) {
     for (const ParamGrid& grid : grids) instances += grid.size();
   }
-  EXPECT_EQ(emitted, instances * sweep.num_seeds);
 
   std::istringstream lines(out.str());
   std::string line;
@@ -385,7 +424,7 @@ TEST(DistributedSweep, EmitTasksShapeAndSeedDerivation) {
     last_sequence = task.sequence;
     ++count;
   }
-  EXPECT_EQ(count, emitted);
+  EXPECT_EQ(count, instances * sweep.num_seeds);
 }
 
 TEST(DistributedSweep, MergeKeepsSameNamedInstancesApart) {
@@ -406,9 +445,8 @@ TEST(DistributedSweep, MergeKeepsSameNamedInstancesApart) {
   options.sweep = {.base_seed = 2, .num_seeds = 1, .threads = 0};
   options.json = true;
   const std::string in_process = run_in_process(selection, options);
-  const std::string distributed =
-      run_distributed(selection, options, /*shards=*/2, false, true);
-  EXPECT_EQ(distributed, in_process);
+  EXPECT_EQ(merge(run_shards(selection, options, /*shards=*/2), options),
+            in_process);
   // Both same-named instances must appear.
   const std::string needle = "\"name\": \"bft_scaling/n=7 silent_backup\"";
   const std::size_t first = in_process.find(needle);
@@ -419,7 +457,8 @@ TEST(DistributedSweep, MergeKeepsSameNamedInstancesApart) {
 TEST(DistributedSweep, WorkerOutputIndependentOfThreadCount) {
   const FamilySelection selection = shrunken_selection();
   std::ostringstream tasks;
-  emit_task_catalog(selection, {.base_seed = 5, .num_seeds = 1}, "", "", tasks);
+  emit_task_catalog(expand_selection(selection, "", ""),
+                    {.base_seed = 5, .num_seeds = 1}, tasks);
 
   std::string outputs[2];
   for (int i = 0; i < 2; ++i) {
@@ -507,6 +546,69 @@ TEST(DistributedSweep, MergePropagatesErrorRecords) {
   EXPECT_NE(err.str().find("run failed"), std::string::npos);
 }
 
+// --- the one shard reader behind --merge and --report -----------------------
+
+/// A campaign cell result carrying every metric the report reads.
+TaskResult campaign_result(std::uint64_t seed) {
+  TaskResult result;
+  result.family = "campaign";
+  result.scenario = "campaign/target=uniform fault=crash rate=1 n=7";
+  result.record.seed = seed;
+  result.record.metrics.set("component_kind", 0.0);
+  result.record.metrics.set("fault_detected", 1.0);
+  result.record.metrics.set("recovered", 1.0);
+  result.record.metrics.set("recovery_time_s", 2.0);
+  result.record.metrics.set("safety_violated", 0.0);
+  result.record.metrics.set("liveness_stalled", 0.0);
+  return result;
+}
+
+std::string write_shard(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream file(path);
+  file << text;
+  return path;
+}
+
+/// Reads one shard through `--merge` (as JSON) or `--report`; returns the
+/// exit code and leaves stdout and stderr in `out` and `err`.
+int read_shard_with(bool via_merge, const std::string& path, std::string& out,
+                    std::string& err) {
+  std::ostringstream out_stream, err_stream;
+  const int code =
+      via_merge ? merge_shards({path}, false, true, out_stream, err_stream)
+                : campaign::report_main({path}, out_stream, err_stream);
+  out = out_stream.str();
+  err = err_stream.str();
+  return code;
+}
+
+TEST(ShardReader, MergeAndReportAcceptAndRejectTheSameShards) {
+  // Result lines around one blank and one whitespace-only line.
+  const std::string good = write_shard(
+      "findep_reader_good.jsonl", to_json(campaign_result(1)) +
+                                      "\n\n \t\r\n" +
+                                      to_json(campaign_result(2)) + "\n");
+  const std::string bad = write_shard(
+      "findep_reader_bad.jsonl",
+      to_json(campaign_result(1)) + "\n{\"family\": \"campaign\"\n");
+  const std::string missing = ::testing::TempDir() + "findep_no_such.jsonl";
+
+  for (const bool via_merge : {true, false}) {
+    std::string out, err;
+    EXPECT_EQ(read_shard_with(via_merge, good, out, err), 0) << err;
+    EXPECT_NE(out.find(via_merge ? "\"seed\": 2" : "fault campaign: 2 cells"),
+              std::string::npos)
+        << out;
+    // A malformed line: exit 2, naming the file and the line.
+    EXPECT_EQ(read_shard_with(via_merge, bad, out, err), 2);
+    EXPECT_NE(err.find(bad + " line 2"), std::string::npos) << err;
+    // A missing file: exit 2, naming the file.
+    EXPECT_EQ(read_shard_with(via_merge, missing, out, err), 2);
+    EXPECT_NE(err.find(missing), std::string::npos) << err;
+  }
+}
+
 // --- CSV escaping -----------------------------------------------------------
 
 TEST(CsvEscape, QuotesOnlyWhenNeeded) {
@@ -548,7 +650,6 @@ TEST(WireFlags, MergeConsumesPathsUntilNextFlag) {
   const auto [ok, options] =
       parse({"--merge", "a.jsonl", "-", "b.jsonl", "--json"});
   ASSERT_TRUE(ok);
-  EXPECT_TRUE(options.merge_mode);
   ASSERT_EQ(options.merge.size(), 3u);
   EXPECT_EQ(options.merge[1], "-");
   EXPECT_TRUE(options.json);

@@ -1,10 +1,10 @@
 // findep-lint CLI. Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 //
-//   findep-lint [options] PATH...
+//   findep-lint [--list-rules] PATH...
 //
-// PATHs are files or directories (recursed for .h/.hpp/.cpp/.cc). The
-// fixture-oriented options exist so tests/test_lint.cpp and ad-hoc runs
-// can reconfigure the per-repo defaults; CI runs the defaults:
+// PATHs are files or directories (recursed for .h/.hpp/.cpp/.cc), linted
+// with the per-repo defaults of lint::Options; tests/test_lint.cpp sets
+// other options in-process. CI runs:
 //
 //   findep-lint src bench tests
 #include <cstring>
@@ -20,33 +20,14 @@ void print_usage(std::ostream& out) {
   out << "usage: findep-lint [options] PATH...\n"
          "\n"
          "options:\n"
-         "  --list-rules             print the rule catalog and exit\n"
-         "  --wall-clock-allow S     add a wall-clock allowlist suffix\n"
-         "  --no-default-allowlist   start from an empty wall-clock "
-         "allowlist\n"
-         "  --uninit-file S          add a uninit-member file suffix\n"
-         "  --no-default-uninit      start from an empty uninit-member "
-         "file list\n"
-         "  --scalar-alias NAME      treat NAME as a scalar type alias\n"
-         "  --exclude SUBSTR         skip paths containing SUBSTR\n"
-         "  --max-findings N         stop printing after N findings "
-         "(default: all)\n";
+         "  --list-rules             print the rule catalog and exit\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  findep::lint::Options options;
+  const findep::lint::Options options;
   std::vector<std::string> paths;
-  long max_findings = -1;
-
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "error: " << argv[i] << " needs a value\n";
-      std::exit(2);
-    }
-    return argv[++i];
-  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -59,34 +40,6 @@ int main(int argc, char** argv) {
         std::cout << rule.name << "\n    " << rule.summary << "\n";
       }
       return 0;
-    }
-    if (std::strcmp(arg, "--wall-clock-allow") == 0) {
-      options.wall_clock_allowlist.push_back(need_value(i));
-      continue;
-    }
-    if (std::strcmp(arg, "--no-default-allowlist") == 0) {
-      options.wall_clock_allowlist.clear();
-      continue;
-    }
-    if (std::strcmp(arg, "--uninit-file") == 0) {
-      options.uninit_member_files.push_back(need_value(i));
-      continue;
-    }
-    if (std::strcmp(arg, "--no-default-uninit") == 0) {
-      options.uninit_member_files.clear();
-      continue;
-    }
-    if (std::strcmp(arg, "--scalar-alias") == 0) {
-      options.scalar_aliases.push_back(need_value(i));
-      continue;
-    }
-    if (std::strcmp(arg, "--exclude") == 0) {
-      options.exclude_substrings.push_back(need_value(i));
-      continue;
-    }
-    if (std::strcmp(arg, "--max-findings") == 0) {
-      max_findings = std::stol(need_value(i));
-      continue;
     }
     if (arg[0] == '-') {
       std::cerr << "error: unknown option '" << arg << "'\n";
@@ -112,15 +65,8 @@ int main(int argc, char** argv) {
 
   const std::vector<findep::lint::Finding> findings =
       findep::lint::run_lint(files, options);
-  long printed = 0;
   for (const auto& finding : findings) {
-    if (max_findings >= 0 && printed >= max_findings) {
-      std::cout << "... (" << findings.size() - printed
-                << " more suppressed by --max-findings)\n";
-      break;
-    }
     std::cout << findep::lint::format_finding(finding) << '\n';
-    ++printed;
   }
   std::cerr << "findep-lint: " << files.size() << " file(s), "
             << findings.size() << " finding(s)\n";
