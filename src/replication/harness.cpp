@@ -88,16 +88,19 @@ void NodeHarness::broadcast(bft::Payload payload) {
 void NodeHarness::send_to(net::NodeId to, bft::Payload payload) {
   if (options_.behavior == Behavior::kSilent) return;
   const std::uint64_t bytes = bft::payload_wire_bytes(payload);
-  // Forwarding a client request is a relay of the client's own signed
-  // message, not a statement by this replica — a real deployment ships
-  // the client envelope through unchanged, so relays are never charged
-  // sign time (and must not serialize behind protocol sends: a backup
-  // relaying a big request burst would otherwise delay its own votes by
-  // the whole burst's worth of signing).
-  const bool relay = std::holds_alternative<bft::Request>(payload);
+  // A Request sent here is a re-drive (Pbft::install_new_view,
+  // HotStuff::round_expired); client requests are forwarded by relay().
+  // A re-driving replica may know the request only from a proposal, whose
+  // batch carries bare requests, so it has no client body to forward and
+  // signs a fresh envelope. A real deployment would forward the client's
+  // signed request, so a re-drive is charged no sign time, like a relay,
+  // and does not serialize behind protocol sends (a replica re-driving a
+  // large backlog would otherwise delay its own votes by the whole
+  // backlog's worth of signing).
+  const bool redrive = std::holds_alternative<bft::Request>(payload);
   const net::Envelope wire(
       bft::make_envelope(id_, keys_, std::move(payload)));
-  if (options_.cost_model.is_free() || relay) {
+  if (options_.cost_model.is_free() || redrive) {
     network_->send(id_, to, wire, bytes);
     return;
   }
@@ -107,6 +110,18 @@ void NodeHarness::send_to(net::NodeId to, bft::Payload payload) {
   sim.schedule_at(sign_ready_at_, [this, to, wire, bytes] {
     network_->send(id_, to, wire, bytes);
   });
+}
+
+void NodeHarness::relay(net::NodeId to, const net::Envelope& wire,
+                        std::uint64_t bytes) {
+  const bft::Envelope* env = wire.get<bft::Envelope>();
+  FINDEP_REQUIRE(env != nullptr &&
+                 std::holds_alternative<bft::Request>(env->payload()));
+  // Forwarding a client request ships the client's own signed message: it
+  // is not a statement by this replica, so it takes no signature and no
+  // place behind the sign accumulator.
+  if (env->sender() < n() || options_.behavior == Behavior::kSilent) return;
+  network_->send(id_, to, wire, bytes);
 }
 
 void NodeHarness::on_message(const net::Message& raw) {
@@ -129,7 +144,7 @@ void NodeHarness::on_message(const net::Message& raw) {
     // charged modeled time to check its own signature, so the self-send
     // still verifies, but inline rather than on the worker pool.
     if (!bft::verify_envelope(*registry_, *env)) return;
-    protocol_->dispatch_payload(*env, raw.from, raw.bytes);
+    protocol_->dispatch_payload(raw.envelope, raw.from, raw.bytes);
     return;
   }
   offload_verify(raw, *env);
@@ -152,20 +167,29 @@ void NodeHarness::offload_verify(const net::Message& raw,
   if (const auto proofs = bft::proof_signatures(env.payload())) {
     cost += options_.cost_model.batch_verify_seconds(*proofs);
   }
-  // Keep the shared envelope body alive until the completion runs; the
-  // completion re-reads it and takes the exact inline dispatch path.
-  net::Envelope keep = raw.envelope;
-  const net::NodeId from = raw.from;
-  const std::uint64_t bytes = raw.bytes;
-  verify_pool_->submit(
-      priority, cost, protocol_->verify_stale_check(env.payload()),
-      [this, keep = std::move(keep), from, bytes](bool dropped) {
-        if (dropped) return;
-        const bft::Envelope* env = keep.get<bft::Envelope>();
-        FINDEP_ASSERT(env != nullptr);
-        if (!bft::verify_envelope(*registry_, *env)) return;
-        protocol_->dispatch_payload(*env, from, bytes);
-      });
+  // The queued message keeps the shared body alive until the completion
+  // runs; the completion re-reads it and takes the exact inline dispatch
+  // path. Queue before submitting: a task the pool sheds at once completes
+  // inside submit().
+  const auto lane = static_cast<std::size_t>(priority);
+  verify_queues_[lane].push_back(raw);
+  verify_pool_->submit(priority, cost,
+                       protocol_->verify_stale_check(env.payload()),
+                       [this, lane](bool dropped) {
+                         finish_verify(lane, dropped);
+                       });
+}
+
+void NodeHarness::finish_verify(std::size_t lane, bool dropped) {
+  std::deque<net::Message>& queue = verify_queues_[lane];
+  FINDEP_ASSERT(!queue.empty());
+  const net::Message raw = std::move(queue.front());
+  queue.pop_front();
+  if (dropped) return;
+  const bft::Envelope* env = raw.envelope.get<bft::Envelope>();
+  FINDEP_ASSERT(env != nullptr);
+  if (!bft::verify_envelope(*registry_, *env)) return;
+  protocol_->dispatch_payload(raw.envelope, raw.from, raw.bytes);
 }
 
 bool QuorumCheck::add(bft::ReplicaId signer, const crypto::Digest& digest,

@@ -7,13 +7,15 @@
 // the weighted-quorum arithmetic. The ordering protocol above it
 // (replication::Pbft, replication::HotStuff) receives fully
 // authenticated payloads through OrderingProtocol::dispatch_payload and
-// sends through broadcast()/send_to() — it never touches the wire or the
-// crypto cost model directly, so a new protocol inherits the entire
-// modeled-crypto machinery for free.
+// sends through broadcast()/send_to()/relay() — it never touches the wire
+// or the crypto cost model directly, so a new protocol inherits the
+// entire modeled-crypto machinery for free.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -133,6 +135,12 @@ class NodeHarness {
   // behind the per-replica signing accumulator.
   void broadcast(bft::Payload payload);
   void send_to(net::NodeId to, bft::Payload payload);
+  /// Forwards a client's request to `to` as the client signed it: `wire`
+  /// is the delivered body, sent on unchanged with its delivered `bytes`,
+  /// so a relay makes no envelope, digest or signature and is charged no
+  /// sign time. `wire` must carry a bft::Request; a body some replica
+  /// signed is not the client's and is not forwarded.
+  void relay(net::NodeId to, const net::Envelope& wire, std::uint64_t bytes);
 
   [[nodiscard]] bft::ReplicaId id() const noexcept { return id_; }
   /// Cluster size (weights and directory share it).
@@ -182,6 +190,10 @@ class NodeHarness {
   /// speculative for client requests; protocol-declared stale work shed
   /// on dequeue) and dispatches from the in-order completion.
   void offload_verify(const net::Message& raw, const bft::Envelope& env);
+  /// The pool's completion of the oldest task of priority lane `lane`:
+  /// pops that lane's queued message and, unless the task was `dropped`
+  /// as stale, verifies and dispatches it.
+  void finish_verify(std::size_t lane, bool dropped);
 
   OrderingProtocol* protocol_;
   bft::ReplicaId id_;
@@ -199,6 +211,15 @@ class NodeHarness {
   /// Modeled verification cores; null under crypto=free (the historical
   /// inline path, bit-identical to pre-cost-model builds).
   std::unique_ptr<runtime::WorkerPool> verify_pool_;
+  /// The delivered messages under modeled verification, one FIFO per
+  /// pool priority lane. The pool completes each lane's tasks exactly
+  /// once and in submission order, stale drops included
+  /// (runtime/workers.h), so a completion's message is always the front
+  /// of its lane's FIFO, and the completion captures only the lane: it
+  /// fits std::function's inline buffer, and a verify allocates no
+  /// closure.
+  std::array<std::deque<net::Message>, runtime::kPriorityLanes>
+      verify_queues_;
   /// Signing accumulator: the simulated time at which the protocol core
   /// finishes its last queued signature. Each send under a non-free cost
   /// model is scheduled at max(now, sign_ready_at_) + sign_seconds, so

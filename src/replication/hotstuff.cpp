@@ -41,14 +41,16 @@ runtime::WorkerPool::StaleCheck HotStuff::verify_stale_check(
   return nullptr;
 }
 
-void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
+void HotStuff::dispatch_payload(const net::Envelope& wire,
+                                net::NodeId raw_from,
                                 std::uint64_t raw_bytes) {
+  const Envelope& env = *wire.get<Envelope>();
   const bool from_replica = env.sender() < harness_.n();
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Request>) {
-          on_request(m, raw_from);
+          on_request(m, raw_from, wire, raw_bytes);
         } else if constexpr (std::is_same_v<T, HsProposal>) {
           if (from_replica) on_proposal(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsVote>) {
@@ -82,20 +84,21 @@ void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 
 // --- client ingress --------------------------------------------------------
 
-void HotStuff::on_request(const Request& request, net::NodeId from) {
+void HotStuff::on_request(const Request& request, net::NodeId from,
+                          const net::Envelope& wire, std::uint64_t bytes) {
   if (!admit(request)) return;
   const bool fresh = !pending_requests_.contains(request.id);
   pending_requests_[request.id] = request;
   if (fresh && from >= harness_.n()) {
     // Client origin: relay to the current round's leader and the next —
     // leadership rotates every round, so either may cut the batch this
-    // request lands in. Relays ship the client's own signed message (no
-    // sign cost), like PBFT's to-the-primary relay; round_expired()
-    // re-relays to later leaders if these two stall.
+    // request lands in. A relay forwards the client's own signed body
+    // unchanged, like PBFT's to-the-primary relay; round_expired()
+    // re-drives to later leaders if these two stall.
     const ReplicaId cur = leader_of(round_);
     const ReplicaId next = leader_of(round_ + 1);
-    if (cur != id()) send_to(cur, request);
-    if (next != cur && next != id()) send_to(next, request);
+    if (cur != id()) relay(cur, wire, bytes);
+    if (next != cur && next != id()) relay(next, wire, bytes);
   }
   try_propose();
   ensure_pacemaker();
@@ -480,9 +483,11 @@ void HotStuff::round_expired() {
   timeout_sent_round_ = std::max(timeout_sent_round_, round_);
   broadcast(HsTimeout{round_, high_qc_});
   // Rotation must not starve requests the new leader never saw (direct
-  // submits the old leader censored or crashed on): re-relay everything
+  // submits the old leader censored or crashed on): re-drive everything
   // still pending, in request-id order so every replica re-drives
-  // identically.
+  // identically. These are not relays: a request learned only from a
+  // proposal has no client body here to forward, so send_to signs each
+  // one (and charges no sign time, as for a relay).
   if (leader_of(round_) != id()) {
     for (const Request* r : pending_by_id()) send_to(leader_of(round_), *r);
   }

@@ -95,7 +95,7 @@ class HotStuff final : public OrderingProtocol {
   }
 
   // --- harness → protocol ----------------------------------------------
-  void dispatch_payload(const Envelope& env, net::NodeId raw_from,
+  void dispatch_payload(const net::Envelope& wire, net::NodeId raw_from,
                         std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
       const Payload& payload) const override;
@@ -113,7 +113,8 @@ class HotStuff final : public OrderingProtocol {
 
   // --- dispatch ---------------------------------------------------------
   /// Relays a client request to the current and next leaders.
-  void on_request(const Request& request, net::NodeId from) override;
+  void on_request(const Request& request, net::NodeId from,
+                  const net::Envelope& wire, std::uint64_t bytes) override;
   void on_proposal(const HsProposal& p, ReplicaId from);
   void on_vote(const HsVote& v, ReplicaId from,
                const crypto::Signature& signature);

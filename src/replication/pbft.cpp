@@ -43,14 +43,15 @@ runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
       payload);
 }
 
-void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
+void Pbft::dispatch_payload(const net::Envelope& wire, net::NodeId raw_from,
                             std::uint64_t raw_bytes) {
+  const Envelope& env = *wire.get<Envelope>();
   const bool from_replica = env.sender() < harness_.n();
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Request>) {
-          on_request(m, raw_from);
+          on_request(m, raw_from, wire, raw_bytes);
           return;
         } else {
           if (!from_replica) return;  // clients may only send requests
@@ -59,7 +60,7 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
                         std::is_same_v<T, Commit>) {
             if (m.view > view_) {
               // We lag behind a view change; replay after installation.
-              future_messages_.push_back(env);
+              future_messages_.push_back(wire);
               return;
             }
           }
@@ -98,16 +99,19 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 }
 
 void Pbft::replay_future_messages() {
-  std::vector<Envelope> pending;
+  std::vector<net::Envelope> pending;
   pending.swap(future_messages_);
   // Only replica normal-case traffic is buffered, and its handlers read
   // neither the raw sender nor the byte count.
-  for (const Envelope& env : pending) dispatch_payload(env, env.sender(), 0);
+  for (const net::Envelope& wire : pending) {
+    dispatch_payload(wire, wire.get<Envelope>()->sender(), 0);
+  }
 }
 
 // --- normal case ----------------------------------------------------------
 
-void Pbft::on_request(const Request& request, net::NodeId from) {
+void Pbft::on_request(const Request& request, net::NodeId from,
+                      const net::Envelope& wire, std::uint64_t bytes) {
   if (!admit(request)) return;
   if (!pending_requests_.contains(request.id)) {
     track_request_deadline(request.id);
@@ -118,8 +122,8 @@ void Pbft::on_request(const Request& request, net::NodeId from) {
   if (is_primary()) {
     enqueue_for_proposal(request);
   } else if (from >= harness_.n()) {
-    // Came from a client: relay to the primary.
-    send_to(primary_of(view_), request);
+    // Came from a client: relay its signed request to the primary.
+    relay(primary_of(view_), wire, bytes);
   }
 }
 
@@ -623,7 +627,10 @@ void Pbft::install_new_view(const NewView& nv) {
   replay_future_messages();
 
   // Re-drive pending client requests in the new view, in request-id
-  // order, through the new primary.
+  // order, through the new primary. These are not relays: a request
+  // learned only from a pre-prepare has no client body here to forward,
+  // so send_to signs each one (and charges no sign time, as for a
+  // relay).
   const std::vector<const Request*> redrive = pending_by_id();
   if (is_primary()) {
     for (const Request* request : redrive) {

@@ -74,7 +74,7 @@ class Pbft final : public OrderingProtocol {
   }
 
   // --- harness → protocol ----------------------------------------------
-  void dispatch_payload(const Envelope& env, net::NodeId raw_from,
+  void dispatch_payload(const net::Envelope& wire, net::NodeId raw_from,
                         std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
       const Payload& payload) const override;
@@ -102,8 +102,10 @@ class Pbft final : public OrderingProtocol {
   };
 
   // --- dispatch ---------------------------------------------------------
-  /// Forwards to the primary if needed and arms the liveness timer.
-  void on_request(const Request& request, net::NodeId from) override;
+  /// Relays a client's request to the primary if needed and arms the
+  /// liveness timer.
+  void on_request(const Request& request, net::NodeId from,
+                  const net::Envelope& wire, std::uint64_t bytes) override;
   void on_preprepare(const PrePrepare& pp, ReplicaId from);
   void on_prepare(const Prepare& p, ReplicaId from);
   void on_commit(const Commit& c, ReplicaId from);
@@ -185,9 +187,10 @@ class Pbft final : public OrderingProtocol {
   std::shared_ptr<const NewView> last_new_view_;
 
   /// Normal-case messages that arrived for a view we have not installed
-  /// yet (we lag behind a view change); replayed after installation.
-  /// Replaces the retransmission machinery of a real deployment.
-  std::vector<Envelope> future_messages_;
+  /// yet (we lag behind a view change), held by their delivered bodies
+  /// and replayed after installation. Replaces the retransmission
+  /// machinery of a real deployment.
+  std::vector<net::Envelope> future_messages_;
 
   /// Per-request liveness deadlines in arrival order. Deadlines are
   /// nondecreasing (every entry is its arm-time + request_timeout), so

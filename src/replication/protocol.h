@@ -6,7 +6,7 @@
 // ingress, reached through the lane's own dispatch), dispatch_payload
 // (an authenticated envelope) and verify_stale_check (may this payload
 // be shed from the verify queue?) — and drives everything else through
-// the harness' broadcast()/send_to() and sim::Timer. What a payload
+// the harness' broadcast()/send_to()/relay() and sim::Timer. What a payload
 // costs to verify is the payload's own property (bft::proof_signatures),
 // not the protocol's.
 //
@@ -114,10 +114,13 @@ class OrderingProtocol {
 
   // --- harness → protocol ----------------------------------------------
   /// The post-authentication half of message receipt: routes the payload
-  /// to its handler. Reached through the inline crypto=free path and the
-  /// worker-pool completion path alike, so offloading cannot drift from
-  /// the inline dispatch semantics.
-  virtual void dispatch_payload(const Envelope& env, net::NodeId raw_from,
+  /// to its handler. `wire` is the delivered body, whose bft::Envelope the
+  /// harness authenticated; `raw_from` and `raw_bytes` are the network
+  /// sender and byte count. Reached through the inline crypto=free path
+  /// and the worker-pool completion path alike, so offloading cannot
+  /// drift from the inline dispatch semantics.
+  virtual void dispatch_payload(const net::Envelope& wire,
+                                net::NodeId raw_from,
                                 std::uint64_t raw_bytes) = 0;
   /// Stale predicate for a verify-pool task carrying `payload`, or null
   /// when the payload class never goes stale.
@@ -160,8 +163,13 @@ class OrderingProtocol {
                    Protocol kind);
 
   /// Client ingress: admits `request` and drives it towards a proposal.
-  /// `from` is the client or a relaying replica.
-  virtual void on_request(const Request& request, net::NodeId from) = 0;
+  /// `from` is the client or a relaying replica. `wire` is the delivered
+  /// body that carries `request`, and `bytes` its wire size: a replica
+  /// that heard the request straight from the client forwards that body
+  /// unchanged (relay()), so every relay is the client's own signed
+  /// message.
+  virtual void on_request(const Request& request, net::NodeId from,
+                          const net::Envelope& wire, std::uint64_t bytes) = 0;
 
   // --- the replicated log ------------------------------------------------
   /// Client-ingress admission: false for a request that already executed
@@ -219,6 +227,9 @@ class OrderingProtocol {
   void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
   void send_to(net::NodeId to, Payload payload) {
     harness_.send_to(to, std::move(payload));
+  }
+  void relay(net::NodeId to, const net::Envelope& wire, std::uint64_t bytes) {
+    harness_.relay(to, wire, bytes);
   }
   [[nodiscard]] double weight_of(ReplicaId r) const {
     return harness_.weight_of(r);

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <variant>
+#include <vector>
 
 #include "replication/cluster.h"
 
@@ -60,5 +62,59 @@ inline void expect_recorded_executions_match_logs(const Cluster& cluster) {
   }
   EXPECT_EQ(cluster.completed_requests(), completed);
 }
+
+/// Stands in for replica `node`: a spy replaces its handler and records
+/// each delivery that carries a request, so the replica itself hears
+/// nothing. Make it on a fresh cluster, then submit one request and run
+/// until the relays land. expect_client_body_from then checks that the
+/// client (id n) delivered the request once, that each replica in
+/// `relayers` and no other relayed it once, and that every delivery
+/// carried the client's own signed message: sender() is the client, and
+/// the body is the one the direct delivery shared.
+class RelaySpy {
+ public:
+  RelaySpy(Cluster& cluster, net::NodeId node) : client_(cluster.size()) {
+    // The handler keeps `this`, so a spy stays where it was made.
+    cluster.network().attach(node, [this](const net::Message& raw) {
+      const Envelope* env = raw.envelope.get<Envelope>();
+      if (env == nullptr || !std::holds_alternative<Request>(env->payload())) {
+        return;
+      }
+      deliveries_.push_back({raw.from, env->sender(), &raw.envelope.body()});
+    });
+  }
+
+  RelaySpy(const RelaySpy&) = delete;
+  RelaySpy& operator=(const RelaySpy&) = delete;
+
+  void expect_client_body_from(
+      const std::multiset<net::NodeId>& relayers) const {
+    const Delivery* direct = nullptr;
+    std::multiset<net::NodeId> relayed;
+    for (const Delivery& d : deliveries_) {
+      if (d.from == client_) {
+        EXPECT_EQ(direct, nullptr) << "two direct deliveries";
+        direct = &d;
+      } else {
+        relayed.insert(d.from);
+      }
+    }
+    ASSERT_NE(direct, nullptr);
+    EXPECT_EQ(relayed, relayers);
+    for (const Delivery& d : deliveries_) {
+      EXPECT_EQ(d.signer, client_) << "relayed by " << d.from;
+      EXPECT_EQ(d.body, direct->body) << "relayed by " << d.from;
+    }
+  }
+
+ private:
+  struct Delivery {
+    net::NodeId from = 0;
+    ReplicaId signer = 0;
+    const net::Envelope::Body* body = nullptr;
+  };
+  net::NodeId client_;
+  std::vector<Delivery> deliveries_;
+};
 
 }  // namespace findep::replication

@@ -23,6 +23,19 @@ TEST(Bft, HappyPathExecutesAndAgrees) {
   }
 }
 
+TEST(Bft, BackupsRelayTheClientsOwnSignedRequest) {
+  // Each backup hears the client's request and relays it to the primary
+  // as the client signed it: the primary receives n - 1 relays, all
+  // sharing the client's one body. The spy stands in for the primary,
+  // so nothing is proposed, and the run stops before any request timer
+  // could re-drive the request.
+  Cluster cluster(7, fast_options(5));
+  const RelaySpy primary(cluster, 0);
+  cluster.submit();
+  cluster.run_for(0.5);
+  primary.expect_client_body_from({1, 2, 3, 4, 5, 6});
+}
+
 TEST(Bft, RejectsTooSmallCluster) {
   EXPECT_THROW(Cluster(3, fast_options()), support::ContractViolation);
 }

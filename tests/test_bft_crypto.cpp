@@ -1,17 +1,22 @@
 // Modeled crypto cost in the PBFT cluster: crypto=free stays exactly the
 // historical protocol (worker knob inert), a modeled cost slows the run,
 // more workers speed it back up, and every configuration remains a pure
-// function of the seed.
+// function of the seed. One harness-level case pins the order in which
+// the verify queue dispatches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "crypto/cost.h"
+#include "net/network.h"
 #include "replication/cluster.h"
+#include "replication/protocol.h"
+#include "sim/simulator.h"
 #include "support/assert.h"
 
 namespace findep::replication {
@@ -171,6 +176,93 @@ TEST(BftCrypto, ProofSignaturesCountTheVotesACarrierEmbeds) {
     EXPECT_EQ(proof_signatures(payload), std::nullopt)
         << "payload index " << payload.index();
   }
+}
+
+/// A lane that records the tag of every message the harness dispatches
+/// to it: a Request's id, a Prepare's or Commit's seq. A Prepare in view
+/// kGoesStale is declared stale once anything has been dispatched, so it
+/// passes the pool's check at submission and fails it at dequeue.
+class RecordingLane final : public OrderingProtocol {
+ public:
+  static constexpr View kGoesStale = 9;
+
+  RecordingLane(const std::vector<crypto::PublicKey>& directory,
+                crypto::KeyRegistry& registry, crypto::KeyPair keys,
+                net::SimNetwork& network, ReplicaOptions options)
+      : OrderingProtocol(0, std::vector<double>(directory.size(), 1.0),
+                         directory, registry, std::move(keys), network,
+                         std::move(options), Protocol::kPbft) {}
+
+  void dispatch_payload(const net::Envelope& wire, net::NodeId,
+                        std::uint64_t) override {
+    const Payload& payload = wire.get<Envelope>()->payload();
+    if (const auto* r = std::get_if<Request>(&payload)) {
+      dispatched.push_back(r->id);
+    } else if (const auto* p = std::get_if<Prepare>(&payload)) {
+      dispatched.push_back(p->seq);
+    } else if (const auto* c = std::get_if<Commit>(&payload)) {
+      dispatched.push_back(c->seq);
+    }
+  }
+  [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
+      const Payload& payload) const override {
+    const auto* p = std::get_if<Prepare>(&payload);
+    if (p == nullptr || p->view != kGoesStale) return nullptr;
+    return [this] { return !dispatched.empty(); };
+  }
+
+  std::vector<std::uint64_t> dispatched;
+
+ private:
+  void on_request(const Request&, net::NodeId, const net::Envelope&,
+                  std::uint64_t) override {}
+};
+
+TEST(BftCrypto, VerifyQueueDispatchesEachLaneInArrivalOrder) {
+  // One modeled core and a fixed 5 ms link, so seven envelopes arrive at
+  // replica 0 together and in send order: the first takes the idle
+  // worker, and the rest queue behind it, critical and speculative
+  // interleaved. The harness must dispatch each message that survives
+  // exactly once, in arrival order within its lane and critical first,
+  // and must never dispatch the one that went stale in the queue.
+  sim::Simulator sim;
+  net::NetworkOptions link;
+  link.min_latency = 0.005;
+  link.mean_extra_latency = 0.0;
+  net::SimNetwork network(sim, link);
+  crypto::KeyRegistry registry;
+  std::vector<crypto::KeyPair> keys;  // replicas 0-3, then the client (4)
+  std::vector<crypto::PublicKey> directory;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    keys.push_back(crypto::KeyPair::derive(500 + i));
+    registry.enroll(keys.back());
+    if (i < 4) directory.push_back(keys.back().public_key());
+  }
+  ReplicaOptions options;
+  options.cost_model = crypto::CostModel::modeled();
+  options.crypto_workers = 1;
+  RecordingLane lane(directory, registry, keys[0], network, options);
+  lane.start();
+
+  const crypto::Digest d = crypto::sha256("op");
+  const auto send = [&](ReplicaId from, Payload payload) {
+    network.send(from, 0,
+                 net::Envelope(make_envelope(from, keys[from],
+                                             std::move(payload))));
+  };
+  send(1, Prepare{0, 1, d});                           // critical
+  send(4, Request{2, d});                              // speculative
+  send(2, Prepare{0, 3, d});                           // critical
+  send(4, Request{4, d});                              // speculative
+  send(3, Prepare{RecordingLane::kGoesStale, 5, d});   // critical, stale
+  send(1, Commit{0, 6, d});                            // critical
+  send(4, Request{7, d});                              // speculative
+  sim.run();
+
+  EXPECT_EQ(lane.dispatched, (std::vector<std::uint64_t>{1, 3, 6, 2, 4, 7}));
+  const Telemetry t = lane.telemetry();
+  EXPECT_EQ(t.verify_tasks, 7u);
+  EXPECT_EQ(t.verify_dropped_stale, 1u);
 }
 
 TEST(BftCrypto, RejectsZeroWorkers) {

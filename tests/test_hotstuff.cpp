@@ -205,6 +205,22 @@ TEST(HotStuff, ClientMayOnlySendRequests) {
   EXPECT_EQ(cluster.min_honest_executed(), 0u);
 }
 
+TEST(HotStuff, ReplicasRelayTheClientsOwnSignedRequest) {
+  // In round 1 the current leader is replica 1 and the next is replica
+  // 2. Every other replica relays the client's request to both, as the
+  // client signed it. Spies stand in for both leaders, so nothing is
+  // proposed, and the run stops before any pacemaker could re-drive the
+  // request.
+  Cluster cluster(7, hotstuff_options(5));
+  ASSERT_EQ(cluster.hotstuff(0).round(), 1u);
+  const RelaySpy current(cluster, 1);
+  const RelaySpy next(cluster, 2);
+  cluster.submit();
+  cluster.run_for(0.3);
+  current.expect_client_body_from({0, 3, 4, 5, 6});
+  next.expect_client_body_from({0, 3, 4, 5, 6});
+}
+
 TEST(HotStuff, WeightedQuorumFollowsReplicaOrderSums) {
   // Bft.WeightedQuorumFollowsPowerNotCount's fractional cluster on this
   // lane: the live voters {0, 1, 3} of weights {0.1, 0.1, 0.3, 0.4} form
