@@ -20,13 +20,12 @@
 //   findep-bench --worker < s.aa > r1.jsonl   # ... one per shard/host
 //   findep-bench --merge r1.jsonl r2.jsonl r3.jsonl --csv --out sweep.csv
 //
-// Fault campaigns add two flags to the suite's:
+// Fault campaigns are the `campaign` family, configured with `--set`
+// like any other; one more flag aggregates their result shards:
 //
-//   findep-bench --spec nightly.spec --json   # campaign spec file
+//   findep-bench --family campaign --set fault=crash,collude --json
 //   findep-bench --report r1.jsonl r2.jsonl   # outcome rates of shards
 //
-// `--spec FILE` lowers to flags (campaign::spec_arguments) placed before
-// the command line's own, so a later `--set` or `--seeds` wins.
 // `--report` takes the rest of the command line as result shards.
 //
 // All selected scenarios are swept through ONE global (scenario, seed)
@@ -34,14 +33,12 @@
 // bit-identical to --threads 1, and a merged distributed sweep is
 // byte-identical to the in-process one (see DESIGN.md for the contract
 // and the `micro` family's measured-timing exemption).
-#include <exception>
 #include <iostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "campaign/report.h"
-#include "campaign/spec.h"
 #include "runtime/registry.h"
 
 int main(int argc, char** argv) {
@@ -54,30 +51,5 @@ int main(int argc, char** argv) {
     }
     return findep::campaign::report_main(paths, std::cout, std::cerr);
   }
-
-  std::vector<std::string> spec_flags;
-  std::vector<const char*> user_flags;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) != "--spec") {
-      user_flags.push_back(argv[i]);
-      continue;
-    }
-    if (++i >= argc) {
-      std::cerr << "error: --spec expects a file argument\n";
-      return 2;
-    }
-    try {
-      spec_flags = findep::campaign::spec_arguments(
-          findep::campaign::load_campaign_spec(argv[i]));
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << '\n';
-      return 2;
-    }
-  }
-
-  std::vector<const char*> forwarded = {argv[0]};
-  for (const std::string& flag : spec_flags) forwarded.push_back(flag.c_str());
-  forwarded.insert(forwarded.end(), user_flags.begin(), user_flags.end());
-  return findep::runtime::run_families_main(
-      static_cast<int>(forwarded.size()), forwarded.data());
+  return findep::runtime::run_families_main(argc, argv);
 }

@@ -15,12 +15,12 @@
 // the faulted component kind.
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
-#include "campaign/spec.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
 #include "diversity/analyzer.h"
@@ -146,6 +146,24 @@ runtime::MetricRecord run_cell(const Params& params,
   return metrics;
 }
 
+/// The default campaign grid: every target × every fault × two rates.
+runtime::ParamGrid default_grid() {
+  runtime::ParamGrid grid;
+  std::vector<runtime::ParamValue> targets;
+  for (const TargetFamily& family : target_families()) {
+    targets.emplace_back(family.name);
+  }
+  grid.add_axis("target", std::move(targets));
+  std::vector<runtime::ParamValue> faults;
+  for (const auto& [fault_name, fault_kind] : fault_kinds()) {
+    faults.emplace_back(fault_name);
+  }
+  grid.add_axis("fault", std::move(faults));
+  grid.add_axis("rate", {1.0, 0.5});
+  grid.add_axis("n", {7});
+  return grid;
+}
+
 const runtime::ScenarioRegistration kCampaign{{
     .name = "campaign",
     .description = "fault-injection campaign cells: target fleet × "
@@ -177,13 +195,20 @@ const runtime::ScenarioRegistration kCampaign{{
                           ? std::optional(replication::parse_protocol(
                                 p.get_string("protocol")))
                           : std::nullopt};
-      FINDEP_REQUIRE(params.n >= 4);
-      FINDEP_REQUIRE(params.rate > 0.0 && params.rate <= 1.0);
       FINDEP_REQUIRE(params.requests >= 1);
       FINDEP_REQUIRE(params.period_s > 0.0);
       FINDEP_REQUIRE(params.deadline > 0.0);
-      // Fail here, not mid-sweep: an unknown name in an overridden axis
-      // should abort before any cell runs.
+      // Fail here, not mid-sweep: an overridden axis value the cell
+      // cannot run should abort before any cell runs, naming the value.
+      if (params.n < 4) {
+        throw std::invalid_argument("n must be at least 4 (got " +
+                                    std::to_string(params.n) + ")");
+      }
+      if (!(params.rate > 0.0 && params.rate <= 1.0)) {
+        throw std::invalid_argument(
+            "rate " + runtime::ParamValue(params.rate).to_string() +
+            " outside (0, 1]");
+      }
       (void)parse_fault_kind(params.fault);
       (void)require_target_family(params.target);
       return {"campaign/" + grid_label(params),

@@ -34,8 +34,15 @@ NodeHarness::NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
   FINDEP_REQUIRE_MSG(directory_[id_] == keys_.public_key(),
                      "key pair must match the directory entry");
   if (!options_.cost_model.is_free()) {
-    verify_pool_ = std::make_unique<runtime::WorkerPool>(
-        network_->simulator(), options_.crypto_workers);
+    verify_pool_ = std::make_unique<runtime::WorkerPool<net::Message>>(
+        network_->simulator(), options_.crypto_workers,
+        [this](const net::Message& raw) {
+          return protocol_->verify_stale(
+              raw.envelope.get<bft::Envelope>()->payload());
+        },
+        [this](const net::Message& raw, bool dropped) {
+          if (!dropped) verify_and_dispatch(raw);
+        });
   }
 }
 
@@ -143,11 +150,17 @@ void NodeHarness::on_message(const net::Message& raw) {
     // crypto=free (no pool), or our own loopback leg. A replica is not
     // charged modeled time to check its own signature, so the self-send
     // still verifies, but inline rather than on the worker pool.
-    if (!bft::verify_envelope(*registry_, *env)) return;
-    protocol_->dispatch_payload(raw.envelope, raw.from, raw.bytes);
+    verify_and_dispatch(raw);
     return;
   }
   offload_verify(raw, *env);
+}
+
+void NodeHarness::verify_and_dispatch(const net::Message& raw) {
+  if (!bft::verify_envelope(*registry_, *raw.envelope.get<bft::Envelope>())) {
+    return;
+  }
+  protocol_->dispatch_payload(raw.envelope, raw.from, raw.bytes);
 }
 
 void NodeHarness::offload_verify(const net::Message& raw,
@@ -167,29 +180,9 @@ void NodeHarness::offload_verify(const net::Message& raw,
   if (const auto proofs = bft::proof_signatures(env.payload())) {
     cost += options_.cost_model.batch_verify_seconds(*proofs);
   }
-  // The queued message keeps the shared body alive until the completion
-  // runs; the completion re-reads it and takes the exact inline dispatch
-  // path. Queue before submitting: a task the pool sheds at once completes
-  // inside submit().
-  const auto lane = static_cast<std::size_t>(priority);
-  verify_queues_[lane].push_back(raw);
-  verify_pool_->submit(priority, cost,
-                       protocol_->verify_stale_check(env.payload()),
-                       [this, lane](bool dropped) {
-                         finish_verify(lane, dropped);
-                       });
-}
-
-void NodeHarness::finish_verify(std::size_t lane, bool dropped) {
-  std::deque<net::Message>& queue = verify_queues_[lane];
-  FINDEP_ASSERT(!queue.empty());
-  const net::Message raw = std::move(queue.front());
-  queue.pop_front();
-  if (dropped) return;
-  const bft::Envelope* env = raw.envelope.get<bft::Envelope>();
-  FINDEP_ASSERT(env != nullptr);
-  if (!bft::verify_envelope(*registry_, *env)) return;
-  protocol_->dispatch_payload(raw.envelope, raw.from, raw.bytes);
+  // The pool holds the message, and with it the shared body, until its
+  // completion verifies and dispatches it.
+  verify_pool_->submit(priority, cost, raw);
 }
 
 bool QuorumCheck::add(bft::ReplicaId signer, const crypto::Digest& digest,

@@ -12,10 +12,8 @@
 // entire modeled-crypto machinery for free.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -185,15 +183,14 @@ class NodeHarness {
 
  private:
   void on_message(const net::Message& raw);
-  /// Modeled-crypto inbound path: queues envelope verification on the
-  /// worker pool (critical lane for consensus/recovery traffic,
-  /// speculative for client requests; protocol-declared stale work shed
-  /// on dequeue) and dispatches from the in-order completion.
+  /// Modeled-crypto inbound path: submits the message to the worker pool
+  /// (critical lane for consensus/recovery traffic, speculative for
+  /// client requests; protocol-declared stale work shed on dequeue),
+  /// which verifies and dispatches it from the in-order completion.
   void offload_verify(const net::Message& raw, const bft::Envelope& env);
-  /// The pool's completion of the oldest task of priority lane `lane`:
-  /// pops that lane's queued message and, unless the task was `dropped`
-  /// as stale, verifies and dispatches it.
-  void finish_verify(std::size_t lane, bool dropped);
+  /// Checks the envelope's signature and, when it holds, hands the
+  /// message to the protocol: the inline path and the pool's completion.
+  void verify_and_dispatch(const net::Message& raw);
 
   OrderingProtocol* protocol_;
   bft::ReplicaId id_;
@@ -208,18 +205,10 @@ class NodeHarness {
   Telemetry telemetry_;
   bool started_ = false;
 
-  /// Modeled verification cores; null under crypto=free (the historical
-  /// inline path, bit-identical to pre-cost-model builds).
-  std::unique_ptr<runtime::WorkerPool> verify_pool_;
-  /// The delivered messages under modeled verification, one FIFO per
-  /// pool priority lane. The pool completes each lane's tasks exactly
-  /// once and in submission order, stale drops included
-  /// (runtime/workers.h), so a completion's message is always the front
-  /// of its lane's FIFO, and the completion captures only the lane: it
-  /// fits std::function's inline buffer, and a verify allocates no
-  /// closure.
-  std::array<std::deque<net::Message>, runtime::kPriorityLanes>
-      verify_queues_;
+  /// Modeled verification cores over the delivered messages; null under
+  /// crypto=free (the historical inline path, bit-identical to
+  /// pre-cost-model builds).
+  std::unique_ptr<runtime::WorkerPool<net::Message>> verify_pool_;
   /// Signing accumulator: the simulated time at which the protocol core
   /// finishes its last queued signature. Each send under a non-free cost
   /// model is scheduled at max(now, sign_ready_at_) + sign_seconds, so

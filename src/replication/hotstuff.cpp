@@ -26,19 +26,18 @@ HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
 
 // --- dispatch --------------------------------------------------------------
 
-runtime::WorkerPool::StaleCheck HotStuff::verify_stale_check(
-    const Payload& payload) const {
+bool HotStuff::verify_stale(const Payload& payload) const {
   // Only provably dead traffic is shed: votes for a round whose QC
   // window has passed and timeouts for rounds already entered. Proposals
   // are never shed — an old proposal can still carry a block a commit
   // walk needs.
   if (const auto* v = std::get_if<HsVote>(&payload)) {
-    return [this, r = v->round] { return r + 1 < round_; };
+    return v->round + 1 < round_;
   }
   if (const auto* t = std::get_if<HsTimeout>(&payload)) {
-    return [this, r = t->round] { return r < round_; };
+    return t->round < round_;
   }
-  return nullptr;
+  return false;
 }
 
 void HotStuff::dispatch_payload(const net::Envelope& wire,

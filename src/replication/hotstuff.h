@@ -97,8 +97,7 @@ class HotStuff final : public OrderingProtocol {
   // --- harness → protocol ----------------------------------------------
   void dispatch_payload(const net::Envelope& wire, net::NodeId raw_from,
                         std::uint64_t raw_bytes) override;
-  [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const override;
+  [[nodiscard]] bool verify_stale(const Payload& payload) const override;
 
  private:
   /// Vote accumulator for one (round, block digest) pair: who voted,

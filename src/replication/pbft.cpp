@@ -18,26 +18,25 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
 
 // --- dispatch --------------------------------------------------------------
 
-runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
-    const Payload& payload) const {
+bool Pbft::verify_stale(const Payload& payload) const {
   // Only messages the handler would provably ignore are shed: normal-case
   // traffic from views older than the installed one, and view-change /
   // new-view traffic for views already installed. (Future-view traffic is
   // NOT stale — dispatch buffers it for replay.) Checkpoints, requests
   // and state transfer never expire.
   return std::visit(
-      [this](const auto& m) -> runtime::WorkerPool::StaleCheck {
+      [this](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, PrePrepare> ||
                       std::is_same_v<T, Prepare> ||
                       std::is_same_v<T, Commit>) {
-          return [this, v = m.view] { return v < view_; };
+          return m.view < view_;
         } else if constexpr (std::is_same_v<T, ViewChange>) {
-          return [this, v = m.new_view] { return v <= view_; };
+          return m.new_view <= view_;
         } else if constexpr (std::is_same_v<T, NewView>) {
-          return [this, v = m.view] { return v <= view_; };
+          return m.view <= view_;
         } else {
-          return nullptr;
+          return false;
         }
       },
       payload);
@@ -113,10 +112,9 @@ void Pbft::replay_future_messages() {
 void Pbft::on_request(const Request& request, net::NodeId from,
                       const net::Envelope& wire, std::uint64_t bytes) {
   if (!admit(request)) return;
-  if (!pending_requests_.contains(request.id)) {
+  if (pending_requests_.try_emplace(request.id, request).second) {
     track_request_deadline(request.id);
   }
-  pending_requests_[request.id] = request;
   arm_request_timer();
   if (in_view_change_) return;
   if (is_primary()) {
@@ -129,13 +127,11 @@ void Pbft::on_request(const Request& request, net::NodeId from,
 
 void Pbft::enqueue_for_proposal(const Request& request) {
   FINDEP_REQUIRE(is_primary());
-  if (request.id != 0 &&
-      (queued_ids_.contains(request.id) || assigned_.contains(request.id) ||
-       executed_ids_.contains(request.id))) {
+  if (request.id != 0 && (executed_ids_.contains(request.id) ||
+                          !claimed_ids_.insert(request.id).second)) {
     return;
   }
   batch_queue_.push_back(request);
-  if (request.id != 0) queued_ids_[request.id] = true;
   if (batch_queue_.size() >= options().batch_size) {
     // Cut synchronously: with batch_size = 1 every request is proposed
     // the moment it arrives and the batch timer is never armed, which is
@@ -165,9 +161,6 @@ void Pbft::cut_batch() {
   cut_deferred_ = false;
   Batch batch;
   batch.requests.swap(batch_queue_);
-  for (const Request& r : batch.requests) {
-    if (r.id != 0) queued_ids_.erase(r.id);
-  }
   propose(std::move(batch));
 }
 
@@ -186,9 +179,6 @@ void Pbft::propose(Batch batch) {
   FINDEP_BFT_TRACE("t=%.3f [%u] propose seq=%llu view=%llu size=%zu\n",
                    sim().now(), id(), (unsigned long long)seq,
                    (unsigned long long)view_, batch.size());
-  for (const Request& r : batch.requests) {
-    if (r.id != 0) assigned_[r.id] = seq;
-  }
 
   if (options().behavior == Behavior::kEquivocate ||
       options().behavior == Behavior::kCollude) {
@@ -250,8 +240,9 @@ void Pbft::accept_preprepare(const PrePrepare& pp) {
   bool tracked = false;
   for (const Request& r : slot.batch.requests) {
     if (r.id != 0 && !executed_ids_.contains(r.id)) {
-      if (!pending_requests_.contains(r.id)) track_request_deadline(r.id);
-      pending_requests_[r.id] = r;
+      if (pending_requests_.try_emplace(r.id, r).second) {
+        track_request_deadline(r.id);
+      }
       tracked = true;
     }
   }
@@ -615,12 +606,12 @@ void Pbft::install_new_view(const NewView& nv) {
     accept_preprepare(pp);
   }
   next_seq_ = max_seq + 1;
-  assigned_.clear();
-  // The old view's batch queue is void: its requests are still in
-  // pending_requests_ and get re-driven below, through the new primary.
+  // The old view's batch queue and claims are void: their requests are
+  // still in pending_requests_ and get re-driven below, through the new
+  // primary.
   batch_timer_.cancel();
   batch_queue_.clear();
-  queued_ids_.clear();
+  claimed_ids_.clear();
   cut_deferred_ = false;  // nothing queued, nothing deferred
 
   // Replay normal-case traffic that raced ahead of our installation.

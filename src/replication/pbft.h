@@ -43,7 +43,7 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -76,8 +76,7 @@ class Pbft final : public OrderingProtocol {
   // --- harness → protocol ----------------------------------------------
   void dispatch_payload(const net::Envelope& wire, net::NodeId raw_from,
                         std::uint64_t raw_bytes) override;
-  [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const override;
+  [[nodiscard]] bool verify_stale(const Payload& payload) const override;
 
  private:
   /// One digest's votes in one phase of a slot.
@@ -170,12 +169,13 @@ class Pbft final : public OrderingProtocol {
   View pending_view_ = 0;
   SeqNum next_seq_ = 1;  // primary's allocator
   std::map<SeqNum, Slot> slots_;
-  std::unordered_map<std::uint64_t, SeqNum> assigned_;  // primary only
 
   /// Primary-side batching: requests accepted but not yet proposed, in
-  /// arrival order, plus their ids for O(1) duplicate suppression.
+  /// arrival order.
   std::vector<Request> batch_queue_;
-  std::unordered_map<std::uint64_t, bool> queued_ids_;
+  /// The ids this primary queued or proposed in the current view, for
+  /// O(1) duplicate suppression (primary only).
+  std::unordered_set<std::uint64_t> claimed_ids_;
   /// A batch cut is waiting for the stable checkpoint to advance
   /// (high-watermark back-pressure).
   bool cut_deferred_ = false;

@@ -4,8 +4,8 @@
 //
 // A protocol implements exactly three inbound hooks — on_request (client
 // ingress, reached through the lane's own dispatch), dispatch_payload
-// (an authenticated envelope) and verify_stale_check (may this payload
-// be shed from the verify queue?) — and drives everything else through
+// (an authenticated envelope) and verify_stale (may this payload be
+// shed from the verify queue?) — and drives everything else through
 // the harness' broadcast()/send_to()/relay() and sim::Timer. What a payload
 // costs to verify is the payload's own property (bft::proof_signatures),
 // not the protocol's.
@@ -50,7 +50,6 @@
 #include "net/network.h"
 #include "replication/durability.h"
 #include "replication/harness.h"
-#include "runtime/workers.h"
 #include "sim/simulator.h"
 
 /// Protocol event tracing for debugging stalled clusters: set
@@ -122,12 +121,12 @@ class OrderingProtocol {
   virtual void dispatch_payload(const net::Envelope& wire,
                                 net::NodeId raw_from,
                                 std::uint64_t raw_bytes) = 0;
-  /// Stale predicate for a verify-pool task carrying `payload`, or null
-  /// when the payload class never goes stale.
-  [[nodiscard]] virtual runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const {
+  /// True when a queued verify of `payload` is no longer worth running,
+  /// asked when a worker would pick the message up. The default: never
+  /// stale.
+  [[nodiscard]] virtual bool verify_stale(const Payload& payload) const {
     (void)payload;
-    return nullptr;
+    return false;
   }
 
   // --- observables -------------------------------------------------------

@@ -243,11 +243,19 @@ bool ParamGrid::override_axis(const std::string& name,
     std::vector<ParamValue> parsed;
     parsed.reserve(values.size());
     for (const std::string& text : values) {
+      ParamValue value;
       try {
-        parsed.push_back(ParamValue::parse_as(text, *like));
+        value = ParamValue::parse_as(text, *like);
       } catch (const std::invalid_argument& e) {
         throw std::invalid_argument("axis '" + name + "': " + e.what());
       }
+      // Compared parsed, so "1" and "1.0" on a double axis are one value:
+      // listing it twice would run the same grid point twice.
+      if (std::find(parsed.begin(), parsed.end(), value) != parsed.end()) {
+        throw std::invalid_argument("axis '" + name + "' lists " +
+                                    value.to_string() + " twice");
+      }
+      parsed.push_back(std::move(value));
     }
     axis.values = std::move(parsed);
     return true;

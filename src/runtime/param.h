@@ -111,7 +111,8 @@ class ParamGrid {
 
   /// Replaces an axis's values, parsing each string with the type of the
   /// axis's current first value. Returns false when the axis does not
-  /// exist; throws std::invalid_argument when a value fails to parse.
+  /// exist; throws std::invalid_argument when a value fails to parse or
+  /// two values parse equal (the same grid point twice).
   bool override_axis(const std::string& name,
                      const std::vector<std::string>& values);
 

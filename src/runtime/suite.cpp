@@ -42,7 +42,7 @@ void print_usage(std::ostream& err) {
          "[--list] [--csv] [--json] [--out FILE]\n"
          "       [--emit-tasks | --worker | --merge SHARD...]  "
          "(distributed sweep; see DESIGN.md)\n"
-         "       [--spec FILE] | --report SHARD...  (fault campaigns)\n";
+         "       --report SHARD...  (fault campaign outcome rates)\n";
 }
 
 bool fail(std::ostream& err, const std::string& message) {

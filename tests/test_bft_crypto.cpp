@@ -181,7 +181,7 @@ TEST(BftCrypto, ProofSignaturesCountTheVotesACarrierEmbeds) {
 /// A lane that records the tag of every message the harness dispatches
 /// to it: a Request's id, a Prepare's or Commit's seq. A Prepare in view
 /// kGoesStale is declared stale once anything has been dispatched, so it
-/// passes the pool's check at submission and fails it at dequeue.
+/// would pass the check at arrival and fails it at dequeue.
 class RecordingLane final : public OrderingProtocol {
  public:
   static constexpr View kGoesStale = 9;
@@ -204,11 +204,9 @@ class RecordingLane final : public OrderingProtocol {
       dispatched.push_back(c->seq);
     }
   }
-  [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const override {
+  [[nodiscard]] bool verify_stale(const Payload& payload) const override {
     const auto* p = std::get_if<Prepare>(&payload);
-    if (p == nullptr || p->view != kGoesStale) return nullptr;
-    return [this] { return !dispatched.empty(); };
+    return p != nullptr && p->view == kGoesStale && !dispatched.empty();
   }
 
   std::vector<std::uint64_t> dispatched;

@@ -1,12 +1,14 @@
-// The campaign engine: spec parsing, rejection and lowering to
-// findep-bench flags, target fleets, fault planning, outcome
-// classification on known-good and known-violated runs, cell
-// seed-determinism and the paper's safety-threshold cross-check. The
-// distributed shard pipeline's byte-identity for campaign cells, and
-// `--report` over those shards, are pinned in test_task.cpp.
+// The campaign engine: the command line's rejections of bad axes and
+// values, target fleets, fault planning, outcome classification on
+// known-good and known-violated runs, cell seed-determinism and the
+// paper's safety-threshold cross-check. The distributed shard pipeline's
+// byte-identity for campaign cells, and `--report` over those shards,
+// are pinned in test_task.cpp.
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,139 +16,17 @@
 #include "campaign/fault.h"
 #include "campaign/outcome.h"
 #include "campaign/report.h"
-#include "campaign/spec.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
 #include "replication/cluster.h"
 #include "runtime/registry.h"
-#include "runtime/suite.h"
 #include "runtime/task.h"
 
 namespace findep {
 namespace {
 
-using campaign::CampaignSpec;
 using campaign::FaultKind;
 using campaign::FaultPlan;
-
-// --- spec parsing -----------------------------------------------------------
-
-TEST(CampaignSpec, ParsesAxesCommentsAndSeeds) {
-  const CampaignSpec spec = campaign::parse_campaign_spec(
-      "# nightly resilience campaign\n"
-      "target = uniform, diverse\n"
-      "\n"
-      "fault  = crash, collude, corrupt   # three kinds\n"
-      "rate   = 1.0, 0.5\n"
-      "seeds  = 3\n");
-  ASSERT_EQ(spec.overrides.size(), 3u);
-  EXPECT_EQ(spec.overrides[0].first, "target");
-  EXPECT_EQ(spec.overrides[0].second,
-            (std::vector<std::string>{"uniform", "diverse"}));
-  EXPECT_EQ(spec.overrides[1].first, "fault");
-  EXPECT_EQ(spec.overrides[1].second,
-            (std::vector<std::string>{"crash", "collude", "corrupt"}));
-  EXPECT_EQ(spec.overrides[2].first, "rate");
-  ASSERT_TRUE(spec.seeds.has_value());
-  EXPECT_EQ(*spec.seeds, 3u);
-
-  // 2 targets x 3 faults x 2 rates x default n axis (one value).
-  EXPECT_EQ(campaign::campaign_grid(spec).size(), 12u);
-}
-
-TEST(CampaignSpec, AppliedGridKeepsDefaultAxes) {
-  const CampaignSpec spec =
-      campaign::parse_campaign_spec("fault = crash\nrate = 0.5\n");
-  const runtime::ParamGrid grid = campaign::campaign_grid(spec);
-  // All four default targets survive; fault and rate collapse to one.
-  EXPECT_EQ(grid.size(), 4u);
-  const std::vector<runtime::ParamSet> cells = grid.expand();
-  for (const runtime::ParamSet& cell : cells) {
-    EXPECT_EQ(cell.get_string("fault"), "crash");
-    EXPECT_EQ(cell.get_double("rate"), 0.5);
-    EXPECT_EQ(cell.get_size("n"), 7u);
-  }
-}
-
-TEST(CampaignSpec, RejectsMalformedAndUnknown) {
-  // Unknown axis, with line context.
-  try {
-    (void)campaign::parse_campaign_spec("target = uniform\nbogus = 1\n");
-    FAIL() << "unknown axis accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
-  }
-  // No '='.
-  EXPECT_THROW((void)campaign::parse_campaign_spec("target uniform\n"),
-               std::invalid_argument);
-  // Unknown target / fault names die at parse time.
-  EXPECT_THROW((void)campaign::parse_campaign_spec("target = windows_me\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)campaign::parse_campaign_spec("fault = gamma_ray\n"),
-               std::invalid_argument);
-  // Rate domain and n floor.
-  EXPECT_THROW((void)campaign::parse_campaign_spec("rate = 0\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)campaign::parse_campaign_spec("rate = 1.5\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)campaign::parse_campaign_spec("n = 3\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)campaign::parse_campaign_spec("seeds = 0\n"),
-               std::invalid_argument);
-}
-
-TEST(CampaignSpec, RejectsDuplicatesAndOverlaps) {
-  // Duplicate axis line.
-  EXPECT_THROW(
-      (void)campaign::parse_campaign_spec("fault = crash\nfault = censor\n"),
-      std::invalid_argument);
-  // Duplicate value within an axis = two identical cells (overlap).
-  try {
-    (void)campaign::parse_campaign_spec("fault = crash, censor, crash\n");
-    FAIL() << "overlapping cells accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("twice"), std::string::npos);
-  }
-  EXPECT_THROW((void)campaign::parse_campaign_spec("seeds = 2\nseeds = 3\n"),
-               std::invalid_argument);
-}
-
-TEST(CampaignSpec, LowersToFindepBenchFlags) {
-  const std::vector<std::string> args =
-      campaign::spec_arguments(campaign::parse_campaign_spec(
-          "target = uniform, lazarus\n"
-          "fault  = crash, collude\n"
-          "rate   = 1.0, 0.5\n"
-          "seeds  = 2\n"));
-  EXPECT_EQ(args, (std::vector<std::string>{
-                      "--family", "campaign", "--set",
-                      "target=uniform,lazarus", "--set", "fault=crash,collude",
-                      "--set", "rate=1.0,0.5", "--seeds", "2"}));
-
-  // A spec without a seeds line leaves the seed count to the CLI.
-  EXPECT_EQ(
-      campaign::spec_arguments(campaign::parse_campaign_spec("n = 7\n")),
-      (std::vector<std::string>{"--family", "campaign", "--set", "n=7"}));
-
-  // findep-bench puts the spec's flags before the user's, so a user
-  // --seeds wins over the spec's.
-  std::vector<const char*> argv = {"findep-bench"};
-  for (const std::string& arg : args) argv.push_back(arg.c_str());
-  argv.push_back("--seeds");
-  argv.push_back("1");
-  runtime::SuiteOptions options;
-  std::ostringstream err;
-  ASSERT_TRUE(runtime::parse_suite_options(static_cast<int>(argv.size()),
-                                           argv.data(), options, err))
-      << err.str();
-  EXPECT_EQ(options.sweep.num_seeds, 1u);
-  EXPECT_EQ(options.families, (std::vector<std::string>{"campaign"}));
-  ASSERT_EQ(options.sets.size(), 3u);
-  EXPECT_EQ(options.sets[2].axis, "rate");
-  EXPECT_EQ(options.sets[2].values,
-            (std::vector<std::string>{"1.0", "0.5"}));
-}
 
 // --- target fleets ----------------------------------------------------------
 
@@ -294,12 +174,12 @@ TEST(CampaignOutcome, KnownViolationClassifiesSafetyViolated) {
 
 /// One campaign cell at n = 7, built through the registered factory.
 runtime::Scenario cell(const std::string& target, const std::string& fault,
-                       double rate) {
+                       double rate, std::size_t n = 7) {
   runtime::ParamSet point;
   point.set("target", target);
   point.set("fault", fault);
   point.set("rate", rate);
-  point.set("n", 7);
+  point.set("n", n);
   return runtime::ScenarioRegistry::global().find("campaign")->factory(point);
 }
 
@@ -316,6 +196,45 @@ TEST(CampaignCell, RunsAreSeedDeterministic) {
 TEST(CampaignCell, RejectsInvalidParameters) {
   EXPECT_THROW(cell("no_such_target", "crash", 1.0), std::invalid_argument);
   EXPECT_THROW(cell("diverse", "meteor", 1.0), std::invalid_argument);
+  // The rate is a probability in (0, 1], and a cluster must tolerate one
+  // fault (n >= 4).
+  EXPECT_THROW(cell("diverse", "crash", 0.0), std::invalid_argument);
+  EXPECT_THROW(cell("diverse", "crash", 1.5), std::invalid_argument);
+  EXPECT_THROW(cell("diverse", "crash", 1.0, 3), std::invalid_argument);
+}
+
+/// Runs findep-bench's sweep entry point on `args` and returns its exit
+/// code and stderr.
+std::pair<int, std::string> run_bench(std::vector<const char*> args) {
+  args.insert(args.begin(), "findep-bench");
+  std::ostringstream out;
+  std::ostringstream err;
+  std::streambuf* const cout_buf = std::cout.rdbuf(out.rdbuf());
+  std::streambuf* const cerr_buf = std::cerr.rdbuf(err.rdbuf());
+  const int code =
+      runtime::run_families_main(static_cast<int>(args.size()), args.data());
+  std::cout.rdbuf(cout_buf);
+  std::cerr.rdbuf(cerr_buf);
+  EXPECT_EQ(out.str(), "") << "a cell ran before the usage error";
+  return {code, err.str()};
+}
+
+TEST(CampaignFlags, RejectBadAxesAndValuesBeforeAnyCellRuns) {
+  // Each case exits 2 with a message naming the axis or the value.
+  const std::pair<const char*, const char*> cases[] = {
+      {"bogus=1", "bogus"},
+      {"fault=crash,crash", "lists crash twice"},
+      {"rate=0", "rate 0 outside (0, 1]"},
+      {"n=3", "n must be at least 4"},
+      {"target=windows_me", "windows_me"},
+      {"fault=gamma_ray", "gamma_ray"},
+  };
+  for (const auto& [set, named] : cases) {
+    const auto [code, err] =
+        run_bench({"--family", "campaign", "--set", set, "--threads", "1"});
+    EXPECT_EQ(code, 2) << set;
+    EXPECT_NE(err.find(named), std::string::npos) << set << ": " << err;
+  }
 }
 
 // The paper's safety condition, reproduced as campaign cells: a colluding

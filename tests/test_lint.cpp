@@ -103,6 +103,18 @@ TEST(LintUnorderedIteration, ResolvesNamesThroughIncludesAndAliases) {
   EXPECT_EQ(findings.size(), 2u);
 }
 
+TEST(LintUnorderedIteration, OwnOrderedDeclarationShadowsAnIncludedOne) {
+  // shadow_ordered.cpp walks its class's std::map index_, declared in
+  // its same-stem header, which includes a header with an unordered
+  // index_. The file's own declaration decides: no finding.
+  const auto findings = run_lint(
+      {fixture("shadow_unordered.h"), fixture("shadow_ordered.h"),
+       fixture("shadow_ordered.cpp")},
+      fixture_options());
+  EXPECT_EQ(findings_in(findings, "shadow_"),
+            (std::vector<std::pair<int, std::string>>{}));
+}
+
 TEST(LintPointerKeyed, FlagsPointerKeysNotPointerValues) {
   const auto findings =
       run_lint({fixture("pointer_key.cpp")}, fixture_options());

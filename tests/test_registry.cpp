@@ -119,6 +119,25 @@ TEST(ParamGrid, OverridesAxesWithTypedParsing) {
   EXPECT_EQ(points[3].label(), "n=32 skew=1");
 }
 
+TEST(ParamGrid, OverrideRejectsAValueListedTwice) {
+  ParamGrid grid{{"n", {4, 7}}, {"skew", {0.5, 1.0}}, {"mix", {"a", "b"}}};
+  // Values are compared parsed: "1" and "1.0" are one double, "07" and
+  // "7" one integer. Either list would run the same grid point twice.
+  EXPECT_THROW(grid.override_axis("skew", {"1", "1.0"}),
+               std::invalid_argument);
+  EXPECT_THROW(grid.override_axis("n", {"7", "4", "07"}),
+               std::invalid_argument);
+  EXPECT_THROW(grid.override_axis("mix", {"a", "b", "a"}),
+               std::invalid_argument);
+  EXPECT_EQ(grid.size(), 8u);  // a rejected override changes nothing
+
+  // Repeating an axis across overrides is not a duplicate: the later
+  // override wins.
+  EXPECT_TRUE(grid.override_axis("skew", {"1", "2"}));
+  EXPECT_TRUE(grid.override_axis("skew", {"2"}));
+  EXPECT_EQ(grid.size(), 4u);
+}
+
 TEST(ParamGrid, MixedNumericAxisAcceptsDoubleOverrides) {
   ParamGrid grid;
   grid.add_axis("d", {ParamValue(1), ParamValue(2.5)});

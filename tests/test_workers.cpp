@@ -2,8 +2,8 @@
 // load, differentially against a serial reference model.
 //
 // The reference exploits the pool's central guarantee: within a lane,
-// completions fire in submission order and a task whose stale predicate
-// is fixed at submission is dropped iff that predicate is true — both
+// completions fire in submission order and an item whose stale verdict
+// is fixed at submission is dropped iff that verdict is true — both
 // independent of the worker count and of how task costs interleave. So
 // the expected completion sequence of a randomized schedule can be
 // computed by a trivial serial replay, and the same schedule must
@@ -81,21 +81,18 @@ std::vector<std::vector<Completion>> reference_completions(
 std::vector<std::vector<Completion>> run_pool(
     const std::vector<PlannedTask>& tasks, std::size_t workers) {
   sim::Simulator sim;
-  WorkerPool pool(sim, workers);
   std::vector<std::vector<Completion>> lanes(kPriorityLanes);
-  auto* const sink = &lanes;
+  WorkerPool<PlannedTask> pool(
+      sim, workers, [](const PlannedTask& t) { return t.stale; },
+      [&lanes](const PlannedTask& t, bool dropped) {
+        lanes[static_cast<std::size_t>(t.priority)].push_back(
+            Completion{t.id, dropped});
+      });
   for (const PlannedTask& t : tasks) {
-    // Field-wise capture: the simulator's inline callbacks carry at most
-    // 48 bytes, so the whole PlannedTask cannot ride along.
-    sim.schedule_at(t.submit_at, [&pool, sink, priority = t.priority,
-                                  cost = t.cost, stale = t.stale,
-                                  id = t.id] {
-      pool.submit(
-          priority, cost, [stale] { return stale; },
-          [sink, lane = static_cast<std::size_t>(priority),
-           id](bool dropped) {
-            (*sink)[lane].push_back(Completion{id, dropped});
-          });
+    // The simulator's inline callbacks carry at most 48 bytes, so the
+    // task rides along by index.
+    sim.schedule_at(t.submit_at, [&pool, &tasks, i = t.id] {
+      pool.submit(tasks[i].priority, tasks[i].cost, tasks[i]);
     });
   }
   sim.run();
@@ -123,18 +120,21 @@ TEST(WorkerPool, RandomizedDifferentialAgainstSerialReference) {
   }
 }
 
+/// A stale rule for pools whose items never go stale.
+bool never_stale(const int&) { return false; }
+
 TEST(WorkerPool, CompletionsReenterInSubmissionOrderWithinLane) {
-  // Two workers, one expensive task then one cheap one in the same lane:
-  // the cheap task's *work* finishes first, but its completion is gated
-  // behind the expensive predecessor (the reorder buffer), and fires at
-  // the predecessor's finish time.
+  // Two workers, one expensive item then one cheap one in the same lane:
+  // the cheap item's *work* finishes first, but its completion is gated
+  // behind the expensive predecessor, and fires at the predecessor's
+  // finish time.
   sim::Simulator sim;
-  WorkerPool pool(sim, 2);
-  std::vector<std::pair<char, double>> order;
-  pool.submit(TaskPriority::kCritical, 1.0, nullptr,
-              [&](bool) { order.emplace_back('A', sim.now()); });
-  pool.submit(TaskPriority::kCritical, 0.1, nullptr,
-              [&](bool) { order.emplace_back('B', sim.now()); });
+  std::vector<std::pair<int, double>> order;
+  WorkerPool<int> pool(sim, 2, never_stale, [&](const int& item, bool) {
+    order.emplace_back(item, sim.now());
+  });
+  pool.submit(TaskPriority::kCritical, 1.0, 'A');
+  pool.submit(TaskPriority::kCritical, 0.1, 'B');
   sim.run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0].first, 'A');
@@ -145,42 +145,45 @@ TEST(WorkerPool, CompletionsReenterInSubmissionOrderWithinLane) {
 
 TEST(WorkerPool, CriticalLaneDequeuesAheadOfSpeculative) {
   // Fill the single worker, queue speculative work first and critical
-  // work second: the critical tasks must still all run first.
+  // work second: the critical items must still all run first.
   sim::Simulator sim;
-  WorkerPool pool(sim, 1);
   std::vector<int> order;
-  pool.submit(TaskPriority::kCritical, 1.0, nullptr, [](bool) {});
+  WorkerPool<int> pool(sim, 1, never_stale, [&order](const int& item, bool) {
+    if (item >= 0) order.push_back(item);
+  });
+  pool.submit(TaskPriority::kCritical, 1.0, -1);  // the blocker
   for (int i = 0; i < 3; ++i) {
-    pool.submit(TaskPriority::kSpeculative, 0.1, nullptr,
-                [&order, i](bool) { order.push_back(100 + i); });
+    pool.submit(TaskPriority::kSpeculative, 0.1, 100 + i);
   }
-  for (int i = 0; i < 3; ++i) {
-    pool.submit(TaskPriority::kCritical, 0.1, nullptr,
-                [&order, i](bool) { order.push_back(i); });
-  }
+  for (int i = 0; i < 3; ++i) pool.submit(TaskPriority::kCritical, 0.1, i);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 100, 101, 102}));
 }
 
 TEST(WorkerPool, StaleWorkIsDroppedAtDequeueWithoutWorkerTime) {
-  // The predicate flips while the task waits behind the blocker; the
-  // drop happens when a worker would pick it up, consumes no modeled
-  // time, and still completes (flagged) in lane order.
+  // The victim goes stale while it waits behind the blocker; the drop
+  // happens when a worker would pick it up, consumes no modeled time,
+  // and still completes (flagged) in lane order.
+  constexpr int kBlocker = 0;
+  constexpr int kVictim = 1;
   sim::Simulator sim;
-  WorkerPool pool(sim, 1);
   bool stale = false;
   sim.schedule_at(0.5, [&stale] { stale = true; });
   double blocker_done = -1.0;
   double victim_done = -1.0;
   bool victim_dropped = false;
-  pool.submit(TaskPriority::kCritical, 1.0, nullptr,
-              [&](bool) { blocker_done = sim.now(); });
-  pool.submit(
-      TaskPriority::kCritical, 0.25, [&stale] { return stale; },
-      [&](bool dropped) {
-        victim_done = sim.now();
-        victim_dropped = dropped;
+  WorkerPool<int> pool(
+      sim, 1, [&stale](const int& item) { return item == kVictim && stale; },
+      [&](const int& item, bool dropped) {
+        if (item == kBlocker) {
+          blocker_done = sim.now();
+        } else {
+          victim_done = sim.now();
+          victim_dropped = dropped;
+        }
       });
+  pool.submit(TaskPriority::kCritical, 1.0, kBlocker);
+  pool.submit(TaskPriority::kCritical, 0.25, kVictim);
   sim.run();
   EXPECT_DOUBLE_EQ(blocker_done, 1.0);
   EXPECT_TRUE(victim_dropped);
@@ -190,15 +193,20 @@ TEST(WorkerPool, StaleWorkIsDroppedAtDequeueWithoutWorkerTime) {
 }
 
 TEST(WorkerPool, CompletionMaySubmitMoreWork) {
-  // Re-entrant submission from a completion callback folds into the
-  // dispatch loop instead of recursing.
+  // Re-entrant submission from a completion folds into the dispatch loop
+  // instead of recursing.
   sim::Simulator sim;
-  WorkerPool pool(sim, 2);
   int chained = 0;
-  pool.submit(TaskPriority::kCritical, 0.1, nullptr, [&](bool) {
-    pool.submit(TaskPriority::kSpeculative, 0.1, nullptr,
-                [&](bool) { ++chained; });
+  WorkerPool<int>* self = nullptr;
+  WorkerPool<int> pool(sim, 2, never_stale, [&](const int& item, bool) {
+    if (item == 0) {
+      self->submit(TaskPriority::kSpeculative, 0.1, 1);
+    } else {
+      ++chained;
+    }
   });
+  self = &pool;
+  pool.submit(TaskPriority::kCritical, 0.1, 0);
   sim.run();
   EXPECT_EQ(chained, 1);
   EXPECT_EQ(pool.stats().completed, 2u);
@@ -206,13 +214,11 @@ TEST(WorkerPool, CompletionMaySubmitMoreWork) {
 
 TEST(WorkerPool, BusySecondsAccountPerWorkerOccupancy) {
   sim::Simulator sim;
-  WorkerPool pool(sim, 4);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit(TaskPriority::kCritical, 0.5, nullptr, [](bool) {});
-  }
+  WorkerPool<int> pool(sim, 4, never_stale, [](const int&, bool) {});
+  for (int i = 0; i < 8; ++i) pool.submit(TaskPriority::kCritical, 0.5, i);
   sim.run();
   EXPECT_DOUBLE_EQ(pool.stats().busy_seconds, 4.0);
-  // 8 tasks of 0.5 s over 4 workers: two full waves, makespan 1.0 s.
+  // 8 items of 0.5 s over 4 workers: two full waves, makespan 1.0 s.
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 

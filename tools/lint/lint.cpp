@@ -51,6 +51,9 @@ struct FileScan {
   /// Identifiers declared in this file with an unordered container type
   /// (members, locals, params, functions returning one).
   std::set<std::string> unordered_names;
+  /// Identifiers declared in this file with an ordered std container
+  /// type (map, set, multimap, multiset).
+  std::set<std::string> ordered_names;
 };
 
 bool suffix_match(const std::string& norm, const std::string& suffix) {
@@ -393,17 +396,22 @@ void harvest_aliases(const FileScan& scan, std::set<std::string>& aliases) {
 /// Records identifiers declared with an unordered container type (or a
 /// known alias of one): members, locals, parameters, and functions
 /// returning one — every name whose iteration order is address-dependent.
-void harvest_unordered_names(FileScan& scan,
+/// Names declared with an ordered std container type are recorded too, so
+/// a file's own ordered declaration can shadow a header's unordered one.
+void harvest_container_names(FileScan& scan,
                              const std::set<std::string>& aliases) {
   const std::vector<Token>& toks = scan.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != Token::Kind::Ident) continue;
-    const bool container =
+    const bool unordered =
         unordered_container_names().count(toks[i].text) != 0;
+    const bool ordered = !unordered &&
+                         assoc_container_names().count(toks[i].text) != 0 &&
+                         !user_qualified(toks, i);
     const bool alias = aliases.count(toks[i].text) != 0;
-    if (!container && !alias) continue;
+    if (!unordered && !ordered && !alias) continue;
     std::size_t j = i + 1;
-    if (container) {
+    if (unordered || ordered) {
       if (j >= toks.size() || !toks[j].is("<")) continue;  // bare mention
       j = skip_angles(toks, j);
     }
@@ -415,7 +423,8 @@ void harvest_unordered_names(FileScan& scan,
     }
     if (j < toks.size() && toks[j].kind == Token::Kind::Ident &&
         !toks[j].ident("const")) {
-      scan.unordered_names.insert(toks[j].text);
+      (ordered ? scan.ordered_names : scan.unordered_names)
+          .insert(toks[j].text);
     }
   }
 }
@@ -814,7 +823,9 @@ void rule_uninit_member(const FileScan& scan, const Options& options,
 
 /// Resolves `#include "x"` paths to scan indices so a .cpp sees the
 /// unordered names its repo headers declare (one transitive closure,
-/// cycle-safe).
+/// cycle-safe). The file and its same-stem header (foo.cpp's foo.h) are
+/// its own declarations: a name they declare with an ordered type is not
+/// taken as unordered because another header declares that name so.
 std::vector<std::set<std::string>> build_visible_names(
     const std::vector<FileScan>& scans) {
   std::map<std::string, std::size_t> by_suffix;
@@ -845,13 +856,27 @@ std::vector<std::set<std::string>> build_visible_names(
 
   std::vector<std::set<std::string>> visible(scans.size());
   for (std::size_t i = 0; i < scans.size(); ++i) {
+    std::set<std::size_t> own = {i};
+    for (const char* ext : {".h", ".hpp"}) {
+      const auto header = by_suffix.find(
+          fs::path(scans[i].norm).replace_extension(ext).generic_string());
+      if (header != by_suffix.end()) own.insert(header->second);
+    }
+    std::set<std::string> ordered;
+    for (const std::size_t j : own) {
+      ordered.insert(scans[j].ordered_names.begin(),
+                     scans[j].ordered_names.end());
+    }
     std::vector<std::size_t> stack = {i};
     std::set<std::size_t> seen = {i};
     while (!stack.empty()) {
       const std::size_t j = stack.back();
       stack.pop_back();
-      visible[i].insert(scans[j].unordered_names.begin(),
-                        scans[j].unordered_names.end());
+      for (const std::string& name : scans[j].unordered_names) {
+        if (own.count(j) != 0 || ordered.count(name) == 0) {
+          visible[i].insert(name);
+        }
+      }
       for (const std::size_t k : edges[j]) {
         if (seen.insert(k).second) stack.push_back(k);
       }
@@ -946,7 +971,7 @@ std::vector<Finding> run_lint(const std::vector<std::string>& files,
 
   std::set<std::string> aliases;
   for (const FileScan& scan : scans) harvest_aliases(scan, aliases);
-  for (FileScan& scan : scans) harvest_unordered_names(scan, aliases);
+  for (FileScan& scan : scans) harvest_container_names(scan, aliases);
   const std::vector<std::set<std::string>> visible =
       build_visible_names(scans);
 
