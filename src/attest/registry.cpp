@@ -21,7 +21,7 @@ crypto::Digest AttestationRegistry::challenge() {
       nonce.bytes[i + j] = static_cast<std::uint8_t>(word >> (8 * j));
     }
   }
-  outstanding_nonces_[nonce] = true;
+  outstanding_nonces_.insert(nonce);
   return nonce;
 }
 
@@ -29,7 +29,7 @@ bool AttestationRegistry::admit(const Quote& q,
                                 diversity::VotingPower power) {
   FINDEP_REQUIRE(power >= 0.0);
   const auto nonce_it = outstanding_nonces_.find(q.nonce);
-  if (nonce_it == outstanding_nonces_.end() || !nonce_it->second) {
+  if (nonce_it == outstanding_nonces_.end()) {
     return false;  // unknown or replayed nonce
   }
   if (!verify_quote(*keys_, authority_root_, q, q.nonce)) {
@@ -38,7 +38,7 @@ bool AttestationRegistry::admit(const Quote& q,
   if (by_vote_key_.contains(q.vote_key)) {
     return false;  // duplicate enrolment for the same vote key
   }
-  nonce_it->second = false;  // consume
+  outstanding_nonces_.erase(nonce_it);  // consume
   by_vote_key_.emplace(q.vote_key, records_.size());
   records_.push_back(RegistryRecord{q.vote_key, q.commitment,
                                     q.endorsement.hardware, power});

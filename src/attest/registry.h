@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "attest/quote.h"
@@ -70,7 +71,7 @@ class AttestationRegistry {
   const crypto::KeyRegistry* keys_;
   crypto::PublicKey authority_root_;
   support::Rng nonce_rng_;
-  std::unordered_map<crypto::Digest, bool> outstanding_nonces_;
+  std::unordered_set<crypto::Digest> outstanding_nonces_;
   std::vector<RegistryRecord> records_;
   std::unordered_map<crypto::PublicKey, std::size_t> by_vote_key_;
 };

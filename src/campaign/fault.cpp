@@ -62,22 +62,7 @@ FaultPlan plan_fault(FaultKind kind, double rate,
   if (is_byzantine(kind)) {
     exposed = faults::VulnerabilityAdversary{1}.attack(injector);
     FINDEP_ASSERT(!exposed.compromised.empty());
-    // Recover which component the worst-case adversary picked: every
-    // compromised replica shares it, so probe the first victim's
-    // components for one whose exposure set matches. (In a monoculture
-    // several components tie — all with the identical full-fleet set —
-    // and the first probe wins, which is deterministic.)
-    bool found = false;
-    for (const config::ComponentId c :
-         fleet[exposed.compromised.front()].configuration.components()) {
-      if (injector.inject_components({&c, 1}).compromised ==
-          exposed.compromised) {
-        component = c;
-        found = true;
-        break;
-      }
-    }
-    FINDEP_REQUIRE_MSG(found, "worst-case component not recoverable");
+    component = exposed.components.front();
   } else {
     const auto& present = injector.present_components();
     FINDEP_ASSERT(!present.empty());

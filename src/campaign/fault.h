@@ -46,8 +46,8 @@ enum class FaultKind : std::uint8_t {
                   ///< primary (replication::Behavior::kCensor)
 };
 
-/// All kinds in declaration order, with their spelled names (the `fault`
-/// axis values of a campaign spec).
+/// All kinds in declaration order, with their spelled names (the values
+/// of the campaign family's `fault` axis).
 [[nodiscard]] const std::vector<std::pair<std::string, FaultKind>>&
 fault_kinds();
 

@@ -80,7 +80,7 @@ CompromiseResult FaultInjector::inject_vulnerabilities(
 CompromiseResult FaultInjector::worst_case_components(std::size_t k) const {
   std::vector<bool> hit(population_.size(), false);
   std::vector<bool> used_component(components_.size(), false);
-  std::size_t used = 0;
+  std::vector<config::ComponentId> picked;
 
   for (std::size_t round = 0; round < k; ++round) {
     double best_gain = -1.0;
@@ -98,10 +98,12 @@ CompromiseResult FaultInjector::worst_case_components(std::size_t k) const {
     }
     if (best == components_.size() || best_gain <= 0.0) break;
     used_component[best] = true;
-    ++used;
+    picked.push_back(components_[best]);
     for (const std::size_t r : exposure_[best]) hit[r] = true;
   }
-  return finalize(hit, used);
+  CompromiseResult out = finalize(hit, picked.size());
+  out.components = std::move(picked);
+  return out;
 }
 
 double FaultInjector::break_probability(std::size_t k, double threshold,

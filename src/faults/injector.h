@@ -27,6 +27,9 @@ struct CompromiseResult {
   double compromised_fraction = 0.0;
   /// Number of distinct faults that contributed (k_t).
   std::size_t faults_used = 0;
+  /// The components worst_case_components exploited, in pick order
+  /// (empty for every other producer).
+  std::vector<config::ComponentId> components;
 
   [[nodiscard]] bool breaks(double threshold) const noexcept {
     return compromised_fraction > threshold;

@@ -7,6 +7,17 @@
 
 namespace findep::replication {
 
+namespace {
+
+/// Grace before the first fetch once lag is observed: in-flight slots
+/// usually commit from live traffic within a round trip, so a fetch is
+/// only worth its bytes when the gap persists.
+constexpr double kStateTransferGrace = 0.2;
+/// Patience per fetch attempt before retrying another random peer.
+constexpr double kStateTransferRetry = 1.0;
+
+}  // namespace
+
 bft::SeqNum CheckpointStore::maybe_emit(bft::SeqNum last_executed,
                                         bft::SeqNum interval) {
   if (last_executed < stable_ + interval) return 0;
@@ -122,9 +133,7 @@ void StateFetchMachine::maybe_schedule() {
   if (!harness_->options().enable_state_transfer) return;
   if (timer_.armed()) return;  // already scheduled/awaiting
   if (catchup_target() == 0) return;
-  // Grace period: in-flight slots usually commit from live traffic
-  // within a round trip; fetch only if the gap persists.
-  timer_.arm(harness_->options().state_transfer_grace, [this] { tick(); });
+  timer_.arm(kStateTransferGrace, [this] { tick(); });
 }
 
 void StateFetchMachine::tick() {
@@ -150,7 +159,7 @@ void StateFetchMachine::tick() {
       candidates[st_rng_.below(candidates.size())];
   last_fetch_peer_ = peer;
   hooks_.send_request(peer);
-  timer_.arm(harness_->options().state_transfer_timeout, [this] { tick(); });
+  timer_.arm(kStateTransferRetry, [this] { tick(); });
 }
 
 void StateFetchMachine::on_rejected(bft::ReplicaId from) {

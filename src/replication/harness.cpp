@@ -13,8 +13,7 @@ NodeHarness::NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
                          std::vector<double> weights,
                          std::vector<crypto::PublicKey> directory,
                          crypto::KeyRegistry& registry, crypto::KeyPair keys,
-                         net::SimNetwork& network, ReplicaOptions options,
-                         Protocol kind)
+                         net::SimNetwork& network, ReplicaOptions options)
     : protocol_(&protocol),
       id_(id),
       weights_(std::move(weights)),
@@ -26,7 +25,7 @@ NodeHarness::NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
   FINDEP_REQUIRE(id_ < weights_.size());
   FINDEP_REQUIRE(weights_.size() == directory_.size());
   FINDEP_REQUIRE(weights_.size() >= 4);  // tolerate at least one fault
-  validate_replica_options(options_, kind);
+  validate_replica_options(options_);
   for (const double w : weights_) {
     FINDEP_REQUIRE(w > 0.0);
     total_weight_ += w;

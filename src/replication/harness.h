@@ -111,14 +111,12 @@ class NodeHarness {
   /// `weights[i]` is replica i's voting power; `directory[i]` its public
   /// key (both indexed by ReplicaId, same size). `keys` must match
   /// `directory[id]` and be enrolled in `registry`. Validates `options`
-  /// for `kind` (the shared validator — one set of checks for every
-  /// protocol).
+  /// with the validator every protocol shares.
   NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
               std::vector<double> weights,
               std::vector<crypto::PublicKey> directory,
               crypto::KeyRegistry& registry, crypto::KeyPair keys,
-              net::SimNetwork& network, ReplicaOptions options,
-              Protocol kind);
+              net::SimNetwork& network, ReplicaOptions options);
 
   NodeHarness(const NodeHarness&) = delete;
   NodeHarness& operator=(const NodeHarness&) = delete;

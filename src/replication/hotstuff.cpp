@@ -8,13 +8,33 @@
 
 namespace findep::replication {
 
+namespace {
+
+/// The pacemaker's base round timeout. The round timer is armed only
+/// while the chain is dirty (pending requests or uncommitted real
+/// blocks), so an idle cluster quiesces instead of spinning rounds.
+constexpr double kPacemakerTimeout = 1.0;
+/// The multiplier applied per consecutive expiry (reset on certified
+/// progress), and the cap on the accumulated multiplier: round-robin
+/// rotation across a crashed leader pays the base timeout once per lap
+/// instead of compounding forever.
+constexpr double kPacemakerBackoff = 2.0;
+constexpr double kPacemakerMaxBackoff = 64.0;
+
+static_assert(kBatchTimeout < kPacemakerTimeout,
+              "a partial batch waiting out a slower batch timer lets the "
+              "round timer fire first, costing a spurious leader rotation "
+              "per lull");
+
+}  // namespace
+
 HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
                    std::vector<crypto::PublicKey> directory,
                    crypto::KeyRegistry& registry, crypto::KeyPair keys,
                    net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kHotStuff) {
+                       std::move(options)) {
   // Genesis anchor: round 0, height 0, zero parent, the one vote-free
   // QC. Every chain hangs off it; every replica derives the identical
   // digest, so genesis never travels on the wire.
@@ -209,8 +229,7 @@ bool HotStuff::safe_to_vote(const HsBlock& b) const {
 
 void HotStuff::request_missing_block(const crypto::Digest& digest) {
   if (digest == crypto::Digest{} || digest == genesis_digest_) return;
-  if (requested_blocks_.contains(digest)) return;
-  requested_blocks_[digest] = true;
+  if (!requested_blocks_.insert(digest).second) return;
   FINDEP_BFT_TRACE("t=%.3f [%u] hs fetch-block\n", sim().now(), id());
   broadcast(HsBlockRequest{digest});
 }
@@ -323,8 +342,8 @@ void HotStuff::on_qc_notice(const HsQcNotice& notice) {
   ensure_pacemaker();
 }
 
-std::unordered_map<std::uint64_t, bool> HotStuff::chain_ids() const {
-  std::unordered_map<std::uint64_t, bool> ids;
+std::unordered_set<std::uint64_t> HotStuff::chain_ids() const {
+  std::unordered_set<std::uint64_t> ids;
   crypto::Digest d = high_qc_.block_digest;
   for (;;) {
     const auto it = blocks_.find(d);
@@ -332,7 +351,7 @@ std::unordered_map<std::uint64_t, bool> HotStuff::chain_ids() const {
     const HsBlock& b = it->second;
     if (b.height <= committed_height_) break;
     for (const Request& r : b.batch.requests) {
-      if (r.id != 0) ids[r.id] = true;
+      if (r.id != 0) ids.insert(r.id);
     }
     d = b.parent;
   }
@@ -340,7 +359,7 @@ std::unordered_map<std::uint64_t, bool> HotStuff::chain_ids() const {
 }
 
 std::vector<Request> HotStuff::eligible_requests() const {
-  const std::unordered_map<std::uint64_t, bool> on_chain = chain_ids();
+  const std::unordered_set<std::uint64_t> on_chain = chain_ids();
   std::vector<Request> out;
   for (const Request* r : pending_by_id()) {
     if (r->id != 0 &&
@@ -383,11 +402,11 @@ bool HotStuff::try_propose(bool cut_partial) {
     return true;
   }
   if (!cut_partial && eligible.size() < options().batch_size) {
-    // Partial batch: give stragglers batch_timeout to arrive (validated
-    // < pacemaker_timeout, so the cut always lands before peers expire
-    // the round). The armed timer counts as an in-flight proposal.
+    // Partial batch: give stragglers kBatchTimeout to arrive (below
+    // kPacemakerTimeout, so the cut always lands before peers expire the
+    // round). The armed timer counts as an in-flight proposal.
     if (!batch_timer_.armed()) {
-      batch_timer_.arm(options().batch_timeout,
+      batch_timer_.arm(kBatchTimeout,
                        [this] { try_propose(/*cut_partial=*/true); });
     }
     return true;
@@ -456,7 +475,7 @@ void HotStuff::ensure_pacemaker() {
     return;
   }
   if (round_timer_.armed()) return;
-  round_timer_.arm(options().pacemaker_timeout * backoff_,
+  round_timer_.arm(kPacemakerTimeout * backoff_,
                    [this] { round_expired(); });
 }
 
@@ -464,8 +483,7 @@ void HotStuff::round_expired() {
   Telemetry& counters = harness_.counters();
   ++counters.disruptions;
   counters.observed_disruption = true;
-  backoff_ = std::min(backoff_ * options().pacemaker_backoff,
-                      options().pacemaker_max_backoff);
+  backoff_ = std::min(backoff_ * kPacemakerBackoff, kPacemakerMaxBackoff);
   ++round_;
   FINDEP_BFT_TRACE("t=%.3f [%u] hs timeout -> round=%llu backoff=%.1f\n",
                    sim().now(), id(), (unsigned long long)round_, backoff_);

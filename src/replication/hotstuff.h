@@ -27,8 +27,8 @@
 // own pacemaker is idle.
 //
 // Reuses the shared layers end to end: NodeHarness for authentication,
-// modeled crypto and weighted quorums; bft::Batch and the batch_size /
-// batch_timeout knobs for batching (the cut is its own: the pending set
+// modeled crypto and weighted quorums; bft::Batch, the batch_size knob
+// and kBatchTimeout for batching (the cut is its own: the pending set
 // minus what the uncommitted chain already carries); the OrderingProtocol
 // base for the replicated log, the execution unroll and the checkpoint /
 // state-transfer handlers — a HotStuff checkpoint proof is verifiable by
@@ -49,7 +49,8 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "bft/messages.h"
@@ -153,7 +154,7 @@ class HotStuff final : public OrderingProtocol {
   void propose(Batch batch);
   /// Request ids already carried by the uncommitted chain from high_qc_
   /// down (a new proposal must not repeat them).
-  [[nodiscard]] std::unordered_map<std::uint64_t, bool> chain_ids() const;
+  [[nodiscard]] std::unordered_set<std::uint64_t> chain_ids() const;
   /// Requests pending here and absent from both the executed log and the
   /// uncommitted chain, in arrival order.
   [[nodiscard]] std::vector<Request> eligible_requests() const;
@@ -206,11 +207,11 @@ class HotStuff final : public OrderingProtocol {
   Round timeout_sent_round_ = 0;
 
   /// Current pacemaker backoff multiplier (1 after QC progress, grows by
-  /// pacemaker_backoff per expiry up to pacemaker_max_backoff).
+  /// kPacemakerBackoff per expiry up to kPacemakerMaxBackoff).
   double backoff_ = 1.0;
 
   /// Digests already asked for via HsBlockRequest (one ask per orphan).
-  std::map<crypto::Digest, bool> requested_blocks_;
+  std::set<crypto::Digest> requested_blocks_;
 
   sim::Timer round_timer_{sim()};
   sim::Timer batch_timer_{sim()};

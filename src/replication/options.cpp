@@ -23,50 +23,22 @@ const char* protocol_name(Protocol protocol) noexcept {
   return "?";
 }
 
-void validate_replica_options(const ReplicaOptions& options,
-                              Protocol protocol) {
-  FINDEP_REQUIRE_MSG(options.request_timeout > 0.0,
-                     "request_timeout must be positive");
+void validate_replica_options(const ReplicaOptions& options) {
+  FINDEP_REQUIRE_MSG(
+      options.request_timeout > kBatchTimeout,
+      "request_timeout must stay strictly above kBatchTimeout: a partial "
+      "batch waiting out a slower batch timer lets the backups' request "
+      "timers fire first, costing a spurious view change per lull");
   FINDEP_REQUIRE_MSG(options.view_change_timeout > 0.0,
                      "view_change_timeout must be positive");
-  FINDEP_REQUIRE_MSG(options.checkpoint_interval > 0,
-                     "checkpoint_interval must be >= 1: an interval of 0 "
-                     "would re-checkpoint on every execution and never "
-                     "bound the vote window");
-  FINDEP_REQUIRE_MSG(options.batch_size >= 1, "batch_size must be >= 1");
-  FINDEP_REQUIRE_MSG(options.batch_timeout > 0.0,
-                     "batch_timeout must be positive");
-  if (protocol == Protocol::kPbft) {
-    FINDEP_REQUIRE_MSG(
-        options.batch_timeout < options.request_timeout,
-        "batch_timeout must stay strictly below request_timeout: a partial "
-        "batch waiting out a slower batch timer lets the backups' request "
-        "timers fire first, costing a spurious view change per lull");
-  } else {
-    FINDEP_REQUIRE_MSG(options.pacemaker_timeout > 0.0,
-                       "pacemaker_timeout must be positive");
-    FINDEP_REQUIRE_MSG(
-        options.pacemaker_backoff >= 1.0,
-        "pacemaker_backoff must be >= 1: a shrinking round timeout can "
-        "never re-establish synchrony after a stall");
-    FINDEP_REQUIRE_MSG(
-        options.pacemaker_max_backoff >= options.pacemaker_backoff,
-        "pacemaker_max_backoff must allow at least one backoff step");
-    FINDEP_REQUIRE_MSG(
-        options.batch_timeout < options.pacemaker_timeout,
-        "batch_timeout must stay strictly below pacemaker_timeout: a "
-        "partial batch waiting out a slower batch timer lets the round "
-        "timer fire first, costing a spurious leader rotation per lull");
-  }
-  FINDEP_REQUIRE_MSG(options.state_transfer_grace > 0.0,
-                     "state_transfer_grace must be positive");
-  FINDEP_REQUIRE_MSG(options.state_transfer_timeout > 0.0,
-                     "state_transfer_timeout must be positive");
   FINDEP_REQUIRE_MSG(
-      options.high_watermark_window >= 2 * options.checkpoint_interval,
-      "high_watermark_window must be at least 2 * checkpoint_interval: "
-      "execution legitimately runs up to an interval ahead of stability, "
-      "and a tighter bound would throttle a perfectly healthy primary");
+      options.checkpoint_interval >= 1 &&
+          options.checkpoint_interval <= kHighWatermarkWindow / 2,
+      "checkpoint_interval must be in [1, kHighWatermarkWindow / 2]: 0 "
+      "would re-checkpoint on every execution, and since execution "
+      "legitimately runs up to an interval ahead of stability, a longer "
+      "interval would let the watermark throttle a healthy primary");
+  FINDEP_REQUIRE_MSG(options.batch_size >= 1, "batch_size must be >= 1");
   FINDEP_REQUIRE_MSG(options.crypto_workers >= 1,
                      "crypto_workers must be >= 1");
 }

@@ -1,11 +1,11 @@
 // Protocol-neutral replica configuration for the replication core.
 //
 // Every ordering protocol (src/replication/pbft.h, hotstuff.h) is driven
-// by the same ReplicaOptions struct and the same validator — one set of
-// knobs, one place that rejects misconfigurations with a specific
-// message, regardless of which protocol the scenario axis selected.
-// Protocol-specific knobs (the HotStuff pacemaker) live here too so a
-// grid can flip `protocol=` without reshaping its option plumbing.
+// by the same ReplicaOptions struct and the same validator: one set of
+// knobs and one set of checks for every lane. Timings no scenario cell
+// varies are constants, each kept by the module that reads it: the batch
+// timer and watermark window here, the pacemaker in hotstuff.cpp and the
+// state-transfer timers in durability.cpp.
 #pragma once
 
 #include <cstddef>
@@ -44,55 +44,38 @@ enum class Protocol : std::uint8_t {
 /// Short axis-value name of a protocol ("pbft" / "hotstuff").
 [[nodiscard]] const char* protocol_name(Protocol protocol) noexcept;
 
+/// Seconds a partial batch waits for stragglers before the leader cuts
+/// it. It stays below every liveness timer: a lone request waiting out a
+/// slower batch timer would let those timers fire first, costing a
+/// spurious leader change per light-load lull.
+inline constexpr double kBatchTimeout = 0.05;
+
+/// Primary flow control: the PBFT primary never proposes a sequence
+/// number more than this far ahead of its stable checkpoint. Without the
+/// bound, a primary outrunning a slow checkpoint quorum piles up
+/// unbounded in-flight slots (each one full consensus state on every
+/// replica); with it, a stalled checkpoint back-pressures proposals
+/// instead of memory. Deferred batches stay queued and are cut as soon
+/// as the stable checkpoint advances.
+inline constexpr std::uint64_t kHighWatermarkWindow = 128;
+
 struct ReplicaOptions {
   /// Seconds a known-but-unexecuted request may age before a PBFT
-  /// replica starts a view change.
+  /// replica starts a view change. Must exceed kBatchTimeout.
   double request_timeout = 1.0;
   /// Patience for a new view to be installed before escalating further.
   double view_change_timeout = 1.5;
-  /// Execute-to-checkpoint distance.
+  /// Execute-to-checkpoint distance, from 1 to kHighWatermarkWindow / 2.
   std::uint64_t checkpoint_interval = 16;
   /// Leader-side batching: accumulate pending requests and cut a batch
-  /// as soon as `batch_size` are queued, or `batch_timeout` simulated
-  /// seconds after the first queued request — whichever comes first.
+  /// as soon as `batch_size` are queued, or kBatchTimeout simulated
+  /// seconds after the first queued request, whichever comes first.
   /// batch_size = 1 cuts on every request immediately and never arms the
   /// timer, which is behaviourally identical to the unbatched protocol.
-  /// batch_timeout must stay strictly below the protocol's liveness
-  /// timer (request_timeout for PBFT, pacemaker_timeout for HotStuff) —
-  /// a lone request waiting out a slower batch timer lets the liveness
-  /// timers fire first, costing a spurious leader change per light-load
-  /// lull. The validator rejects the misconfiguration outright.
   std::size_t batch_size = 1;
-  double batch_timeout = 0.05;
   /// Checkpoint-anchored state transfer (off only for regression sweeps
   /// that need the historical stranding behaviour).
   bool enable_state_transfer = true;
-  /// Grace before the first fetch once lag is observed: in-flight slots
-  /// usually commit from live traffic within a round trip, so a fetch is
-  /// only worth its bytes when the gap persists.
-  double state_transfer_grace = 0.2;
-  /// Patience per fetch attempt before retrying another random peer.
-  double state_transfer_timeout = 1.0;
-  /// Primary flow control: the PBFT primary never proposes a sequence
-  /// number more than this far ahead of its stable checkpoint. Without
-  /// the bound, a primary outrunning a slow checkpoint quorum piles up
-  /// unbounded in-flight slots (each one full consensus state on every
-  /// replica); with it, a stalled checkpoint back-pressures proposals
-  /// instead of memory. Deferred batches stay queued and are cut as soon
-  /// as the stable checkpoint advances. Must be at least
-  /// 2 * checkpoint_interval, or the bound would bite during the
-  /// perfectly healthy execute-ahead-of-stability phase.
-  std::uint64_t high_watermark_window = 128;
-  /// HotStuff pacemaker: base round timeout. Armed only while the chain
-  /// is dirty (pending requests or uncommitted real blocks), so an idle
-  /// cluster quiesces instead of spinning rounds forever.
-  double pacemaker_timeout = 1.0;
-  /// Exponential backoff multiplier applied per consecutive timeout
-  /// (reset on certified progress), and the cap on the accumulated
-  /// multiplier — round-robin rotation across a crashed leader pays the
-  /// base timeout once per lap instead of compounding forever.
-  double pacemaker_backoff = 2.0;
-  double pacemaker_max_backoff = 64.0;
   /// Seed of the replica-local RNG (random peer choice during state
   /// transfer). The cluster harness derives one per replica from the
   /// cluster seed.
@@ -112,12 +95,8 @@ struct ReplicaOptions {
   std::size_t crypto_workers = 1;
 };
 
-/// The one option validator both protocols share: rejects every
+/// The one option validator every protocol shares: rejects each
 /// misconfiguration with a specific message (support::ContractViolation).
-/// Protocol-specific checks (the PBFT batch-vs-request-timer race, the
-/// HotStuff pacemaker shape) are selected by `protocol`, so a grid
-/// flipping the protocol axis gets the right guardrails automatically.
-void validate_replica_options(const ReplicaOptions& options,
-                              Protocol protocol);
+void validate_replica_options(const ReplicaOptions& options);
 
 }  // namespace findep::replication

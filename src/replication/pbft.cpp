@@ -14,7 +14,7 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
            net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kPbft) {}
+                       std::move(options)) {}
 
 // --- dispatch --------------------------------------------------------------
 
@@ -138,7 +138,7 @@ void Pbft::enqueue_for_proposal(const Request& request) {
     // exactly the unbatched protocol.
     cut_batch();
   } else if (!batch_timer_.armed()) {
-    batch_timer_.arm(options().batch_timeout, [this] {
+    batch_timer_.arm(kBatchTimeout, [this] {
       // Cut whatever accumulated: a partial batch must not wait for
       // traffic that may never come (liveness of light load).
       if (!in_view_change_ && is_primary()) cut_batch();
@@ -149,7 +149,7 @@ void Pbft::enqueue_for_proposal(const Request& request) {
 void Pbft::cut_batch() {
   batch_timer_.cancel();
   if (batch_queue_.empty()) return;
-  if (next_seq_ > ckpt_.stable() + options().high_watermark_window) {
+  if (next_seq_ > ckpt_.stable() + kHighWatermarkWindow) {
     // High-watermark back-pressure: the queue holds the batch until the
     // stable checkpoint advances (retry_deferred_cut), bounding in-flight
     // consensus state instead of letting a fast primary outrun a slow

@@ -10,10 +10,9 @@ OrderingProtocol::OrderingProtocol(ReplicaId id, std::vector<double> weights,
                                    crypto::KeyRegistry& registry,
                                    crypto::KeyPair keys,
                                    net::SimNetwork& network,
-                                   ReplicaOptions options, Protocol kind)
+                                   ReplicaOptions options)
     : harness_(*this, id, std::move(weights), std::move(directory),
-               registry, std::move(keys), network, std::move(options),
-               kind),
+               registry, std::move(keys), network, std::move(options)),
       ckpt_(harness_),
       fetch_(harness_,
              StateFetchMachine::Hooks{

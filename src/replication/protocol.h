@@ -33,7 +33,10 @@
 // ordering rules (proposal, votes, leader change) and call execute_batch
 // for each decided batch, add its wire messages to bft::Payload (and any
 // proof-carrying one to bft::proof_signatures), and register the axis
-// value in parse_protocol and in the Cluster factory (cluster.cpp).
+// value in parse_protocol and in the Cluster factory (cluster.cpp). The
+// options and their validator are shared: a timing only the new lane
+// reads is a constant in its own .cpp, as the pacemaker's are in
+// hotstuff.cpp.
 #pragma once
 
 #include <cstdint>
@@ -158,8 +161,7 @@ class OrderingProtocol {
   OrderingProtocol(ReplicaId id, std::vector<double> weights,
                    std::vector<crypto::PublicKey> directory,
                    crypto::KeyRegistry& registry, crypto::KeyPair keys,
-                   net::SimNetwork& network, ReplicaOptions options,
-                   Protocol kind);
+                   net::SimNetwork& network, ReplicaOptions options);
 
   /// Client ingress: admits `request` and drives it towards a proposal.
   /// `from` is the client or a relaying replica. `wire` is the delivered

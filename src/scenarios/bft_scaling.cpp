@@ -1,7 +1,13 @@
-#include "scenarios/bft_scaling.h"
-
+// The PBFT scaling run function (§IV-B overhead side of the (κ, ω)
+// trade-off), shared by the bft_scaling and bft_batching families: one
+// cluster size / behaviour mix per instance, swept across seeds by the
+// runtime. Seeds come exclusively from the RunContext, so a whole sweep
+// is reproducible from one --seed flag.
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "replication/cluster.h"
 #include "runtime/param.h"
@@ -9,15 +15,51 @@
 #include "support/assert.h"
 
 namespace findep::scenarios {
+namespace {
 
-runtime::MetricRecord run_bft_scaling(const BftScalingParams& params,
+/// Simulated seconds a cell may run before it counts as incomplete.
+constexpr double kDeadline = 240.0;
+
+struct Params {
+  std::size_t n = 4;
+  /// May be shorter than n; missing entries are honest.
+  std::vector<replication::Behavior> behaviors;
+  int requests = 5;
+  /// Primary-side batching: requests agreed per consensus instance.
+  std::size_t batch_size = 1;
+  /// Client arrival rate in requests/second; 0 = all at t = 0.
+  double offered_load = 0.0;
+  /// Modeled crypto cost (the `crypto` axis). The default free model
+  /// keeps the instance bit-identical to historical output; a non-free
+  /// model charges sign/verify time and emits extra metrics
+  /// (committed_requests, verify_tasks, verify_dropped_stale).
+  crypto::CostModel cost_model{};
+  /// Modeled verification cores per replica (the `workers` axis; only
+  /// meaningful with a non-free cost model).
+  std::size_t workers = 1;
+  /// Ordering protocol every replica runs (the optional `protocol`
+  /// axis). Unset means a legacy grid without the axis: the cell runs
+  /// PBFT and emits no commit-latency percentiles, so every legacy
+  /// record stays byte-identical to historical output.
+  std::optional<replication::Protocol> protocol;
+};
+
+/// Runs one seed of `params`: a cluster of n replicas commits `requests`
+/// client requests, and the record carries latency, traffic per request
+/// and view changes.
+runtime::MetricRecord run_bft_scaling(const Params& params,
                                       const runtime::RunContext& ctx) {
+  // A non-free cost model is a throughput study, not a liveness one: it
+  // parks the liveness timers high, because a single-core replica
+  // grinding through a large verify backlog is exactly what the worker
+  // sweep measures, and the 1 s timeout (tuned for zero-cost crypto)
+  // would view-change it mid-measurement.
+  const bool modeled = !params.cost_model.is_free();
   replication::ClusterOptions options;
   options.seed = ctx.seed;
   options.replica.batch_size = params.batch_size;
-  options.replica.batch_timeout = params.batch_timeout;
-  options.replica.request_timeout = params.request_timeout;
-  options.replica.view_change_timeout = params.view_change_timeout;
+  options.replica.request_timeout = modeled ? 30.0 : 1.0;
+  options.replica.view_change_timeout = modeled ? 45.0 : 1.5;
   options.replica.cost_model = params.cost_model;
   options.replica.crypto_workers = params.workers;
   options.protocol = params.protocol.value_or(replication::Protocol::kPbft);
@@ -34,7 +76,7 @@ runtime::MetricRecord run_bft_scaling(const BftScalingParams& params,
     for (int i = 0; i < params.requests; ++i) cluster.submit();
   }
   const bool completed = cluster.run_until_executed(
-      static_cast<std::size_t>(params.requests), params.deadline);
+      static_cast<std::size_t>(params.requests), kDeadline);
 
   const auto requests = static_cast<std::uint64_t>(params.requests);
   const net::TrafficStats& stats = cluster.network().stats();
@@ -79,7 +121,7 @@ runtime::MetricRecord run_bft_scaling(const BftScalingParams& params,
                 committed > 0 ? cluster.latency_percentile(0.99) * 1000.0
                               : -1.0);
   }
-  if (!params.cost_model.is_free()) {
+  if (modeled) {
     // Modeled-crypto observability. Gated on the cost model so the
     // crypto=free record stays byte-identical to historical output (the
     // CI inertness cmp); committed_requests is the raw count behind
@@ -94,8 +136,6 @@ runtime::MetricRecord run_bft_scaling(const BftScalingParams& params,
   }
   return metrics;
 }
-
-namespace {
 
 /// Behaviour mixes selectable on the declarative `mix` axis. The size
 /// sweep pairs every n with "honest"; the fault block pins n = 7 (the
@@ -164,18 +204,12 @@ runtime::Scenario from_params(const runtime::ParamSet& p,
       p.has("protocol") ? std::optional(replication::parse_protocol(
                               p.get_string("protocol")))
                         : std::nullopt;
-  // A non-free cost model is a throughput study, not a liveness one:
-  // park the timers so a saturated single-core replica is measured
-  // instead of view-changed (see BftScalingParams::request_timeout).
-  const bool modeled = crypto != "free";
-  const BftScalingParams params{
+  const Params params{
       .n = n,
       .behaviors = behaviors_for_mix(mix),
       .requests = requests,
       .batch_size = batch_size,
       .offered_load = offered_load,
-      .request_timeout = modeled ? 30.0 : 1.0,
-      .view_change_timeout = modeled ? 45.0 : 1.5,
       .cost_model = crypto::CostModel::parse(crypto),
       .workers = workers,
       .protocol = protocol};

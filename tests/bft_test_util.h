@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "replication/cluster.h"
+#include "runtime/registry.h"
 
 namespace findep::replication {
 
@@ -23,6 +24,23 @@ inline ClusterOptions fast_options(std::uint64_t seed = 1) {
   opt.replica.view_change_timeout = 1.2;
   opt.seed = seed;
   return opt;
+}
+
+/// The registry's bft_scaling cell for an honest PBFT cluster of `n`
+/// replicas committing `requests` client requests in batches of
+/// `batch_size`, arriving at `offered_load` requests/s (0: all at t = 0).
+inline runtime::Scenario bft_scaling_cell(std::size_t n,
+                                          std::size_t batch_size,
+                                          int requests,
+                                          double offered_load = 0.0) {
+  runtime::ParamSet point;
+  point.set("n", n);
+  point.set("mix", "honest");
+  point.set("batch_size", batch_size);
+  point.set("requests", requests);
+  point.set("offered_load", offered_load);
+  return runtime::ScenarioRegistry::global().find("bft_scaling")->factory(
+      point);
 }
 
 /// Ids of the real (non-noop) requests `replica` executed.

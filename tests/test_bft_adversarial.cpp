@@ -319,7 +319,6 @@ TEST(BftAdversarial, ViewChangeCarriesBatchPreparedOnMinority) {
   // 2: {0, 2}; at 3: nothing. Commits cannot assemble anywhere.
   ClusterOptions opt = fast_options(32);
   opt.replica.batch_size = 3;
-  opt.replica.batch_timeout = 0.3;  // cut by size, not timer
   Cluster cluster(4, opt);
   cluster.network().set_filter([](net::NodeId from, net::NodeId to) {
     if (from >= 4) return true;  // the client reaches everyone

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "bft_test_util.h"
-#include "scenarios/bft_scaling.h"
 #include "support/assert.h"
 
 namespace findep::replication {
@@ -59,12 +58,8 @@ TEST(BftBatch, WireBytesScaleWithBatchAndPreparedEntries) {
 TEST(BftBatch, FullBatchesCommitAndUnrollPerRequest) {
   ClusterOptions opt = fast_options(41);
   opt.replica.batch_size = 4;
-  // Cut on size only: 8 requests = exactly two full batches. The batch
-  // timer must stay below request_timeout (enforced at construction), so
-  // the timeout-free regime is modeled with a slow timer under a slower
-  // request timer.
-  opt.replica.batch_timeout = 5.0;
-  opt.replica.request_timeout = 8.0;
+  // Cut on size only: 8 requests = exactly two full batches, because
+  // each batch fills within kBatchTimeout of its first request.
   Cluster cluster(4, opt);
   for (int i = 0; i < 8; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(8, 60.0));
@@ -85,7 +80,6 @@ TEST(BftBatch, PartialBatchIsCutByTimeout) {
   // the timeout must cut a partial batch (light-load liveness).
   ClusterOptions opt = fast_options(42);
   opt.replica.batch_size = 8;
-  opt.replica.batch_timeout = 0.05;
   Cluster cluster(4, opt);
   for (int i = 0; i < 3; ++i) cluster.submit();
   EXPECT_TRUE(cluster.run_until_executed(3, 30.0));
@@ -100,7 +94,6 @@ TEST(BftBatch, LatencyTracksRequestsNotBatches) {
   // request's trace must complete at its own first honest execution.
   ClusterOptions opt = fast_options(43);
   opt.replica.batch_size = 2;
-  opt.replica.batch_timeout = 0.04;
   Cluster cluster(4, opt);
   for (int i = 0; i < 4; ++i) {
     cluster.submit();
@@ -110,8 +103,9 @@ TEST(BftBatch, LatencyTracksRequestsNotBatches) {
   for (const RequestTrace& t : cluster.traces()) {
     ASSERT_TRUE(t.done());
     EXPECT_GT(t.latency(), 0.0);
-    // Submissions were 100 ms apart and batches cut within 40 ms, so no
-    // request can have waited for a whole later arrival wave.
+    // Submissions were 100 ms apart and batches cut within kBatchTimeout
+    // (50 ms), so no request can have waited for a whole later arrival
+    // wave.
     EXPECT_LT(t.latency(), 0.5);
   }
 }
@@ -122,18 +116,8 @@ TEST(BftBatch, BatchSizeEightAmortizesFourfold) {
   // commit them with >= 4x fewer protocol messages per committed request
   // than batch_size = 1.
   const auto metrics_for = [](std::size_t batch_size) {
-    scenarios::BftScalingParams params;
-    params.n = 10;
-    params.requests = 16;
-    params.batch_size = batch_size;
-    // Cut by size, not timer (16 = 2 full batches of 8): all requests
-    // arrive within ~50 ms of t = 0, far under this timer, so the batch
-    // count — and therefore this assertion — stays deterministic. (The
-    // timer must also stay below the 1 s request_timeout, enforced at
-    // construction.)
-    params.batch_timeout = 0.9;
-    return scenarios::run_bft_scaling(
-        params, runtime::RunContext{.seed = 77, .run_index = 0});
+    return bft_scaling_cell(10, batch_size, 16)
+        .run(runtime::RunContext{.seed = 77, .run_index = 0});
   };
   const runtime::MetricRecord unbatched = metrics_for(1);
   const runtime::MetricRecord batched = metrics_for(8);
@@ -157,8 +141,6 @@ TEST(BftBatch, SameRequestsCommittedAcrossBatchSizes) {
   const auto ids_for = [](std::size_t batch_size) {
     ClusterOptions opt = fast_options(44);
     opt.replica.batch_size = batch_size;
-    opt.replica.batch_timeout = 5.0;
-    opt.replica.request_timeout = 8.0;
     Cluster cluster(4, opt);
     for (int i = 0; i < 12; ++i) cluster.submit();
     EXPECT_TRUE(cluster.run_until_executed(12, 60.0));
@@ -170,13 +152,8 @@ TEST(BftBatch, SameRequestsCommittedAcrossBatchSizes) {
 
 TEST(BftBatch, OfferedLoadScenarioCommitsEverything) {
   // Open-loop arrivals: 12 requests at 50 req/s against batch_size = 4.
-  scenarios::BftScalingParams params;
-  params.n = 4;
-  params.requests = 12;
-  params.batch_size = 4;
-  params.offered_load = 50.0;
-  const runtime::MetricRecord metrics = scenarios::run_bft_scaling(
-      params, runtime::RunContext{.seed = 5, .run_index = 0});
+  const runtime::MetricRecord metrics = bft_scaling_cell(4, 4, 12, 50.0).run(
+      runtime::RunContext{.seed = 5, .run_index = 0});
   EXPECT_EQ(metrics.get("completed"), 1.0);
   EXPECT_GT(metrics.get("requests_per_second"), 0.0);
   EXPECT_GT(metrics.get("msgs_per_committed_request"), 0.0);
@@ -190,12 +167,7 @@ TEST(BftBatch, LaggardSurvivesRemoteCheckpointAtDepth) {
   // hopeless view changes; they must instead keep slots above their own
   // execution horizon and finish. This seed deterministically stalled
   // before the fix (completed == 0 with ~161 view changes).
-  scenarios::BftScalingParams params;
-  params.n = 25;
-  params.requests = 16;
-  params.batch_size = 1;
-  const runtime::MetricRecord metrics = scenarios::run_bft_scaling(
-      params,
+  const runtime::MetricRecord metrics = bft_scaling_cell(25, 1, 16).run(
       runtime::RunContext{.seed = 13757245211066428519ULL, .run_index = 0});
   EXPECT_EQ(metrics.get("completed"), 1.0);
   EXPECT_EQ(metrics.get("max_view_changes"), 0.0);

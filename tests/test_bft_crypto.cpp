@@ -191,7 +191,7 @@ class RecordingLane final : public OrderingProtocol {
                 net::SimNetwork& network, ReplicaOptions options)
       : OrderingProtocol(0, std::vector<double>(directory.size(), 1.0),
                          directory, registry, std::move(keys), network,
-                         std::move(options), Protocol::kPbft) {}
+                         std::move(options)) {}
 
   void dispatch_payload(const net::Envelope& wire, net::NodeId,
                         std::uint64_t) override {

@@ -23,8 +23,6 @@ ClusterOptions churn_options(std::uint64_t seed = 1) {
   opt.replica.request_timeout = 0.8;
   opt.replica.view_change_timeout = 1.2;
   opt.replica.checkpoint_interval = 4;
-  opt.replica.state_transfer_grace = 0.1;
-  opt.replica.state_transfer_timeout = 0.5;
   opt.seed = seed;
   return opt;
 }
@@ -355,20 +353,16 @@ TEST(BftStateTransfer, RunningStateDigestMatchesFromScratch) {
 }
 
 TEST(BftStateTransfer, OptionsValidationFailsFast) {
-  // batch_timeout >= request_timeout was a documented footgun (spurious
-  // view changes); now it is a construction error, as is a zero
-  // checkpoint interval.
+  // A request timer no longer than the batch timer was a documented
+  // footgun (spurious view changes); now it is a construction error, as
+  // is a zero checkpoint interval.
   ClusterOptions bad_batch = churn_options(107);
-  bad_batch.replica.batch_timeout = bad_batch.replica.request_timeout;
+  bad_batch.replica.request_timeout = kBatchTimeout;
   EXPECT_THROW(Cluster(4, bad_batch), support::ContractViolation);
 
   ClusterOptions bad_interval = churn_options(108);
   bad_interval.replica.checkpoint_interval = 0;
   EXPECT_THROW(Cluster(4, bad_interval), support::ContractViolation);
-
-  ClusterOptions bad_grace = churn_options(109);
-  bad_grace.replica.state_transfer_grace = 0.0;
-  EXPECT_THROW(Cluster(4, bad_grace), support::ContractViolation);
 }
 
 TEST(BftStateTransfer, ChurnScenarioPinsBothDirections) {

@@ -125,6 +125,11 @@ TEST(Injector, WorstCaseGreedyIsMonotone) {
     const CompromiseResult r = injector.worst_case_components(k);
     EXPECT_GE(r.compromised_fraction, prev - 1e-12) << k;
     EXPECT_LE(r.faults_used, k);
+    // The recorded picks, replayed, compromise exactly the same replicas.
+    ASSERT_EQ(r.components.size(), r.faults_used) << k;
+    EXPECT_EQ(injector.inject_components(r.components).compromised,
+              r.compromised)
+        << k;
     prev = r.compromised_fraction;
   }
 }

@@ -1,9 +1,9 @@
 // The shared ReplicaOptions validator and the protocol axis parser: one
-// validator serves both ordering protocols, selecting the right
-// guardrails per protocol and rejecting each misconfiguration with a
-// specific message.
+// validator serves every ordering protocol with the same checks, and
+// rejects each misconfiguration with a specific message.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -15,9 +15,9 @@ namespace {
 
 /// Runs the validator and returns the ContractViolation message ("" when
 /// the options validate).
-std::string violation(const ReplicaOptions& options, Protocol protocol) {
+std::string violation(const ReplicaOptions& options) {
   try {
-    validate_replica_options(options, protocol);
+    validate_replica_options(options);
     return "";
   } catch (const support::ContractViolation& e) {
     return e.what();
@@ -41,54 +41,35 @@ TEST(ProtocolAxis, RejectsUnknownProtocolWithSpecificMessage) {
   }
 }
 
-TEST(ReplicaOptionsValidator, DefaultsValidateForBothProtocols) {
-  const ReplicaOptions options;
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_EQ(violation(options, Protocol::kHotStuff), "");
+TEST(ReplicaOptionsValidator, DefaultsValidate) {
+  EXPECT_EQ(violation(ReplicaOptions{}), "");
 }
 
-TEST(ReplicaOptionsValidator, RejectsShrinkingPacemakerBackoff) {
+TEST(ReplicaOptionsValidator, RequestTimerMustOutlastTheBatchTimer) {
+  // A request timer no longer than the batch timer fires while a partial
+  // batch is still waiting to be cut: a spurious view change per lull.
   ReplicaOptions options;
-  options.pacemaker_backoff = 0.5;
-  // PBFT ignores the pacemaker knobs entirely; HotStuff rejects them
-  // with the why-it-matters message.
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "pacemaker_backoff must be >= 1"),
-            std::string::npos);
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "shrinking round timeout"),
+  options.request_timeout = kBatchTimeout;
+  EXPECT_NE(violation(options).find(
+                "request_timeout must stay strictly above kBatchTimeout"),
             std::string::npos);
 }
 
-TEST(ReplicaOptionsValidator, BatchTimerMustUndercutTheLivenessTimer) {
-  // The same misconfiguration trips a different guardrail per protocol:
-  // the batch cut must land before whatever timer triggers a leader
-  // change — PBFT's request timer, HotStuff's round timer.
+TEST(ReplicaOptionsValidator, CheckpointIntervalFitsHalfTheWatermarkWindow) {
+  // Execution legitimately runs up to an interval ahead of stability, so
+  // the window must hold two intervals, and 0 is no interval at all.
   ReplicaOptions options;
-  options.request_timeout = 1.0;
-  options.pacemaker_timeout = 2.0;
-  options.batch_timeout = 1.5;  // above request_timeout, below pacemaker
-  EXPECT_NE(violation(options, Protocol::kPbft).find(
-                "batch_timeout must stay strictly below request_timeout"),
-            std::string::npos);
-  EXPECT_EQ(violation(options, Protocol::kHotStuff), "");
-
-  options.batch_timeout = 2.5;  // now above the round timer too
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "batch_timeout must stay strictly below pacemaker_timeout"),
-            std::string::npos);
-}
-
-TEST(ReplicaOptionsValidator, RejectsBackoffCapBelowOneStep) {
-  ReplicaOptions options;
-  options.pacemaker_backoff = 4.0;
-  options.pacemaker_max_backoff = 2.0;
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "pacemaker_max_backoff must allow at least one backoff "
-                "step"),
-            std::string::npos);
+  options.checkpoint_interval = kHighWatermarkWindow / 2;
+  EXPECT_EQ(violation(options), "");
+  for (const std::uint64_t bad : {kHighWatermarkWindow / 2 + 1,
+                                  std::uint64_t{0}}) {
+    options.checkpoint_interval = bad;
+    EXPECT_NE(violation(options).find(
+                  "checkpoint_interval must be in [1, kHighWatermarkWindow "
+                  "/ 2]"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 }  // namespace

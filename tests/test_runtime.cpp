@@ -8,12 +8,12 @@
 #include <stdexcept>
 #include <string>
 
+#include "bft_test_util.h"
 #include "runtime/metrics.h"
 #include "runtime/registry.h"
 #include "runtime/scenario.h"
 #include "runtime/suite.h"
 #include "runtime/sweep.h"
-#include "scenarios/bft_scaling.h"
 
 namespace findep::runtime {
 namespace {
@@ -34,14 +34,6 @@ Scenario failing_scenario() {
             MetricRecord m;
             m.set("ok", 1.0);
             return m;
-          }};
-}
-
-/// The PBFT scaling run function at one configuration.
-Scenario bft_scenario(const scenarios::BftScalingParams& params) {
-  return {"bft_scaling/n=" + std::to_string(params.n),
-          [params](const RunContext& ctx) {
-            return scenarios::run_bft_scaling(params, ctx);
           }};
 }
 
@@ -86,7 +78,7 @@ TEST(SweepRunner, RecordsIndexedByRunNotCompletion) {
 // to the serial run (each worker owns its own Simulator + SimNetwork +
 // RNG, so thread scheduling cannot leak into results).
 TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
-  const Scenario scenario = bft_scenario({.n = 4, .requests = 3});
+  const Scenario scenario = replication::bft_scaling_cell(4, 1, 3);
   const auto serial =
       SweepRunner({.base_seed = 42, .num_seeds = 8, .threads = 1})
           .run(scenario);
@@ -105,7 +97,7 @@ TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
 }
 
 TEST(SweepRunner, IdenticallySeededRunnersAgree) {
-  const Scenario scenario = bft_scenario({.n = 4, .requests = 2});
+  const Scenario scenario = replication::bft_scaling_cell(4, 1, 2);
   const SweepOptions options{.base_seed = 9, .num_seeds = 4, .threads = 4};
   const auto a = SweepRunner(options).run(scenario);
   const auto b = SweepRunner(options).run(scenario);
