@@ -13,9 +13,13 @@ ConfigurationSampler::ConfigurationSampler(const ComponentCatalog& catalog,
   FINDEP_REQUIRE(options.attestable_fraction >= 0.0 &&
                  options.attestable_fraction <= 1.0);
   for (const ComponentKind kind : all_component_kinds()) {
-    if (kind == ComponentKind::kTrustedHardware) continue;
-    FINDEP_REQUIRE_MSG(catalog.variety(kind) > 0,
+    const std::size_t variety = catalog.variety(kind);
+    FINDEP_REQUIRE_MSG(variety > 0 || kind == ComponentKind::kTrustedHardware,
                        "catalog must offer every mandatory kind");
+    if (variety > 0) {
+      ranks_[static_cast<std::size_t>(kind)].emplace(variety,
+                                                    options.zipf_exponent);
+    }
   }
 }
 
@@ -28,9 +32,9 @@ ReplicaConfiguration ConfigurationSampler::sample(support::Rng& rng) const {
         continue;
       }
     }
-    const std::size_t rank =
-        rng.zipf(choices.size(), options_.zipf_exponent);
-    cfg.set(*catalog_, choices[rank]);
+    const auto& ranks = ranks_[static_cast<std::size_t>(kind)];
+    FINDEP_ASSERT(ranks.has_value() && ranks->size() == choices.size());
+    cfg.set(*catalog_, choices[ranks->draw(rng)]);
   }
   FINDEP_ENSURE(cfg.is_complete());
   return cfg;

@@ -7,6 +7,8 @@
 // (s = 0), which directly moves the entropy measured by the core library.
 #pragma once
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "config/catalog.h"
@@ -25,7 +27,8 @@ struct SamplerOptions {
   double attestable_fraction = 0.5;
 };
 
-/// Draws complete replica configurations from a catalog.
+/// Draws complete replica configurations from a catalog. The Zipf table
+/// of every kind the catalog offers is built once, at construction.
 class ConfigurationSampler {
  public:
   ConfigurationSampler(const ComponentCatalog& catalog,
@@ -53,6 +56,8 @@ class ConfigurationSampler {
  private:
   const ComponentCatalog* catalog_;  // non-owning; outlives the sampler
   SamplerOptions options_;
+  /// Rank table per kind, by kind value; empty for a kind with no variety.
+  std::array<std::optional<support::ZipfTable>, kComponentKindCount> ranks_;
 };
 
 }  // namespace findep::config

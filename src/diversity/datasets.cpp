@@ -52,6 +52,7 @@ ConfigDistribution bitcoin_best_case_distribution(
     std::size_t residual_miners) {
   FINDEP_REQUIRE(residual_miners >= 1);
   ConfigDistribution dist;
+  dist.reserve(kPoolShares.size() + residual_miners);
   // Best case (as in the paper): every pool has a unique configuration.
   for (std::size_t i = 0; i < kPoolShares.size(); ++i) {
     dist.add(pool_id(i), kPoolShares[i], 1);

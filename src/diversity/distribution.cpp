@@ -34,9 +34,15 @@ void ConfigDistribution::add(const config::ReplicaConfiguration& cfg,
   add(cfg.digest(), power, individuals);
 }
 
+void ConfigDistribution::reserve(std::size_t n) {
+  entries_.reserve(n);
+  index_.reserve(n);
+}
+
 ConfigDistribution ConfigDistribution::from_shares(
     std::span<const double> shares) {
   ConfigDistribution dist;
+  dist.reserve(shares.size());
   for (std::size_t i = 0; i < shares.size(); ++i) {
     dist.add(synthetic_id(i), shares[i], 1);
   }
@@ -50,6 +56,7 @@ ConfigDistribution ConfigDistribution::uniform(std::size_t k,
   FINDEP_REQUIRE(omega > 0);
   FINDEP_REQUIRE(total > 0.0);
   ConfigDistribution dist;
+  dist.reserve(k);
   const VotingPower per = total / static_cast<double>(k);
   for (std::size_t i = 0; i < k; ++i) {
     dist.add(synthetic_id(i), per, omega);

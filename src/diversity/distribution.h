@@ -47,6 +47,10 @@ class ConfigDistribution {
   void add(const config::ReplicaConfiguration& cfg, VotingPower power,
            std::size_t individuals = 1);
 
+  /// Makes room for `n` distinct configurations, so a distribution built
+  /// to a known size grows its storage once.
+  void reserve(std::size_t n);
+
   /// Builds a distribution from raw shares; synthetic configuration ids
   /// are derived from the index. Intended for literature datasets (e.g.
   /// the Example-1 mining-pool vector).

@@ -1,6 +1,7 @@
 #include "faults/injector.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "support/assert.h"
@@ -112,16 +113,30 @@ double FaultInjector::break_probability(std::size_t k, double threshold,
   FINDEP_REQUIRE(trials > 0);
   const std::size_t pool = components_.size();
   const std::size_t draw = std::min(k, pool);
+  // One bitmask per present component, a bit per replica running it.
+  const std::size_t words = (population_.size() + 63) / 64;
+  std::vector<std::uint64_t> masks(pool * words, 0);
+  for (std::size_t c = 0; c < pool; ++c) {
+    for (const std::size_t r : exposure_[c]) {
+      masks[c * words + r / 64] |= std::uint64_t{1} << (r % 64);
+    }
+  }
+  std::vector<std::size_t> picks;
+  std::vector<std::uint64_t> hit(words);
   std::size_t breaks = 0;
   for (std::size_t trial = 0; trial < trials; ++trial) {
-    const std::vector<std::size_t> picks = rng.sample_indices(pool, draw);
-    std::vector<bool> hit(population_.size(), false);
+    rng.sample_indices(pool, draw, picks);
+    std::fill(hit.begin(), hit.end(), 0);
     for (const std::size_t c : picks) {
-      for (const std::size_t r : exposure_[c]) hit[r] = true;
+      for (std::size_t w = 0; w < words; ++w) hit[w] |= masks[c * words + w];
     }
+    // Set bits in ascending replica order: the order a scan over the
+    // population adds in, so the sum is the same double.
     double power = 0.0;
-    for (std::size_t r = 0; r < population_.size(); ++r) {
-      if (hit[r]) power += population_[r].power;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = hit[w]; bits != 0; bits &= bits - 1) {
+        power += population_[w * 64 + std::countr_zero(bits)].power;
+      }
     }
     if (power / total_power_ > threshold) ++breaks;
   }

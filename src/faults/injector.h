@@ -68,7 +68,11 @@ class FaultInjector {
 
   /// Monte-Carlo probability that `k` *uniformly random distinct*
   /// component faults (among components actually present in the
-  /// population) compromise more than `threshold` of the power.
+  /// population) compromise more than `threshold` of the power. Each call
+  /// builds one bitmask per present component, a bit per replica running
+  /// it; a trial ORs the masks of its picks and adds the power of the set
+  /// bits in ascending replica order, as a scan of the population would,
+  /// and allocates nothing.
   [[nodiscard]] double break_probability(std::size_t k, double threshold,
                                          std::size_t trials,
                                          support::Rng& rng) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <unordered_map>
 
 #include "diversity/resilience.h"
 #include "support/assert.h"
@@ -33,47 +35,77 @@ ExposureTimeline compute_exposure(
   for (const auto& rec : population) total_power += rec.power;
   FINDEP_REQUIRE(total_power > 0.0);
 
-  // Pre-compute, per vulnerability, which replicas are exposed and until
-  // when (patch release + per-replica deploy lag, cut at the first
-  // recovery boundary after the release).
-  support::Rng rng(patching.seed);
-  struct PerVuln {
-    double open_from = 0.0;
-    double open_until_global = 0.0;  // patch release
-    std::vector<std::size_t> replicas;
-    std::vector<double> replica_until;
-  };
-  std::vector<PerVuln> windows;
-  windows.reserve(catalog.size());
-  for (const Vulnerability& v : catalog.all()) {
-    PerVuln w;
-    w.open_from = v.discovered_at;
-    w.open_until_global = v.patched_at;
-    for (std::size_t r = 0; r < population.size(); ++r) {
-      const auto comp =
-          population[r].configuration.components();
-      if (std::find(comp.begin(), comp.end(), v.component) == comp.end()) {
-        continue;
-      }
-      w.replicas.push_back(r);
-      const double lag_end =
-          v.patched_at +
-          rng.exponential(1.0 / patching.mean_deploy_lag_days);
-      if (!recovery) {
-        w.replica_until.push_back(lag_end);
-        continue;
-      }
-      const double offset =
-          recovery->staggered
-              ? recovery->period_days * static_cast<double>(r) /
-                    static_cast<double>(population.size())
-              : 0.0;
-      w.replica_until.push_back(std::min(
-          lag_end,
-          next_recovery(v.patched_at, offset, recovery->period_days)));
+  // The replicas running each component, in ascending order.
+  std::unordered_map<config::ComponentId, std::vector<std::size_t>> runs;
+  for (std::size_t r = 0; r < population.size(); ++r) {
+    for (const config::ComponentId comp :
+         population[r].configuration.components()) {
+      std::vector<std::size_t>& replicas = runs[comp];
+      if (replicas.empty() || replicas.back() != r) replicas.push_back(r);
     }
-    windows.push_back(std::move(w));
   }
+
+  // Every window as the two boundaries of a [from, until) interval of one
+  // (vulnerability, replica) pair: open from discovery until the patch
+  // release plus the replica's deploy lag, cut at the first recovery
+  // boundary after the release. A vulnerability no replica runs gets one
+  // interval without a replica, open until the release, so that k_t counts
+  // it. An empty interval is never open and gets no boundaries.
+  constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
+  struct Boundary {
+    double at = 0.0;
+    std::size_t vuln = 0;
+    std::size_t replica = kNoReplica;
+    bool opens = false;
+  };
+  std::vector<Boundary> boundaries;
+  const auto add_window = [&boundaries](double from, double until,
+                                        std::size_t vuln,
+                                        std::size_t replica) {
+    if (!(from < until)) return;
+    boundaries.push_back(Boundary{from, vuln, replica, true});
+    boundaries.push_back(Boundary{until, vuln, replica, false});
+  };
+  // Deploy lags are drawn per (vulnerability, replica), in catalog order
+  // and then replica order.
+  support::Rng rng(patching.seed);
+  const std::vector<std::size_t> no_replicas;
+  const std::span<const Vulnerability> vulns = catalog.all();
+  for (std::size_t v = 0; v < vulns.size(); ++v) {
+    const Vulnerability& vuln = vulns[v];
+    const auto it = runs.find(vuln.component);
+    const std::vector<std::size_t>& replicas =
+        it == runs.end() ? no_replicas : it->second;
+    if (replicas.empty()) {
+      add_window(vuln.discovered_at, vuln.patched_at, v, kNoReplica);
+    }
+    for (const std::size_t r : replicas) {
+      double until = vuln.patched_at +
+                     rng.exponential(1.0 / patching.mean_deploy_lag_days);
+      if (recovery) {
+        const double offset =
+            recovery->staggered
+                ? recovery->period_days * static_cast<double>(r) /
+                      static_cast<double>(population.size())
+                : 0.0;
+        until = std::min(until, next_recovery(vuln.patched_at, offset,
+                                              recovery->period_days));
+      }
+      add_window(vuln.discovered_at, until, v, r);
+    }
+  }
+  std::sort(boundaries.begin(), boundaries.end(),
+            [](const Boundary& a, const Boundary& b) { return a.at < b.at; });
+
+  // Sweep the samples in time order. Before reading sample t, every
+  // boundary at or before t has been applied, so an interval counts as
+  // open exactly when from <= t < until: the test a rescan of every window
+  // at t makes. Ties need no order, as only the counts after all of them
+  // are read, and an interval's close sorts strictly after its open.
+  std::vector<std::size_t> open_per_replica(population.size(), 0);
+  std::vector<std::size_t> open_per_vuln(vulns.size(), 0);
+  std::size_t open_vulns = 0;
+  std::size_t next = 0;
 
   ExposureTimeline timeline;
   timeline.points.reserve(samples);
@@ -83,27 +115,23 @@ ExposureTimeline compute_exposure(
   for (std::size_t s = 0; s < samples; ++s) {
     const double t = horizon_days * static_cast<double>(s) /
                      static_cast<double>(samples - 1);
-    ExposurePoint point;
-    point.t = t;
-    std::vector<bool> hit(population.size(), false);
-    for (const PerVuln& w : windows) {
-      if (t < w.open_from) continue;
-      bool any_open = false;
-      for (std::size_t i = 0; i < w.replicas.size(); ++i) {
-        if (t < w.replica_until[i]) {
-          hit[w.replicas[i]] = true;
-          any_open = true;
-        }
-      }
-      // A vulnerability counts as open while any replica remains unpatched
-      // (or, with no exposed replicas, while the global window is open).
-      if (any_open || (w.replicas.empty() && t < w.open_until_global)) {
-        ++point.open_vulnerabilities;
+    for (; next < boundaries.size() && boundaries[next].at <= t; ++next) {
+      const Boundary& b = boundaries[next];
+      if (b.opens) {
+        if (open_per_vuln[b.vuln]++ == 0) ++open_vulns;
+        if (b.replica != kNoReplica) ++open_per_replica[b.replica];
+      } else {
+        if (--open_per_vuln[b.vuln] == 0) --open_vulns;
+        if (b.replica != kNoReplica) --open_per_replica[b.replica];
       }
     }
+    ExposurePoint point;
+    point.t = t;
+    point.open_vulnerabilities = open_vulns;
+    // Summed in replica order, as a rescan adds.
     double exposed = 0.0;
     for (std::size_t r = 0; r < population.size(); ++r) {
-      if (hit[r]) exposed += population[r].power;
+      if (open_per_replica[r] > 0) exposed += population[r].power;
     }
     point.exposed_fraction = exposed / total_power;
     if (point.exposed_fraction > timeline.peak_exposed_fraction) {

@@ -72,6 +72,11 @@ struct RecoverySchedule {
 /// but re-exploitation follows at once, so they grant no benefit.
 /// A vulnerability counts in k_t while any exposed replica is unpatched,
 /// or, when no replica runs its component, until its patch release.
+/// Deploy lags are drawn per (vulnerability, replica), in catalog order
+/// and then replica order. The samples are swept in time order over the
+/// sorted window boundaries, keeping one open count per replica and per
+/// vulnerability, so each point equals a rescan of every window at its
+/// time; exposed power is added in replica order.
 [[nodiscard]] ExposureTimeline compute_exposure(
     const std::vector<diversity::ReplicaRecord>& population,
     const VulnerabilityCatalog& catalog, double horizon_days,

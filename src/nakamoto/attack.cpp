@@ -28,6 +28,9 @@ double attack_success_monte_carlo(double q, unsigned z, std::size_t trials,
   FINDEP_REQUIRE(q >= 0.0 && q <= 1.0);
   FINDEP_REQUIRE(trials > 0);
   if (q == 0.0) return 0.0;
+  // One step of the walk: the attacker finds the next block with
+  // probability q. The draw is branch-free; see support::Bernoulli.
+  const support::Bernoulli attacker(q);
   std::size_t wins = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     // While the merchant waits for z confirmations the attacker pre-mines
@@ -45,7 +48,7 @@ double attack_success_monte_carlo(double q, unsigned z, std::size_t trials,
     }
     bool win = deficit <= 0;
     for (std::size_t step = 0; !win && step < max_blocks; ++step) {
-      deficit += rng.chance(q) ? -1 : 1;
+      deficit += 1 - 2 * static_cast<std::int64_t>(attacker.draw(rng));
       if (deficit <= 0) win = true;
       // Far behind: the walk drifts away; bail out as the closed form's
       // geometric tail does.

@@ -9,6 +9,7 @@
 //    cluster size, against the (n/4)² reference.
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "config/sampler.h"
@@ -61,21 +62,28 @@ runtime::MetricRecord run_prop1(double skew, std::size_t kappa) {
 /// added to the 17-pool snapshot): the oligopoly's entropy saturates
 /// while the uniform control tracks log2(k).
 runtime::MetricRecord run_prop2(std::size_t extra) {
-  const diversity::ConfigDistribution oligopoly =
-      diversity::datasets::bitcoin_best_case_distribution(extra);
-  const std::size_t k = oligopoly.support_size();
+  // The oligopoly's values are taken before the uniform control is built,
+  // so only one (17 + extra)-entry distribution is alive at a time.
+  const auto [k, h_oligopoly, gap_bits, faults_oligopoly] = [extra] {
+    const diversity::ConfigDistribution oligopoly =
+        diversity::datasets::bitcoin_best_case_distribution(extra);
+    return std::tuple{oligopoly.support_size(),
+                      diversity::shannon_entropy(oligopoly),
+                      diversity::kl_from_uniform(oligopoly),
+                      diversity::min_faults_to_exceed(
+                          oligopoly, diversity::kBftThreshold)};
+  }();
   const diversity::ConfigDistribution uniform =
       diversity::ConfigDistribution::uniform(k);
 
   runtime::MetricRecord metrics;
   metrics.set("replicas_k", static_cast<double>(k));
-  metrics.set("h_oligopoly", diversity::shannon_entropy(oligopoly));
+  metrics.set("h_oligopoly", h_oligopoly);
   metrics.set("log2_k_optimum", std::log2(static_cast<double>(k)));
-  metrics.set("gap_bits", diversity::kl_from_uniform(oligopoly));
+  metrics.set("gap_bits", gap_bits);
   metrics.set("h_uniform_control", diversity::shannon_entropy(uniform));
   metrics.set("faults_over_third_oligopoly",
-              static_cast<double>(diversity::min_faults_to_exceed(
-                  oligopoly, diversity::kBftThreshold)));
+              static_cast<double>(faults_oligopoly));
   metrics.set("faults_over_third_uniform",
               static_cast<double>(diversity::min_faults_to_exceed(
                   uniform, diversity::kBftThreshold)));

@@ -1,10 +1,7 @@
 #include "support/rng.h"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "support/assert.h"
 
 namespace findep::support {
 
@@ -24,28 +21,10 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result =
-      std::rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
 Rng Rng::fork(std::uint64_t stream) noexcept {
   // Mixing the parent's next output with the stream id yields streams that
   // are independent for simulation purposes.
   return Rng{mix64((*this)() ^ mix64(stream ^ 0xa02bdbf7bb3c0a7ULL))};
-}
-
-double Rng::uniform() noexcept {
-  // 53 top bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -61,18 +40,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
     const std::uint64_t r = (*this)();
     if (r >= threshold) return r % n;
   }
-}
-
-std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) {
-  FINDEP_REQUIRE(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63, safe
-  return lo + static_cast<std::int64_t>(span == 0 ? (*this)() : below(span));
-}
-
-bool Rng::chance(double p) {
-  FINDEP_REQUIRE(p >= 0.0 && p <= 1.0);
-  return uniform() < p;
 }
 
 double Rng::exponential(double rate) {
@@ -106,61 +73,51 @@ std::uint64_t Rng::poisson(double mean) {
   return k;
 }
 
-std::size_t Rng::categorical(std::span<const double> weights) {
-  FINDEP_REQUIRE(!weights.empty());
-  double total = 0.0;
-  for (const double w : weights) {
-    FINDEP_REQUIRE_MSG(w >= 0.0, "categorical weights must be non-negative");
-    total += w;
-  }
-  FINDEP_REQUIRE_MSG(total > 0.0, "categorical needs a positive weight");
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  // Floating-point underrun: fall back to the last positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-std::size_t Rng::zipf(std::size_t n, double s) {
-  FINDEP_REQUIRE(n > 0);
-  FINDEP_REQUIRE(s >= 0.0);
-  if (n == 1) return 0;
-  // Direct inversion over the normalized harmonic weights. n is small in
-  // all findep uses (component catalogs), so O(n) per draw is fine.
-  double norm = 0.0;
-  for (std::size_t rank = 1; rank <= n; ++rank) {
-    norm += 1.0 / std::pow(static_cast<double>(rank), s);
-  }
-  double target = uniform() * norm;
-  for (std::size_t rank = 1; rank <= n; ++rank) {
-    target -= 1.0 / std::pow(static_cast<double>(rank), s);
-    if (target < 0.0) return rank - 1;
-  }
-  return n - 1;
-}
-
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
-  FINDEP_REQUIRE(k <= n);
-  // Floyd's algorithm: O(k) expected insertions, no O(n) scratch.
   std::vector<std::size_t> chosen;
   chosen.reserve(k);
+  sample_indices(n, k, chosen);
+  return chosen;
+}
+
+void Rng::sample_indices(std::size_t n, std::size_t k,
+                         std::vector<std::size_t>& out) {
+  FINDEP_REQUIRE(k <= n);
+  // Floyd's algorithm: O(k) expected insertions, no O(n) scratch.
+  out.clear();
   for (std::size_t j = n - k; j < n; ++j) {
     const std::size_t t = below(j + 1);
-    bool already = false;
-    for (const std::size_t c : chosen) {
-      if (c == t) {
-        already = true;
-        break;
-      }
-    }
-    chosen.push_back(already ? j : t);
+    const bool already = std::find(out.begin(), out.end(), t) != out.end();
+    out.push_back(already ? j : t);
   }
-  return chosen;
+}
+
+Bernoulli::Bernoulli(double p) {
+  FINDEP_REQUIRE(p >= 0.0 && p <= 1.0);
+  // p · 2^53 is exact and at most 2^53, so its ceiling fits a double.
+  threshold_ = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+ZipfTable::ZipfTable(std::size_t n, double s) {
+  FINDEP_REQUIRE(n > 0);
+  FINDEP_REQUIRE(s >= 0.0);
+  weights_.reserve(n);
+  for (std::size_t rank = 1; rank <= n; ++rank) {
+    weights_.push_back(1.0 / std::pow(static_cast<double>(rank), s));
+    total_ += weights_.back();
+  }
+}
+
+std::size_t ZipfTable::draw(Rng& rng) const noexcept {
+  if (weights_.size() == 1) return 0;
+  // Direct inversion over the harmonic weights; n is a component kind's
+  // variety, so O(n) per draw is fine.
+  double target = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    target -= weights_[i];
+    if (target < 0.0) return i;
+  }
+  return weights_.size() - 1;
 }
 
 }  // namespace findep::support

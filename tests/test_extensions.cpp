@@ -1,9 +1,13 @@
-// Extension features: component-aware committee caps, proactive recovery,
-// and the selfish-mining baseline.
+// Extension features: component-aware committee caps, proactive recovery
+// (with the exposure sweep pinned to a rescan), and the selfish-mining
+// baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "committee/diversity_aware.h"
 #include "config/sampler.h"
@@ -242,6 +246,202 @@ TEST(Recovery, PeriodPastHorizonKeepsPatchLagTimeline) {
         << baseline.points[i].t;
   }
   EXPECT_EQ(baseline.peak_open_vulnerabilities, 2u);
+}
+
+// --- the exposure sweep against a rescan ---------------------------------
+
+/// The exposure timeline as compute_exposure built it before the sweep:
+/// per (vulnerability, replica) windows found by searching each replica's
+/// components, then every window rescanned at every sample.
+std::vector<faults::ExposurePoint> exposure_by_rescan(
+    const std::vector<diversity::ReplicaRecord>& population,
+    const faults::VulnerabilityCatalog& catalog, double horizon_days,
+    std::size_t samples, const faults::PatchLagModel& patching,
+    const std::optional<faults::RecoverySchedule>& recovery) {
+  const auto next_recovery = [](double t, double offset, double period) {
+    if (t <= offset) return offset;
+    return offset + std::ceil((t - offset) / period) * period;
+  };
+  double total_power = 0.0;
+  for (const auto& rec : population) total_power += rec.power;
+  support::Rng rng(patching.seed);
+  struct PerVuln {
+    double open_from = 0.0;
+    double open_until_global = 0.0;
+    std::vector<std::size_t> replicas;
+    std::vector<double> replica_until;
+  };
+  std::vector<PerVuln> windows;
+  for (const faults::Vulnerability& v : catalog.all()) {
+    PerVuln w;
+    w.open_from = v.discovered_at;
+    w.open_until_global = v.patched_at;
+    for (std::size_t r = 0; r < population.size(); ++r) {
+      const auto comp = population[r].configuration.components();
+      if (std::find(comp.begin(), comp.end(), v.component) == comp.end()) {
+        continue;
+      }
+      w.replicas.push_back(r);
+      const double lag_end =
+          v.patched_at +
+          rng.exponential(1.0 / patching.mean_deploy_lag_days);
+      if (!recovery) {
+        w.replica_until.push_back(lag_end);
+        continue;
+      }
+      const double offset =
+          recovery->staggered
+              ? recovery->period_days * static_cast<double>(r) /
+                    static_cast<double>(population.size())
+              : 0.0;
+      w.replica_until.push_back(std::min(
+          lag_end,
+          next_recovery(v.patched_at, offset, recovery->period_days)));
+    }
+    windows.push_back(std::move(w));
+  }
+  std::vector<faults::ExposurePoint> points;
+  for (std::size_t s = 0; s < samples; ++s) {
+    faults::ExposurePoint point;
+    point.t = horizon_days * static_cast<double>(s) /
+              static_cast<double>(samples - 1);
+    std::vector<bool> hit(population.size(), false);
+    for (const PerVuln& w : windows) {
+      if (point.t < w.open_from) continue;
+      bool any_open = false;
+      for (std::size_t i = 0; i < w.replicas.size(); ++i) {
+        if (point.t < w.replica_until[i]) {
+          hit[w.replicas[i]] = true;
+          any_open = true;
+        }
+      }
+      if (any_open || (w.replicas.empty() && point.t < w.open_until_global)) {
+        ++point.open_vulnerabilities;
+      }
+    }
+    double exposed = 0.0;
+    for (std::size_t r = 0; r < population.size(); ++r) {
+      if (hit[r]) exposed += population[r].power;
+    }
+    point.exposed_fraction = exposed / total_power;
+    points.push_back(point);
+  }
+  return points;
+}
+
+void expect_sweep_matches_rescan(
+    const std::vector<diversity::ReplicaRecord>& population,
+    const faults::VulnerabilityCatalog& vulns, double horizon_days,
+    std::size_t samples, const faults::PatchLagModel& patching,
+    const std::optional<faults::RecoverySchedule>& recovery,
+    const std::string& label) {
+  const faults::ExposureTimeline timeline = faults::compute_exposure(
+      population, vulns, horizon_days, samples, patching, recovery);
+  const std::vector<faults::ExposurePoint> expected = exposure_by_rescan(
+      population, vulns, horizon_days, samples, patching, recovery);
+  ASSERT_EQ(timeline.points.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(timeline.points[i].t, expected[i].t) << label;
+    ASSERT_EQ(timeline.points[i].open_vulnerabilities,
+              expected[i].open_vulnerabilities)
+        << label << " t=" << expected[i].t;
+    ASSERT_EQ(timeline.points[i].exposed_fraction,
+              expected[i].exposed_fraction)
+        << label << " t=" << expected[i].t;
+  }
+}
+
+TEST(Exposure, SweepMatchesRescanOnGridAlignedWindows) {
+  // Seven Lazarus-style replicas with unequal power, sampled once a day
+  // over 100 days, so every integer day is a sample. Discoveries, patch
+  // releases and recovery boundaries (staggered: period 7, offset r;
+  // unstaggered: period 5) land on samples. Vulnerability 2 has a
+  // zero-length window on replica 1 under the staggered schedule, and 4 on
+  // replica 6 under the unstaggered one. 5 and 6 sit in components no
+  // replica runs, 6 with a zero-length release window.
+  const config::ComponentCatalog catalog = config::standard_catalog();
+  auto population = recovery_population(7);
+  for (std::size_t r = 0; r < population.size(); ++r) {
+    population[r].power = 0.3 + 0.7 * static_cast<double>(r % 4);
+  }
+  const auto of = [&](std::size_t r, config::ComponentKind kind) {
+    return *population[r].configuration.component(kind);
+  };
+  std::optional<config::ComponentId> unused;
+  for (const config::ComponentKind kind : config::all_component_kinds()) {
+    for (const config::ComponentId id : catalog.of_kind(kind)) {
+      const bool used = std::any_of(
+          population.begin(), population.end(), [id](const auto& replica) {
+            const auto comps = replica.configuration.components();
+            return std::find(comps.begin(), comps.end(), id) != comps.end();
+          });
+      if (!used && !unused) unused = id;
+    }
+  }
+  ASSERT_TRUE(unused.has_value());
+  faults::VulnerabilityCatalog vulns;
+  const auto add = [&vulns](config::ComponentId component, double from,
+                            double to) {
+    faults::Vulnerability v;
+    v.component = component;
+    v.discovered_at = from;
+    v.patched_at = to;
+    vulns.add(v);
+  };
+  add(of(0, config::ComponentKind::kOperatingSystem), 10.0, 20.0);
+  add(of(1, config::ComponentKind::kCryptoLibrary), 15.0, 35.0);
+  add(of(1, config::ComponentKind::kConsensusClient), 15.0, 15.0);
+  add(of(3, config::ComponentKind::kDatabase), 0.0, 50.0);
+  add(of(6, config::ComponentKind::kWallet), 60.0, 60.0);
+  add(*unused, 30.0, 50.0);
+  add(config::ComponentId{9999}, 70.0, 70.0);
+  add(of(2, config::ComponentKind::kNetworkStack), 99.0, 100.0);
+
+  for (const double lag : {0.001, 3.0, 1e9}) {
+    faults::PatchLagModel patching;
+    patching.mean_deploy_lag_days = lag;
+    const std::string label = "lag=" + std::to_string(lag);
+    expect_sweep_matches_rescan(population, vulns, 100.0, 101, patching,
+                                std::nullopt, label);
+    expect_sweep_matches_rescan(
+        population, vulns, 100.0, 101, patching,
+        faults::RecoverySchedule{.period_days = 7.0}, label + " staggered");
+    expect_sweep_matches_rescan(
+        population, vulns, 100.0, 101, patching,
+        faults::RecoverySchedule{.period_days = 5.0, .staggered = false},
+        label + " unstaggered");
+  }
+}
+
+TEST(Exposure, SweepMatchesRescanOnSynthesizedYears) {
+  // The vulnerability_window and proactive_recovery shape: a sampled fleet,
+  // a synthesized CVE year and daily samples, at several seeds.
+  const config::ComponentCatalog catalog = config::standard_catalog();
+  config::ConfigurationSampler sampler(
+      catalog, config::SamplerOptions{.zipf_exponent = 2.0,
+                                      .attestable_fraction = 0.5});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    support::Rng rng(seed);
+    std::vector<diversity::ReplicaRecord> population;
+    for (const auto& cfg : sampler.sample_population(rng, 60)) {
+      population.push_back(
+          diversity::ReplicaRecord{cfg, rng.uniform(0.5, 2.0), true});
+    }
+    faults::SynthesisOptions synth;
+    synth.mean_vulns_per_component = 1.5;
+    synth.mean_patch_latency_days = 14.0;
+    synth.seed = seed;
+    const auto vulns = faults::synthesize_catalog(catalog, synth);
+    faults::PatchLagModel patching;
+    patching.mean_deploy_lag_days = 7.0 * static_cast<double>(seed);
+    patching.seed = seed + 100;
+    const std::string label = "seed=" + std::to_string(seed);
+    expect_sweep_matches_rescan(population, vulns, 365.0, 366, patching,
+                                std::nullopt, label);
+    expect_sweep_matches_rescan(population, vulns, 365.0, 366, patching,
+                                faults::RecoverySchedule{.period_days = 30.0},
+                                label + " recovery");
+  }
 }
 
 // --- selfish mining -----------------------------------------------------

@@ -1,6 +1,9 @@
 // Vulnerabilities, fault injection, adversaries, exposure windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "config/sampler.h"
 #include "faults/adversary.h"
 #include "faults/injector.h"
@@ -226,6 +229,92 @@ TEST(Injector, BreakProbabilityMonotoneInBudget) {
         k, diversity::kBftThreshold, 300, trial_rng);
     EXPECT_GE(p, prev - 0.05) << k;  // small MC slack
     prev = p;
+  }
+}
+
+/// The compromised fraction of every trial of break_probability as it was
+/// before bitmasks: Floyd's picks into a fresh vector, a vector<bool> hit
+/// set filled from each pick's exposed replicas, and a scan that adds the
+/// power of the hit replicas in replica order.
+std::vector<double> trial_fractions_by_scan(const FaultInjector& injector,
+                                            std::size_t k,
+                                            std::size_t trials,
+                                            support::Rng& rng) {
+  const auto& population = injector.population();
+  const auto& components = injector.present_components();
+  std::vector<std::vector<std::size_t>> exposure(components.size());
+  for (std::size_t c = 0; c < components.size(); ++c) {
+    for (std::size_t r = 0; r < population.size(); ++r) {
+      const auto comps = population[r].configuration.components();
+      if (std::find(comps.begin(), comps.end(), components[c]) !=
+          comps.end()) {
+        exposure[c].push_back(r);
+      }
+    }
+  }
+  const std::size_t pool = components.size();
+  const std::size_t draw = std::min(k, pool);
+  std::vector<double> fractions;
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    std::vector<std::size_t> picks;
+    for (std::size_t j = pool - draw; j < pool; ++j) {
+      const std::size_t t = rng.below(j + 1);
+      const bool already =
+          std::find(picks.begin(), picks.end(), t) != picks.end();
+      picks.push_back(already ? j : t);
+    }
+    std::vector<bool> hit(population.size(), false);
+    for (const std::size_t c : picks) {
+      for (const std::size_t r : exposure[c]) hit[r] = true;
+    }
+    double power = 0.0;
+    for (std::size_t r = 0; r < population.size(); ++r) {
+      if (hit[r]) power += population[r].power;
+    }
+    fractions.push_back(power / injector.total_power());
+  }
+  return fractions;
+}
+
+TEST(Injector, BreakProbabilityMatchesPerReplicaScan) {
+  // Populations on both sides of the 64-replica mask words, with unequal
+  // power. Besides 0, 1/3 and 1/2, the thresholds are fractions the scan
+  // itself produced: a kernel that added the same powers in another order
+  // lands an ulp off on some trial and flips its count there.
+  const config::ComponentCatalog catalog = config::standard_catalog();
+  config::ConfigurationSampler sampler(
+      catalog, config::SamplerOptions{.zipf_exponent = 1.0,
+                                      .attestable_fraction = 0.5});
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    support::Rng rng(700 + n);
+    std::vector<diversity::ReplicaRecord> population;
+    for (const auto& cfg : sampler.sample_population(rng, n)) {
+      population.push_back(
+          diversity::ReplicaRecord{cfg, rng.uniform(0.1, 3.0), true});
+    }
+    const FaultInjector injector(population);
+    for (const std::size_t k : {1u, 2u, 4u, 9u, 1000u}) {
+      constexpr std::size_t kTrials = 200;
+      support::Rng by_scan(k * 1000 + n);
+      const std::vector<double> fractions =
+          trial_fractions_by_scan(injector, k, kTrials, by_scan);
+      std::vector<double> thresholds = {0.0, diversity::kBftThreshold,
+                                        diversity::kNakamotoThreshold};
+      thresholds.insert(thresholds.end(), fractions.begin(),
+                        fractions.begin() + 40);
+      for (const double threshold : thresholds) {
+        const auto breaks = std::count_if(
+            fractions.begin(), fractions.end(),
+            [threshold](double f) { return f > threshold; });
+        support::Rng by_masks(k * 1000 + n);
+        ASSERT_EQ(
+            injector.break_probability(k, threshold, kTrials, by_masks),
+            static_cast<double>(breaks) / static_cast<double>(kTrials))
+            << "n=" << n << " k=" << k << " threshold=" << threshold;
+        support::Rng after_scan = by_scan;
+        ASSERT_EQ(by_masks(), after_scan()) << "n=" << n << " k=" << k;
+      }
+    }
   }
 }
 

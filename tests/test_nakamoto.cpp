@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "nakamoto/attack.h"
 #include "nakamoto/miner.h"
@@ -266,6 +267,51 @@ TEST(Attack, MonteCarloMatchesClosedForm) {
 TEST(Attack, MajorityAlwaysWinsMonteCarlo) {
   support::Rng rng(8);
   EXPECT_DOUBLE_EQ(attack_success_monte_carlo(0.6, 6, 500, rng), 1.0);
+}
+
+/// The double-spend race as attack_success_monte_carlo ran it before the
+/// walk stepped by a branch-free draw: one rng.chance(q) per block.
+double attack_success_by_chance(double q, unsigned z, std::size_t trials,
+                                support::Rng& rng, std::size_t max_blocks) {
+  if (q == 0.0) return 0.0;
+  std::size_t wins = 0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    const double p = 1.0 - q;
+    std::int64_t deficit;
+    if (q >= 0.5) {
+      deficit = 0;
+    } else {
+      const double lambda = static_cast<double>(z) * q / p;
+      deficit = static_cast<std::int64_t>(z) -
+                static_cast<std::int64_t>(rng.poisson(lambda));
+    }
+    bool win = deficit <= 0;
+    for (std::size_t step = 0; !win && step < max_blocks; ++step) {
+      deficit += rng.chance(q) ? -1 : 1;
+      if (deficit <= 0) win = true;
+      if (deficit > 256) break;
+    }
+    if (win) ++wins;
+  }
+  return static_cast<double>(wins) / static_cast<double>(trials);
+}
+
+TEST(Attack, MonteCarloMatchesThePerStepChanceWalk) {
+  // z = 300 starts past the 256 bail-out, so a trial takes one step;
+  // q = 0 draws nothing and q = 0.5 wins before the first step.
+  for (const double q : {0.0, 0.05, 0.1, 0.25, 0.45, 0.5, 0.7}) {
+    for (const unsigned z : {0u, 1u, 6u, 300u}) {
+      for (const std::size_t max_blocks : {1u, 10u, 4096u}) {
+        const std::uint64_t seed = 90 + z + max_blocks;
+        support::Rng by_chance(seed), by_draw(seed);
+        EXPECT_EQ(attack_success_monte_carlo(q, z, 300, by_draw, max_blocks),
+                  attack_success_by_chance(q, z, 300, by_chance, max_blocks))
+            << "q=" << q << " z=" << z << " max_blocks=" << max_blocks;
+        EXPECT_EQ(by_draw(), by_chance())
+            << "q=" << q << " z=" << z << " max_blocks=" << max_blocks;
+      }
+    }
+  }
 }
 
 TEST(Attack, ConfirmationsForRisk) {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "support/assert.h"
 #include "support/rng.h"
@@ -78,20 +79,6 @@ TEST(Rng, BelowRejectsZero) {
   EXPECT_THROW((void)rng.below(0), ContractViolation);
 }
 
-TEST(Rng, BetweenInclusive) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.between(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, ChanceEdges) {
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
@@ -130,35 +117,20 @@ TEST(Rng, PoissonMeanSmallAndLarge) {
   EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(10);
-  const std::array<double, 3> weights = {1.0, 0.0, 3.0};
-  std::array<int, 3> counts{};
-  constexpr int kN = 40000;
-  for (int i = 0; i < kN; ++i) ++counts[rng.categorical(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0], kN / 4, kN / 40);
-  EXPECT_NEAR(counts[2], 3 * kN / 4, kN / 40);
-}
-
-TEST(Rng, CategoricalRejectsAllZero) {
-  Rng rng(11);
-  const std::array<double, 2> zero = {0.0, 0.0};
-  EXPECT_THROW((void)rng.categorical(zero), ContractViolation);
-}
-
-TEST(Rng, ZipfZeroExponentIsUniform) {
+TEST(ZipfTable, ZeroExponentIsUniform) {
   Rng rng(12);
+  const ZipfTable table(4, 0.0);
   std::array<int, 4> counts{};
   constexpr int kN = 40000;
-  for (int i = 0; i < kN; ++i) ++counts[rng.zipf(4, 0.0)];
+  for (int i = 0; i < kN; ++i) ++counts[table.draw(rng)];
   for (const int count : counts) EXPECT_NEAR(count, kN / 4, kN / 40);
 }
 
-TEST(Rng, ZipfSkewFavorsLowRanks) {
+TEST(ZipfTable, SkewFavorsLowRanks) {
   Rng rng(13);
+  const ZipfTable table(4, 1.5);
   std::array<int, 4> counts{};
-  for (int i = 0; i < 40000; ++i) ++counts[rng.zipf(4, 1.5)];
+  for (int i = 0; i < 40000; ++i) ++counts[table.draw(rng)];
   EXPECT_GT(counts[0], counts[1]);
   EXPECT_GT(counts[1], counts[2]);
   EXPECT_GT(counts[2], counts[3]);
@@ -180,6 +152,43 @@ TEST(Rng, SampleIndicesDistinctAndComplete) {
   EXPECT_EQ(everything.size(), 5u);
 }
 
+/// Floyd's sampler as Rng::sample_indices wrote it into a fresh vector
+/// before it could fill a reused buffer.
+std::vector<std::size_t> floyd_into_fresh_vector(Rng& rng, std::size_t n,
+                                                 std::size_t k) {
+  std::vector<std::size_t> chosen;
+  chosen.reserve(k);
+  for (std::size_t j = n - k; j < n; ++j) {
+    const std::size_t t = rng.below(j + 1);
+    bool already = false;
+    for (const std::size_t c : chosen) {
+      if (c == t) {
+        already = true;
+        break;
+      }
+    }
+    chosen.push_back(already ? j : t);
+  }
+  return chosen;
+}
+
+TEST(Rng, SampleIndicesIntoBufferMatchesFloyd) {
+  Rng a(16), b(16);
+  std::vector<std::size_t> buffer = {99, 98, 97, 96, 95, 94, 93};
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (std::size_t k = 0; k <= n; ++k) {
+      for (int trial = 0; trial < 20; ++trial) {
+        b.sample_indices(n, k, buffer);
+        ASSERT_EQ(buffer, floyd_into_fresh_vector(a, n, k)) << n << " " << k;
+        ASSERT_EQ(b.sample_indices(n, k), floyd_into_fresh_vector(a, n, k))
+            << n << " " << k;
+      }
+    }
+  }
+  EXPECT_EQ(a(), b());
+  EXPECT_THROW(b.sample_indices(2, 3, buffer), ContractViolation);
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(15);
   std::vector<int> values = {1, 2, 3, 4, 5, 6, 7};
@@ -187,6 +196,94 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, values);
+}
+
+// --- Bernoulli and ZipfTable, pinned to the draws they replace ----------
+
+/// Asserts that one Bernoulli(p) draw from `by_draw` has the outcome of
+/// one chance(p) from `by_chance`; both generators must start equal.
+void expect_same_flip(double p, Rng& by_chance, Rng& by_draw) {
+  const bool expected = by_chance.chance(p);
+  ASSERT_EQ(Bernoulli(p).draw(by_draw), expected ? 1u : 0u)
+      << std::hexfloat << p;
+}
+
+TEST(Bernoulli, MatchesChanceAtFixedProbabilities) {
+  for (const double p :
+       {0.0, 0x1.0p-53, 0.05, 0.45, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+    Rng by_chance(21), by_draw(21);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_NO_FATAL_FAILURE(expect_same_flip(p, by_chance, by_draw));
+    }
+    // One rng() per flip on both sides: the streams stay in step.
+    EXPECT_EQ(by_chance(), by_draw()) << p;
+  }
+}
+
+TEST(Bernoulli, MatchesChanceAtRandomProbabilities) {
+  Rng pick(22), by_chance(23), by_draw(23);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_flip(pick.uniform(), by_chance, by_draw));
+  }
+  EXPECT_EQ(by_chance(), by_draw());
+}
+
+TEST(Bernoulli, MatchesChanceAtTheNextDrawsOwnValue) {
+  // p = x · 2^-53 for the top 53 bits x of the coming draw, and the two
+  // doubles either side of it: chance() is false, false and true, and a
+  // threshold rounded the wrong way flips one of them.
+  Rng by_chance(24), by_draw(24);
+  for (int i = 0; i < 100000; ++i) {
+    Rng peek = by_chance;
+    const double at = static_cast<double>(peek() >> 11) * 0x1.0p-53;
+    const double p =
+        i % 3 == 0 ? at : std::nextafter(at, i % 3 == 1 ? 0.0 : 1.0);
+    ASSERT_NO_FATAL_FAILURE(expect_same_flip(p, by_chance, by_draw));
+  }
+  EXPECT_EQ(by_chance(), by_draw());
+}
+
+TEST(Bernoulli, RejectsProbabilityOutsideUnitInterval) {
+  EXPECT_THROW(Bernoulli{1.5}, ContractViolation);
+  EXPECT_THROW(Bernoulli{-0.1}, ContractViolation);
+}
+
+/// The Zipf inversion as Rng::zipf made it before the weights were
+/// tabulated: every weight recomputed with pow on every draw.
+std::size_t zipf_by_pow(Rng& rng, std::size_t n, double s) {
+  if (n == 1) return 0;
+  double norm = 0.0;
+  for (std::size_t rank = 1; rank <= n; ++rank) {
+    norm += 1.0 / std::pow(static_cast<double>(rank), s);
+  }
+  double target = rng.uniform() * norm;
+  for (std::size_t rank = 1; rank <= n; ++rank) {
+    target -= 1.0 / std::pow(static_cast<double>(rank), s);
+    if (target < 0.0) return rank - 1;
+  }
+  return n - 1;
+}
+
+TEST(ZipfTable, DrawsWhatThePowInversionDrew) {
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (const double s : {0.0, 0.8, 1.0, 1.5, 3.0}) {
+      const ZipfTable table(n, s);
+      ASSERT_EQ(table.size(), n);
+      Rng by_pow(31 + n), by_table(31 + n);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(table.draw(by_table), zipf_by_pow(by_pow, n, s))
+            << n << " " << s;
+      }
+      // n = 1 draws nothing; every other n draws once per rank.
+      EXPECT_EQ(by_pow(), by_table()) << n << " " << s;
+    }
+  }
+}
+
+TEST(ZipfTable, RejectsEmptyRangeAndNegativeExponent) {
+  EXPECT_THROW(ZipfTable(0, 1.0), ContractViolation);
+  EXPECT_THROW(ZipfTable(3, -0.5), ContractViolation);
 }
 
 TEST(RunningStats, MatchesDirectComputation) {
